@@ -24,7 +24,7 @@ from .resolutions import (JoinResolution, Resolution, ValidationReport,
                           validate_resolution)
 from .tate import (HomologyGroup, InvariantCycle, ZERO, down_vector, homology,
                    is_cycle, is_stably_zero, lift_vector, phi, phi_inverse,
-                   random_cycle, tate_group, tensor_down)
+                   random_cycle, tate_group)
 from .products import (ChainMap, ComparisonLift, ProductContext, ProductTable,
                        composition_product, join_product, lift_comparison,
                        product_table)
@@ -45,7 +45,7 @@ __all__ = [
     "Resolution", "JoinResolution", "ValidationReport", "load_resolution",
     "validate_resolution", "periodic_cyclic_resolution", "bar_resolution",
     "syzygy_resolution", "join", "join_rank", "include_cycle_tensor",
-    "HomologyGroup", "homology", "tensor_down", "down_vector", "lift_vector",
+    "HomologyGroup", "homology", "down_vector", "lift_vector",
     "is_cycle", "InvariantCycle", "phi", "phi_inverse", "is_stably_zero",
     "ZERO", "tate_group", "random_cycle",
     "ChainMap", "ComparisonLift", "lift_comparison", "ProductContext",

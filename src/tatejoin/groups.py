@@ -16,10 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import GroupError, SchemaError
 
-# Exhaustive associativity checking is cubic; beyond this order we trust the
-# constructors (closures and named families are associative by construction).
-VALIDATE_ORDER_BOUND = 64
-
 # Closure of permutation generators refuses to enumerate past this order.
 MAX_CLOSURE_ORDER = 20000
 
@@ -32,14 +28,11 @@ class FiniteGroup:
 
     __slots__ = ("label", "order", "table", "inverse", "_hash")
 
-    def __init__(self, table: Sequence[Sequence[int]], label: str = "G",
-                 validate: bool | None = None):
+    def __init__(self, table: Sequence[Sequence[int]], label: str = "G"):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.label = label
-        if validate is None:
-            validate = self.order <= VALIDATE_ORDER_BOUND
-        self._check_table(full=validate)
+        self._check_table()
         inv = [None] * self.order
         for a in range(self.order):
             for b in range(self.order):
@@ -51,7 +44,7 @@ class FiniteGroup:
         self.inverse = tuple(inv)
         self._hash = hash((self.label, self.table))
 
-    def _check_table(self, full: bool) -> None:
+    def _check_table(self) -> None:
         w = self.order
         if w == 0:
             raise GroupError("empty multiplication table")
@@ -67,17 +60,46 @@ class FiniteGroup:
         for a in range(w):
             if self.table[0][a] != a or self.table[a][0] != a:
                 raise GroupError("index 0 is not a two-sided identity")
-        if full:
-            t = self.table
+        bad = self.associativity_failure()
+        if bad is not None:
+            raise GroupError("associativity fails at ({},{},{})".format(*bad))
+
+    def associativity_failure(self) -> tuple[int, int, int] | None:
+        """A triple (a, g, c) with (ag)c != a(gc), or None if associative.
+
+        Light's test (Clifford and Preston, 1961): the elements g with
+        (ag)c = a(gc) for all a, c are closed under products, so checking g
+        over a generating set suffices.  The set is read greedily off the
+        table: an element joins it when products of the earlier ones do not
+        reach it.  A group needs at most log2(order) of them, so the test
+        costs O(order^2 log order) and is exact at every order.
+        """
+        t, w = self.table, self.order
+        gens: list[int] = []
+        reached = {0}
+        for x in range(w):
+            if x in reached:
+                continue
+            gens.append(x)
+            reached, frontier = {0}, [0]
+            while frontier:
+                nxt = []
+                for a in frontier:
+                    for g in gens:
+                        b = t[a][g]
+                        if b not in reached:
+                            reached.add(b)
+                            nxt.append(b)
+                frontier = nxt
+        for g in gens:
+            tg = t[g]
             for a in range(w):
                 ta = t[a]
-                for b in range(w):
-                    tab = ta[b]
-                    tb = t[b]
-                    for c in range(w):
-                        if t[tab][c] != ta[tb[c]]:
-                            raise GroupError(
-                                f"associativity fails at ({a},{b},{c})")
+                tag = t[ta[g]]  # row c -> (ag)c, against a(gc) = ta[tg[c]]
+                if tag != tuple(map(ta.__getitem__, tg)):
+                    c = next(c for c in range(w) if tag[c] != ta[tg[c]])
+                    return a, g, c
+        return None
 
     # -- basic structure ---------------------------------------------------
 
@@ -237,7 +259,7 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
                 queue.append(q)
     table = [[index[tuple(p[q[i]] for i in range(degree))] for q in elems]
              for p in elems]
-    return FiniteGroup(table, label=label, validate=False)
+    return FiniteGroup(table, label=label)
 
 
 _NAMED = {"q8": quaternion8, "quaternion8": quaternion8, "trivial": trivial}

@@ -5,15 +5,15 @@ entries in Smith/Hermite eliminations can far exceed any fixed word size.
 
 Three tiers, one substance:
 
-* ``smith_normal_form`` is the transform-tracked decomposition U*A*V = S used
-  wherever generators or coordinates are needed (kernels, homology classes).
+* ``smith_normal_form`` is the transform-tracked decomposition U*A*V = S,
+  run on small matrices only, such as the residue of the sparse eliminator.
 * ``IntegerSolver`` factors a matrix once (column Hermite form) and answers
   many A x = b queries; a particular solution is produced by back
   substitution, with no size minimization, so results are deterministic.
-* ``sparse_invariant_factors`` / ``sparse_rank`` eliminate with +/-1 pivots on
-  sparse data and fall back to dense Smith form on the small residue once no
-  unit pivot remains or fill-in passes a density threshold.  This is what
-  scales to the large bar-resolution boundary matrices.
+* ``_sparse_eliminate`` splits +/-1 pivots off sparse data and logs its row
+  operations; a dense Smith form of the small residue finishes the job.
+  ``sparse_invariant_factors`` takes only its diagonal; homology replays
+  the log to classify cycles.  This scales to bar-resolution boundaries.
 
 Pivot rule for the dense Smith form: smallest nonzero absolute value, ties
 broken by lowest (row, col).  Fixed so decompositions are reproducible.
@@ -21,10 +21,12 @@ broken by lowest (row, col).  Fixed so decompositions are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import heapq
+import math
+from typing import Iterable, NamedTuple, Sequence
 
 # Fall back from sparse elimination to a dense Smith form when the remaining
-# fill-in density exceeds this fraction (config knob).
+# fill-in density exceeds this fraction.
 DENSE_FALLBACK_DENSITY = 0.25
 
 
@@ -80,9 +82,6 @@ class IntMatrix:
                 m.data[i][j] = v
         return m
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], ncols=self.ncols)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 
@@ -125,15 +124,8 @@ class IntMatrix:
                             orow[j] += a * b
         return out
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(col) for col in zip(*self.data)] if self.nrows
-                         else [], ncols=self.nrows)
-
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
-
-    def nnz(self) -> int:
-        return sum(1 for row in self.data for v in row if v)
 
 
 def det_bareiss(A: IntMatrix) -> int:
@@ -606,14 +598,27 @@ def _row_scale_add(r1: dict[int, int], x: int, r2: dict[int, int],
     return {j: v for j, v in out.items() if v}
 
 
-def _sparse_eliminate(cols: Iterable[dict[int, int]], nrows: int,
-                      density_threshold: float):
+class Elimination(NamedTuple):
+    """The row operations of a unit-pivot elimination and what they leave.
+
+    Replaying ``ops``, each (t, s, q) meaning row[t] -= q*row[s], turns A
+    into L*A, whose column lattice is spanned by unit vectors on the
+    ``pivots`` rows and the ``residual`` columns on the ``rows`` rows.
+    """
+
+    pivots: list[int]
+    ops: list[tuple[int, int, int]]
+    rows: list[int]
+    residual: IntMatrix
+
+
+def _sparse_eliminate(cols: Iterable[dict[int, int]],
+                      nrows: int) -> Elimination:
     """Split off +/-1 pivots from a sparse matrix given by columns.
 
-    Returns (unit_pivots, residual_rows) where the original matrix is
-    equivalent to diag(1,...,1) (unit_pivots of them) plus the residual.
-    Deduplicates columns first; duplicate columns never change the column
-    lattice, hence neither rank nor invariant factors.
+    Deduplicates columns first and again in the residual; duplicate columns
+    never change the column lattice, hence neither rank nor invariant
+    factors.  Column operations are not logged, for the same reason.
     """
     seen: set[tuple[tuple[int, int], ...]] = set()
     rows: dict[int, dict[int, int]] = {}
@@ -635,12 +640,12 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]], nrows: int,
             col_rows[j].add(i)
     del seen
 
-    import heapq
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     stamp = {i: len(r) for i, r in rows.items()}
     nnz = sum(len(r) for r in rows.values())
-    pivots = 0
+    pivots: list[int] = []
+    ops: list[tuple[int, int, int]] = []
     stuck: list[int] = []
 
     while heap:
@@ -666,6 +671,7 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]], nrows: int,
                 continue
             r2 = rows[i2]
             q = r2[j] * v  # v in {1,-1}: q = r2[j] / v
+            ops.append((i2, i, q))
             for jj, vv in row.items():
                 new = r2.get(jj, 0) - q * vv
                 if new:
@@ -691,7 +697,7 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]], nrows: int,
         del rows[i]
         stamp.pop(i, None)
         col_rows.pop(j, None)
-        pivots += 1
+        pivots.append(i)
         if stuck:
             for s in stuck:
                 if s in rows:
@@ -700,34 +706,33 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]], nrows: int,
             stuck.clear()
         nr, nc = len(rows), len(col_rows)
         if nr and nc:
-            if nnz > density_threshold * nr * nc and nr * nc < 1 << 22:
+            if nnz > DENSE_FALLBACK_DENSITY * nr * nc and nr * nc < 1 << 22:
                 break  # dense fallback is now cheaper than fighting fill-in
-    return pivots, list(rows.values())
+    # the surviving rows on the columns they still touch, one column per
+    # +/- pair: fill-in makes many residual columns equal up to sign
+    distinct: dict[tuple[int, ...], None] = {}
+    for j in sorted({j for r in rows.values() for j in r}):
+        col = tuple(r.get(j, 0) for r in rows.values())
+        if next(v for v in col if v) < 0:
+            col = tuple(-v for v in col)
+        distinct[col] = None
+    return Elimination(pivots, ops, list(rows),
+                       IntMatrix([list(r) for r in zip(*distinct)],
+                                 ncols=len(distinct)))
 
 
-def _residual_to_dense(rrows: list[dict[int, int]]) -> IntMatrix:
-    cols_present = sorted({j for r in rrows for j in r})
-    remap = {j: k for k, j in enumerate(cols_present)}
-    data = [[0] * len(cols_present) for _ in rrows]
-    for i, r in enumerate(rrows):
-        for j, v in r.items():
-            data[i][remap[j]] = v
-    return IntMatrix(data, ncols=len(cols_present))
-
-
-def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int,
-                             density_threshold: float = DENSE_FALLBACK_DENSITY
+def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int
                              ) -> tuple[int, list[int]]:
     """(rank, nontrivial invariant factors > 1) of the matrix with the given columns.
 
     The unit pivots split off by sparse elimination contribute invariant
     factor 1 each; the dense Smith form of the residual supplies the rest.
     """
-    pivots, rrows = _sparse_eliminate(cols, nrows, density_threshold)
-    if not rrows:
-        return pivots, []
-    dec = smith_normal_form(_residual_to_dense(rrows), transforms=False)
-    return pivots + dec.rank, dec.nontrivial_factors()
+    elim = _sparse_eliminate(cols, nrows)
+    if not elim.rows:
+        return len(elim.pivots), []
+    dec = smith_normal_form(elim.residual, transforms=False)
+    return len(elim.pivots) + dec.rank, dec.nontrivial_factors()
 
 
 def sparse_rank(cols: Iterable[dict[int, int]], nrows: int) -> int:
@@ -749,7 +754,7 @@ def minor_gcd_invariant_factors(A: IntMatrix) -> list[int]:
         for rows in combinations(range(A.nrows), k):
             for cols in combinations(range(A.ncols), k):
                 sub = IntMatrix([[A.data[i][j] for j in cols] for i in rows])
-                g = _gcd(g, det_bareiss(sub))
+                g = math.gcd(g, det_bareiss(sub))
                 if g == 1:
                     break
             if g == 1:
@@ -759,10 +764,3 @@ def minor_gcd_invariant_factors(A: IntMatrix) -> list[int]:
         factors.append(g // prev)
         prev = g
     return factors
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a

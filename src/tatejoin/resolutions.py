@@ -32,6 +32,7 @@ the P-degree, the Z factor sits in degree -1, and the boundary out of degree
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Sequence
 
@@ -286,9 +287,7 @@ def validate_resolution(res: Resolution,
                       "" if ok else f"composition nonzero at degree {k}")
 
     # augmentation onto Z
-    g = 0
-    for a in res.aug:
-        g = _gcd(g, a)
+    g = math.gcd(*res.aug)
     report.record("augmentation onto Z", g == 1,
                   "" if g == 1 else f"gcd of augmentation entries is {g}")
 
@@ -317,13 +316,6 @@ def validate_resolution(res: Resolution,
                       f"{ranks_z[k]} + {ranks_z[k + 1]} != {middle} "
                       f"or nonunit factors in z(d_{k + 1})")
     return report
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- constructors -------------------------------------------------------------
@@ -459,8 +451,7 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
     if not kbasis:
         return []
 
-    def orbit_of_flat(flat):
-        vec = unflatten_vector(flat, group, rank_above)
+    def orbit(vec):
         return [flatten_vector([a.left_translate(g) for a in vec], group)
                 for g in range(order)]
 
@@ -474,7 +465,7 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
                                             sum(1 for x in v if x),
                                             v))
     for v in by_size:
-        for flat in orbit_of_flat(v):
+        for flat in orbit(unflatten_vector(v, group, rank_above)):
             full.add({i: x for i, x in enumerate(flat) if x})
     ncols = z_matrix.ncols
     dense = []
@@ -490,11 +481,7 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
                               sum(1 for x in v if x), v))
     candidates = [unflatten_vector(flat, group, rank_above) for flat in dense]
 
-    def orbit_flat(vec):
-        return [flatten_vector([a.left_translate(g) for a in vec], group)
-                for g in range(order)]
-
-    orbits = [orbit_flat(v) for v in candidates]
+    orbits = [orbit(v) for v in candidates]
 
     cand_sparse = [{i: v for i, v in enumerate(orbits[t][0]) if v}
                    for t in range(len(candidates))]

@@ -2,13 +2,15 @@
 
 Tensoring a resolution down over the group ring (replacing every group-ring
 entry by its augmentation) gives the integer complex whose homology is the
-group homology H_n.  Invariant factors are read off the boundary matrices:
-the torsion of H_n equals the nonunit invariant factors of D_{n+1}, because
-the kernel of D_n is a saturated sublattice, and the free rank is
-rank ker D_n - rank D_{n+1}.  That needs only ranks and factors, which the
-sparse eliminator delivers at bar-resolution scale; the transform-tracked
-Smith machinery for classifying cycles and exhibiting generators is built
-lazily, only when someone asks.
+group homology H_n.  One engine does all the work: the sparse unit-pivot
+eliminator of ``intlinalg``.  Invariant factors are read off the boundary
+matrices: the torsion of H_n equals the nonunit invariant factors of
+D_{n+1}, because the kernel of D_n is a saturated sublattice, and the free
+rank is rank ker D_n - rank D_{n+1}.  Classifying cycles and exhibiting
+generators replays the row operations of the elimination of D_{n+1} and
+takes a transform-tracked Smith form of its small residual alone; a kernel
+basis of D_n is computed only when H_n has a free summand.  That data is
+built lazily, only when someone asks, and must reproduce the factors.
 
 The degree-(-n-1) groups of the Tate theory are reached through the norm
 correspondence: an invariant chain of P_n is exactly a norm N.y, and the
@@ -20,11 +22,13 @@ projective iff the class vanishes).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import GroupRingElement, norm_element
-from .intlinalg import (IntMatrix, NoSolution, smith_normal_form,
+from .intlinalg import (IntMatrix, NoSolution, _sparse_eliminate,
+                        kernel_basis, smith_normal_form,
                         sparse_invariant_factors)
 from .resolutions import Resolution
 from .zglinalg import ZGMatrix, solve_zg_linear
@@ -44,27 +48,14 @@ def lift_vector(res: Resolution, k: int, coords: Sequence[int]
     return [GroupRingElement.basis(res.group, 0, int(c)) for c in coords]
 
 
-def tensor_down(res: Resolution) -> list[IntMatrix]:
-    """The integer chain complex of the resolution: matrices D_1..D_depth."""
-    return [res.down_matrix(k) for k in range(1, res.depth + 1)]
-
-
-def _down_columns(D: IntMatrix) -> list[dict[int, int]]:
-    return D.columns_sparse()
-
-
 def _rank_and_factors(res: Resolution, k: int) -> tuple[int, list[int]]:
     """(rank, nonunit invariant factors) of D_k, cached on the resolution."""
-    cache = _cache_of(res)
     key = ("rf", k)
-    if key not in cache:
+    if key not in res._hcache:
         D = res.down_matrix(k)
-        cache[key] = sparse_invariant_factors(_down_columns(D), D.nrows)
-    return cache[key]
-
-
-def _cache_of(res: Resolution) -> dict:
-    return res._hcache
+        res._hcache[key] = sparse_invariant_factors(D.columns_sparse(),
+                                                    D.nrows)
+    return res._hcache[key]
 
 
 class HomologyGroup:
@@ -73,8 +64,8 @@ class HomologyGroup:
     invariant_factors lists the torsion factors in ascending divisibility
     order followed by one 0 per free summand (0 means a Z summand).  The
     factor list is computed eagerly from ranks alone; generators and the
-    classify map trigger the transform-tracked Smith decompositions on first
-    use and are cross-checked against the eager factors.
+    classify map are built on first use and cross-checked against the
+    eager factors.
     """
 
     __slots__ = ("resolution", "degree", "invariant_factors", "_cls")
@@ -97,7 +88,10 @@ class HomologyGroup:
             ker_rank = rank_n - rk_dn
         rk_im, torsion = _rank_and_factors(resolution, n + 1)
         free = ker_rank - rk_im
-        assert free >= 0, "image rank exceeds kernel rank; not a complex?"
+        if free < 0:
+            raise InternalCheckError(
+                f"H_{n}: image rank {rk_im} exceeds kernel rank {ker_rank}; "
+                "not a complex?")
         self.invariant_factors = list(torsion) + [0] * free
         self._cls = None
 
@@ -132,13 +126,15 @@ class HomologyGroup:
 
     # -- classify machinery (lazy) ---------------------------------------
 
-    def _classify_data(self):
+    def _coordinates(self) -> "_CycleCoordinates":
         if self._cls is None:
-            self._cls = _ClassifyData(self.resolution, self.degree)
-            got = self._cls.factors
-            want = self.invariant_factors
-            assert got == want, (
-                f"classify factors {got} disagree with rank-counted {want}")
+            cls = _CycleCoordinates(self.resolution, self.degree,
+                                    self.invariant_factors.count(0))
+            if cls.factors != self.invariant_factors:
+                raise InternalCheckError(
+                    f"H_{self.degree}: classify factors {cls.factors} "
+                    f"disagree with rank-counted {self.invariant_factors}")
+            self._cls = cls
         return self._cls
 
     def classify(self, cycle: Sequence[int]) -> tuple[int, ...]:
@@ -150,12 +146,12 @@ class HomologyGroup:
         if not is_cycle(self.resolution, self.degree, cycle):
             raise ResolutionError(
                 f"classify: input is not a cycle in degree {self.degree}")
-        return self._classify_data().classify(cycle)
+        return self._coordinates().classify(cycle)
 
     @property
     def generators(self) -> list[list[int]]:
         """One explicit cycle per invariant factor."""
-        return self._classify_data().generators
+        return self._coordinates().generators
 
     def class_order(self, coords: Sequence[int]) -> int:
         """Order of the class with the given canonical coordinates (0 = infinite)."""
@@ -165,97 +161,98 @@ class HomologyGroup:
                 if c:
                     return 0
             elif c:
-                g = _gcd(d, c)
-                order = _lcm(order, d // g)
+                order = math.lcm(order, d // math.gcd(d, c))
         return order
 
     def is_zero_class(self, coords: Sequence[int]) -> bool:
         return not any(coords)
 
 
-class _ClassifyData:
-    """Smith-form coordinates for ker D_n / im D_{n+1}."""
+class _CycleCoordinates:
+    """Canonical coordinates on H_n = ker D_n / im D_{n+1}.
 
-    __slots__ = ("rank_n", "zero_cols", "kmatrix", "vinv_rows", "snf_b",
-                 "factors", "generators", "positions")
+    The unit-pivot elimination of D_{n+1} is a unimodular row transform L
+    with L(im D_{n+1}) = Z^pivots + im M for its residual M, and the Smith
+    form U M V = S diagonalizes im M.  So torsion coordinate p of a cycle c
+    is (U (L c)_rows)_p mod d_p.  Its generator is L^-1 U^-1 e_p, which is
+    U^-1 e_p on the residual rows: each logged operation adds a multiple of
+    a pivot row, so L fixes every vector that vanishes on them.  The rest of
+    U (L c)_rows, with L c on the rows that are neither pivot nor residual,
+    vanishes on the saturation of im D_{n+1} and is injective on the free
+    part of H_n.  Only when H_n has a free summand is it evaluated on a
+    kernel basis of D_n, whose Smith form then picks the free basis.
+    """
 
-    def __init__(self, res: Resolution, n: int):
-        rank_n = res.ranks[n]
-        self.rank_n = rank_n
-        if n == 0:
-            # no boundary out of degree 0: the kernel is everything
-            self.zero_cols = list(range(rank_n))
-            self.kmatrix = IntMatrix.identity(rank_n)
-            self.vinv_rows = IntMatrix.identity(rank_n)
-        else:
-            dec = smith_normal_form(res.down_matrix(n))
-            diag = dec.diagonal
-            self.zero_cols = [j for j in range(rank_n)
-                              if j >= len(diag) or diag[j] == 0]
-            self.kmatrix = IntMatrix(
-                [[dec.V.data[i][j] for j in self.zero_cols]
-                 for i in range(rank_n)], ncols=len(self.zero_cols))
-            self.vinv_rows = IntMatrix(
-                [dec.Vinv.data[j] for j in self.zero_cols], ncols=rank_n)
-        kdim = len(self.zero_cols)
-        # image of D_{n+1} in kernel coordinates
-        Dup = res.down_matrix(n + 1)
-        B = self.vinv_rows.mul(Dup)
-        self.snf_b = smith_normal_form(B)
-        diag_b = self.snf_b.diagonal
-        rank_b = sum(1 for d in diag_b if d)
-        # positions holds, for each reported factor, its row index in Smith
-        # coordinates: torsion rows with d > 1 first, then the free rows
-        self.positions = ([p for p in range(rank_b) if diag_b[p] > 1]
-                          + list(range(rank_b, kdim)))
-        self.factors = ([diag_b[p] for p in range(rank_b) if diag_b[p] > 1]
-                        + [0] * (kdim - rank_b))
-        gens = []
-        for p in self.positions:
-            col = self.snf_b.Uinv.column(p)
-            gens.append(self.kmatrix.apply(col))
-        self.generators = gens
+    __slots__ = ("ops", "rows", "U", "rank", "torsion", "zero_rows",
+                 "free_U", "factors", "generators")
 
-    def kernel_coords(self, cycle: Sequence[int]) -> list[int]:
-        if len(cycle) != self.rank_n:
-            raise ResolutionError("cycle vector has the wrong length")
-        full = self.vinv_rows.apply(list(cycle))
-        return full
+    def __init__(self, res: Resolution, n: int, free: int):
+        D = res.down_matrix(n + 1)
+        elim = _sparse_eliminate(D.columns_sparse(), D.nrows)
+        self.ops, self.rows = elim.ops, elim.rows
+        dec = smith_normal_form(elim.residual)
+        self.U, self.rank = dec.U, dec.rank
+        self.torsion = [(p, d) for p, d in enumerate(dec.diagonal) if d > 1]
+        self.factors = [d for _, d in self.torsion] + [0] * free
+        self.generators = []
+        for p, _ in self.torsion:
+            y = [0] * D.nrows
+            for i, v in zip(self.rows, dec.Uinv.column(p)):
+                y[i] = v
+            self.generators.append(y)
+        self.zero_rows = self.free_U = None
+        if free:
+            used = set(elim.pivots) | set(self.rows)
+            self.zero_rows = [i for i in range(D.nrows) if i not in used]
+            self._add_free_generators(res, n, free)
+        if not all(is_cycle(res, n, g) for g in self.generators):
+            raise InternalCheckError(f"H_{n}: a generator is not a cycle")
+
+    def _add_free_generators(self, res: Resolution, n: int,
+                             free: int) -> None:
+        Dn = res.down_matrix(n) if n else IntMatrix.zeros(0, res.ranks[0])
+        kernel = kernel_basis(Dn)
+        values = [self._coords(k)[1] for k in kernel]
+        fdec = smith_normal_form(IntMatrix([list(r) for r in zip(*values)],
+                                           ncols=len(kernel)))
+        if fdec.invariant_factors != [1] * free:
+            raise InternalCheckError(
+                f"H_{n}: free part has factors {fdec.invariant_factors}, "
+                f"expected {free} unit factors")
+        self.free_U = IntMatrix(fdec.U.data[:free], ncols=len(values[0]))
+        for q in range(free):
+            coeffs = fdec.V.column(q)
+            z = [sum(a * k[i] for a, k in zip(coeffs, kernel))
+                 for i in range(res.ranks[n])]
+            # drop the torsion part so that z classifies to a unit tuple
+            for t, g in zip(self._coords(z)[0], self.generators):
+                z = [x - t * y for x, y in zip(z, g)]
+            self.generators.append(z)
+
+    def _coords(self, cycle: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(torsion coordinates, free-part values) of a cycle."""
+        y = list(cycle)
+        for t, s, q in self.ops:  # y = L y
+            y[t] -= q * y[s]
+        u = self.U.apply([y[i] for i in self.rows])
+        tors = [u[p] % d for p, d in self.torsion]
+        if self.zero_rows is None:
+            return tors, []
+        return tors, u[self.rank:] + [y[i] for i in self.zero_rows]
 
     def classify(self, cycle: Sequence[int]) -> tuple[int, ...]:
-        # verify membership in the kernel: Vinv rows at nonzero factors must
-        # vanish; equivalently D_n . cycle = 0, which we check directly.
-        c = list(cycle)
-        coords = self.kernel_coords(c)
-        u = self.snf_b.U.apply(coords)
-        diag_b = self.snf_b.diagonal
-        out = []
-        for p in self.positions:
-            if p < len(diag_b) and diag_b[p] > 1:
-                out.append(u[p] % diag_b[p])
-            else:
-                out.append(u[p])
-        return tuple(out)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b) if a and b else 0
+        tors, values = self._coords(cycle)
+        if self.free_U is None:
+            return tuple(tors)
+        return tuple(tors + self.free_U.apply(values))
 
 
 def homology(res: Resolution, n: int) -> HomologyGroup:
     """H_n of the resolution's tensored-down complex (cached per degree)."""
-    cache = _cache_of(res)
     key = ("homology", n)
-    if key not in cache:
-        cache[key] = HomologyGroup(res, n)
-    return cache[key]
+    if key not in res._hcache:
+        res._hcache[key] = HomologyGroup(res, n)
+    return res._hcache[key]
 
 
 def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
@@ -376,14 +373,16 @@ def tate_group(res: Resolution, k: int):
 
 
 def random_cycle(res: Resolution, n: int, rng) -> list[int]:
-    """A random integer cycle of the down complex in degree n (for property tests)."""
+    """A random integer cycle of the down complex in degree n (for property tests).
+
+    A random combination of the generators of H_n plus a random boundary.
+    """
     h = homology(res, n)
-    data = h._classify_data()
-    kdim = len(data.zero_cols)
-    if kdim == 0:
-        return [0] * res.ranks[n]
-    coeffs = [rng.randrange(-4, 5) for _ in range(kdim)]
-    out = data.kmatrix.apply(coeffs)
+    out = res.down_matrix(n + 1).apply(
+        [rng.randrange(-4, 5) for _ in range(res.ranks[n + 1])])
+    for g in h.generators:
+        c = rng.randrange(-4, 5)
+        out = [x + c * y for x, y in zip(out, g)]
     if not is_cycle(res, n, out):
-        raise InternalCheckError("random kernel combination is not a cycle")
+        raise InternalCheckError("random generator combination is not a cycle")
     return out

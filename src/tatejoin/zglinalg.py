@@ -211,29 +211,8 @@ def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
             for i in range(rank)]
 
 
-def zg_zero_vector(group: FiniteGroup, rank: int) -> list[GroupRingElement]:
-    return [GroupRingElement.zero(group) for _ in range(rank)]
-
-
 def vector_is_zero(vec: Sequence[GroupRingElement]) -> bool:
     return all(a.is_zero() for a in vec)
-
-
-def vector_add(u: Sequence[GroupRingElement], v: Sequence[GroupRingElement]
-               ) -> list[GroupRingElement]:
-    assert len(u) == len(v)
-    return [a + b for a, b in zip(u, v)]
-
-
-def vector_sub(u: Sequence[GroupRingElement], v: Sequence[GroupRingElement]
-               ) -> list[GroupRingElement]:
-    assert len(u) == len(v)
-    return [a - b for a, b in zip(u, v)]
-
-
-def vector_scale(u: Sequence[GroupRingElement], k: int
-                 ) -> list[GroupRingElement]:
-    return [a.scale(k) for a in u]
 
 
 class ZGSolver:

@@ -83,6 +83,18 @@ def test_non_associative_table_rejected():
         FiniteGroup(t)
 
 
+def test_non_associative_table_of_order_66_rejected():
+    # Z/66 with the intercalate at rows 1, 34 and columns 2, 35 swapped: a
+    # latin square with identity 0 whose order is past any cubic scan
+    t = [[(a + b) % 66 for b in range(66)] for a in range(66)]
+    t[1][2], t[1][35] = t[1][35], t[1][2]
+    t[34][2], t[34][35] = t[34][35], t[34][2]
+    with pytest.raises(GroupError, match="associativity"):
+        FiniteGroup(t)
+    assert FiniteGroup([[(a + b) % 66 for b in range(66)]
+                        for a in range(66)]).associativity_failure() is None
+
+
 def test_build_group_specs():
     assert build_group("cyclic:5").order == 5
     assert build_group("dihedral:3").order == 6

@@ -7,18 +7,24 @@ even pattern checks cyclic groups.  Everything else is structural: round
 trips, boundary invariance, and cross-checks between the fast and slow paths.
 """
 
+import os
 import random
 
 import pytest
 
-from tatejoin import (GroupRingElement, IntMatrix, ResolutionError,
-                      SchemaError, ZERO, bar_resolution, cyclic, dihedral,
-                      homology, is_cycle, is_stably_zero, lift_vector,
+import tatejoin.tate
+from tatejoin import (GroupRingElement, IntMatrix, InternalCheckError,
+                      Resolution, ResolutionError, SchemaError, ZERO,
+                      ZGMatrix, bar_resolution, cyclic, dihedral, homology,
+                      is_cycle, is_stably_zero, lift_vector, load_resolution,
                       norm_element, periodic_cyclic_resolution, phi,
                       phi_inverse, quaternion8, random_cycle,
                       smith_normal_form, symmetric, syzygy_resolution,
-                      tate_group)
+                      tate_group, trivial)
 from tatejoin.tate import down_vector
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                        "tatejoin", "fixtures")
 
 
 def abelianization_factors(group):
@@ -99,18 +105,104 @@ def test_homology_depth_guard():
         homology(res, -1)
 
 
+def c2_complex_with_free_h2():
+    """Over C2: ranks (1,1,2,1), d_1 = t-1, d_2 = [N, 0], d_3 = [t-1; t-1].
+
+    A complex that is not exact: H_2 = Z although D_2 = [2, 0] is nonzero,
+    so classify needs a kernel basis of D_2 and not just the identity.
+    """
+    g = cyclic(2)
+    t_minus_1 = GroupRingElement(g, (-1, 1))
+    zero = GroupRingElement.zero(g)
+    d1 = ZGMatrix.from_rows(g, [[t_minus_1]])
+    d2 = ZGMatrix.from_rows(g, [[norm_element(g), zero]])
+    d3 = ZGMatrix.from_rows(g, [[t_minus_1], [t_minus_1]])
+    return Resolution(g, [1, 1, 2, 1], [d1, d2, d3], [1], label="free-H2")
+
+
+def trivial_complex_with_torsion_and_free_h1():
+    """Over the trivial group: ranks (1,3,1), d_1 = 0, d_2 = [2; 2; 0].
+
+    H_1 = Z/2 + Z + Z, where the free generators must shed a torsion part
+    to classify to unit tuples.
+    """
+    g = trivial()
+    zero, two = GroupRingElement.zero(g), GroupRingElement(g, (2,))
+    d1 = ZGMatrix.from_rows(g, [[zero, zero, zero]])
+    d2 = ZGMatrix.from_rows(g, [[two], [two], [zero]])
+    return Resolution(g, [1, 3, 1], [d1, d2], [1], label="tors+free-H1")
+
+
+def engine_cases():
+    """(name, resolution, degrees) for the classify-map properties."""
+    yield "S3 computed", syzygy_resolution(symmetric(3), 4), [3]
+    yield "C5 bar", bar_resolution(cyclic(5), 5), [1, 2, 3, 4]
+    yield "D4 computed", syzygy_resolution(dihedral(4), 7), range(1, 7)
+    yield "Q8 fixture", load_resolution(
+        os.path.join(FIXTURES, "q8_periodic.json")), range(1, 9)
+    yield "C2 free H_2", c2_complex_with_free_h2(), [0, 1, 2]
+    yield "trivial Z/2+Z^2", trivial_complex_with_torsion_and_free_h1(), [0, 1]
+
+
 def test_classify_units_and_boundaries():
-    res = syzygy_resolution(symmetric(3), 4)
-    h = homology(res, 3)
-    for i, gen in enumerate(h.generators):
-        got = h.classify(gen)
-        want = tuple(1 if j == i else 0 for j in range(len(h.generators)))
-        assert got == want
-    # boundaries classify to zero
-    d4 = res.down_matrix(4)
-    bdry = d4.apply([3, -1] + [0] * (res.ranks[4] - 2))
-    assert h.classify(bdry) == (0,) * len(h.invariant_factors)
-    assert h.is_zero_class(h.classify(bdry))
+    rng = random.Random(3)
+    for name, res, degrees in engine_cases():
+        for n in degrees:
+            h = homology(res, n)
+            assert len(h.generators) == len(h.invariant_factors)
+            for i, gen in enumerate(h.generators):
+                assert is_cycle(res, n, gen), (name, n, i)
+                want = tuple(int(j == i) for j in range(len(h.generators)))
+                assert h.classify(gen) == want, (name, n, i)
+            # boundaries classify to zero
+            bdry = res.down_matrix(n + 1).apply(
+                [rng.randrange(-3, 4) for _ in range(res.ranks[n + 1])])
+            assert h.classify(bdry) == (0,) * len(h.invariant_factors)
+            assert h.is_zero_class(h.classify(bdry))
+
+
+def test_classify_is_additive_on_random_cycles():
+    rng = random.Random(7)
+    for name, res, degrees in engine_cases():
+        for n in degrees:
+            h = homology(res, n)
+            for _ in range(3):
+                z1, z2 = random_cycle(res, n, rng), random_cycle(res, n, rng)
+                c1, c2 = h.classify(z1), h.classify(z2)
+                want = tuple((a + b) % d if d else a + b for a, b, d in
+                             zip(c1, c2, h.invariant_factors))
+                got = h.classify([a + b for a, b in zip(z1, z2)])
+                assert got == want, (name, n)
+
+
+def test_free_summand_outside_degree_zero():
+    res = c2_complex_with_free_h2()
+    assert res.down_matrix(2).data == [[2, 0]]
+    assert [homology(res, n).invariant_factors for n in range(3)] == \
+        [[0], [2], [0]]
+    h = homology(res, 2)
+    (gen,) = h.generators
+    assert gen in ([0, 1], [0, -1])
+    assert h.classify([0, 3 * gen[1]]) == (3,)
+    assert h.class_order(h.classify(gen)) == 0
+
+
+def test_classify_factor_check_is_not_an_assert(monkeypatch):
+    # the check must raise, not assert, so python -O cannot switch it off
+    real = smith_normal_form
+
+    def wrong_diagonal(A, transforms=True):
+        dec = real(A, transforms)
+        for i in range(min(dec.S.nrows, dec.S.ncols)):
+            dec.S.data[i][i] *= 2
+        return dec
+
+    monkeypatch.setattr(tatejoin.tate, "smith_normal_form", wrong_diagonal)
+    res = periodic_cyclic_resolution(4, 3)
+    h = homology(res, 1)
+    assert h.invariant_factors == [4]
+    with pytest.raises(InternalCheckError):
+        h.generators
 
 
 def test_classify_rejects_non_cycles():
