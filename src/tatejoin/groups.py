@@ -304,13 +304,14 @@ def build_group(spec) -> FiniteGroup:
 class GroupRingElement:
     """An element of Z[G], stored as a dense coefficient tuple over the elements of G."""
 
-    __slots__ = ("group", "c")
+    __slots__ = ("group", "c", "_supp")
 
     def __init__(self, group: FiniteGroup, coeffs: Sequence[int]):
         if len(coeffs) != group.order:
             raise ValueError("coefficient vector has wrong length")
         self.group = group
         self.c = tuple(coeffs)
+        self._supp = None
 
     # constructors
 
@@ -374,8 +375,11 @@ class GroupRingElement:
         first = self.c[0]
         return all(v == first for v in self.c)
 
-    def support(self):
-        return [(g, v) for g, v in enumerate(self.c) if v]
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (g, c[g]) with c[g] nonzero; computed once per element."""
+        if self._supp is None:
+            self._supp = tuple([(g, v) for g, v in enumerate(self.c) if v])
+        return self._supp
 
     def __eq__(self, other) -> bool:
         # group compared by value, not identity: reloaded groups must match
@@ -405,15 +409,22 @@ def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Convolution product: (ab)_h = sum over g*g' = h of a_g b_{g'}."""
     if a.group is not b.group and a.group != b.group:
         raise ValueError("operands live in different group rings")
-    table = a.group.table
     out = [0] * a.group.order
-    for g, ag in enumerate(a.c):
-        if ag:
-            row = table[g]
-            for h, bh in enumerate(b.c):
-                if bh:
-                    out[row[h]] += ag * bh
+    _convolve_into(out, a.group.table, a.support(), b.support())
     return GroupRingElement(a.group, out)
+
+
+def _convolve_into(acc: list[int], table, a_supp, b_supp) -> None:
+    """Add a*b into the coefficient list acc, given the supports of a and b.
+
+    A support lists the pairs (g, a_g) with a_g nonzero.  This is the one
+    convolution of the package: ``ring_multiply`` and the Z[G] matrix kernel
+    in ``zglinalg`` both call it.
+    """
+    for g, ag in a_supp:
+        row = table[g]
+        for h, bh in b_supp:
+            acc[row[h]] += ag * bh
 
 
 def norm_element(group: FiniteGroup) -> GroupRingElement:

@@ -25,6 +25,8 @@ import heapq
 import math
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InternalCheckError
+
 # Fall back from sparse elimination to a dense Smith form when the remaining
 # fill-in density exceeds this fraction.
 DENSE_FALLBACK_DENSITY = 0.25
@@ -478,12 +480,14 @@ class IntegerSolver:
                 if vc[i]:
                     x[i] += t * vc[i]
         # re-multiply; a wrong particular solution is an internal bug
-        for i in range(self.nrows):
-            s = 0
-            for j, xv in enumerate(x):
-                if xv:
-                    s += self._acols[j][i] * xv
-            assert s == b[i], "solver self-check failed"
+        ax = [0] * self.nrows
+        for j, xv in enumerate(x):
+            if xv:
+                for i, a in enumerate(self._acols[j]):
+                    if a:
+                        ax[i] += a * xv
+        if ax != list(b):
+            raise InternalCheckError("integer solver self-check failed: A x != b")
         return x
 
     @property

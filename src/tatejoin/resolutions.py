@@ -78,20 +78,9 @@ class Resolution:
                 raise ResolutionError(
                     f"differential {k} has shape {d.nrows}x{d.ncols}, "
                     f"expected {self.ranks[k - 1]}x{self.ranks[k]}")
-        # eps o d_1 = 0
-        if self.depth >= 1:
-            d1 = self.diffs[0]
-            for j in range(d1.ncols):
-                s = sum(self.aug[i] * v.augmentation()
-                        for i, v in d1.column(j).items())
-                if s:
-                    raise ResolutionError(
-                        f"augmentation does not kill differential 1 (column {j})")
-        # d_{k-1} o d_k = 0
-        for k in range(2, self.depth + 1):
-            if not self.diffs[k - 2].compose(self.diffs[k - 1]).is_zero():
-                raise ResolutionError(
-                    f"differentials do not compose to zero at degree {k}")
+        for _name, ok, detail in _complex_identities(self):
+            if not ok:
+                raise ResolutionError(detail)
 
     @property
     def depth(self) -> int:
@@ -250,6 +239,28 @@ class ValidationReport:
         return f"ValidationReport({good}/{len(self.checks)} passed)"
 
 
+def _complex_identities(res: Resolution):
+    """Check eps o d_1 = 0, then d_{k-1} o d_k = 0 for k = 2..depth.
+
+    Yields (report name, passed, failure detail) lazily in that order, so a
+    caller that stops at the first failure does no further work.  The
+    constructor raises on the first failure; ``validate_resolution`` records
+    every line.
+    """
+    bad = None
+    if res.depth >= 1:
+        d1 = res.diffs[0]
+        bad = next((j for j in range(d1.ncols)
+                    if sum(res.aug[i] * v.augmentation()
+                           for i, v in d1.column(j).items())), None)
+    yield ("eps o d_1 = 0", bad is None, "" if bad is None else
+           f"augmentation does not kill differential 1 (column {bad})")
+    for k in range(2, res.depth + 1):
+        ok = res.diffs[k - 2].compose(res.diffs[k - 1]).is_zero()
+        yield (f"d_{k - 1} o d_{k} = 0", ok, "" if ok else
+               f"differentials do not compose to zero at degree {k}")
+
+
 def validate_resolution(res: Resolution,
                         max_zrank: int | None = None) -> ValidationReport:
     """Certify the resolution invariants degree by degree.
@@ -270,21 +281,10 @@ def validate_resolution(res: Resolution,
     order = G.order
     check_zrank(G, res.ranks, max_zrank, what="resolution validation")
 
-    # (re)check the complex identities; constructor enforced them, but loaded
-    # or doctored objects come through here for a named report.
-    aug_ok = True
-    if res.depth >= 1:
-        d1 = res.differential(1)
-        for j in range(d1.ncols):
-            if sum(res.aug[i] * v.augmentation()
-                   for i, v in d1.column(j).items()):
-                aug_ok = False
-                break
-    report.record("eps o d_1 = 0", aug_ok)
-    for k in range(2, res.depth + 1):
-        ok = res.differential(k - 1).compose(res.differential(k)).is_zero()
-        report.record(f"d_{k - 1} o d_{k} = 0", ok,
-                      "" if ok else f"composition nonzero at degree {k}")
+    # the constructor enforced these, but loaded or doctored objects come
+    # through here for a named report
+    for name, ok, detail in _complex_identities(res):
+        report.record(name, ok, detail)
 
     # augmentation onto Z
     g = math.gcd(*res.aug)

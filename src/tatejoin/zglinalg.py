@@ -1,8 +1,11 @@
 """Matrices over the integral group ring and their integer realizations.
 
-A free-module map between left ZG-modules is stored column-sparsely: entry
-(i, j) is the GroupRingElement coefficient of basis vector e_i in the image
-of e_j.  Applying the map to a column vector a gives
+A free-module map between left ZG-modules is stored column-major: one
+sparse column per index j, a dict from row i to the nonzero GroupRingElement
+coefficient of basis vector e_i in the image of e_j.  ``column(j)`` is a
+read-only view of that dict, found in O(1); ``entries`` is a read-only
+{(i, j): GroupRingElement} mapping built from the same columns on each
+read, not a second store.  Applying the map to a column vector a gives
 
     out_i = sum_j a_j * M[i, j]
 
@@ -11,7 +14,11 @@ puts the inner map's entry on the left of the product,
 
     (M after N)[i, k] = sum_j N[j, k] * M[i, j].
 
-The order matters for noncommutative groups and is fixed here once.
+The order matters for noncommutative groups and is fixed here once, in
+``_combine``, the kernel behind both ``apply`` and ``compose``.  It walks the
+nonzero coefficients of the input column, convolves coefficient supports
+((g, v) pairs) through the group table into plain integer lists, and builds
+a GroupRingElement only for a nonzero result entry.
 
 ``z_expansion`` forgets the module structure: each ZG-rank counts |G| integer
 dimensions, ordered basis (i, u) for e_i, group element u, giving an integer
@@ -22,10 +29,12 @@ matrix answer questions about the ZG-map.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .errors import SizeBudgetError
-from .groups import FiniteGroup, GroupRingElement
+from .errors import InternalCheckError, SizeBudgetError
+from .groups import FiniteGroup, GroupRingElement, _convolve_into
 from .intlinalg import IntegerSolver, IntMatrix, NoSolution
 
 
@@ -47,16 +56,21 @@ def check_zrank(group: FiniteGroup, ranks: Iterable[int],
 
 
 class ZGMatrix:
-    """Sparse matrix over ZG: {(i, j): GroupRingElement}, shape (nrows, ncols)."""
+    """Sparse matrix over ZG of shape (nrows, ncols), stored column by column.
 
-    __slots__ = ("group", "nrows", "ncols", "entries")
+    ``_cols[j]`` maps row i to the nonzero entry M[i, j]; zero entries are
+    never stored.
+    """
+
+    __slots__ = ("group", "nrows", "ncols", "_cols")
 
     def __init__(self, group: FiniteGroup, nrows: int, ncols: int,
                  entries: dict[tuple[int, int], GroupRingElement] | None = None):
         self.group = group
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], GroupRingElement] = {}
+        self._cols: list[dict[int, GroupRingElement]] = [
+            {} for _ in range(ncols)]
         if entries:
             for (i, j), val in entries.items():
                 self.set(i, j, val)
@@ -68,85 +82,114 @@ class ZGMatrix:
         ncols = len(rows[0]) if nrows else 0
         m = cls(group, nrows, ncols)
         for i, row in enumerate(rows):
-            assert len(row) == ncols, "ragged rows"
+            if len(row) != ncols:
+                raise ValueError(f"ragged rows: row {i} has length {len(row)}, "
+                                 f"expected {ncols}")
             for j, val in enumerate(row):
                 m.set(i, j, val)
         return m
 
+    def _check_index(self, i: int, j: int) -> None:
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise ValueError(f"index ({i}, {j}) out of range for a "
+                             f"{self.nrows}x{self.ncols} matrix")
+
     def set(self, i: int, j: int, val: GroupRingElement) -> None:
-        assert 0 <= i < self.nrows and 0 <= j < self.ncols, "index out of range"
-        assert val.group is self.group or val.group == self.group
+        """Store M[i, j] = val; a zero val removes the entry."""
+        self._check_index(i, j)
+        if val.group is not self.group and val.group != self.group:
+            raise ValueError(f"entry lives in Z[{val.group.label}], "
+                             f"matrix is over Z[{self.group.label}]")
         if val.is_zero():
-            self.entries.pop((i, j), None)
+            self._cols[j].pop(i, None)
         else:
-            self.entries[(i, j)] = val
+            self._cols[j][i] = val
 
     def get(self, i: int, j: int) -> GroupRingElement:
-        val = self.entries.get((i, j))
+        self._check_index(i, j)
+        val = self._cols[j].get(i)
         return GroupRingElement.zero(self.group) if val is None else val
 
-    def is_zero(self) -> bool:
-        return not self.entries
+    @property
+    def entries(self) -> Mapping[tuple[int, int], GroupRingElement]:
+        """Read-only {(i, j): value} of the nonzero entries, column by column.
 
-    def column(self, j: int) -> dict[int, GroupRingElement]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        Built from the column store on each read, so it is never out of date
+        and never a second store to keep in sync.
+        """
+        return MappingProxyType({(i, j): val for j, col in enumerate(self._cols)
+                                 for i, val in col.items()})
+
+    def is_zero(self) -> bool:
+        return not any(self._cols)
+
+    def column(self, j: int) -> Mapping[int, GroupRingElement]:
+        """Read-only {row: value} view of the nonzero entries of column j."""
+        return MappingProxyType(self._cols[j])
+
+    def _support_column(self, j: int) -> list[tuple[int, tuple]]:
+        """(row, coefficient support) of every entry of column j."""
+        return [(i, m.support()) for i, m in self._cols[j].items()]
 
     def apply(self, vec: Sequence[GroupRingElement]) -> list[GroupRingElement]:
         """Image of a column vector; coefficients multiply entries on the left."""
-        assert len(vec) == self.ncols, "vector length mismatch"
-        out = [GroupRingElement.zero(self.group) for _ in range(self.nrows)]
-        for (i, j), m in self.entries.items():
-            a = vec[j]
-            if not a.is_zero():
-                out[i] = out[i] + a * m
-        return out
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} for a matrix with "
+                             f"{self.ncols} columns")
+        terms = []
+        for j, a in enumerate(vec):
+            a_supp = a.support()
+            if a_supp:
+                terms.append((a_supp, self._support_column(j)))
+        col = _combine(self.group, terms)
+        zero = GroupRingElement.zero(self.group)
+        return [col.get(i, zero) for i in range(self.nrows)]
 
     def compose(self, inner: "ZGMatrix") -> "ZGMatrix":
-        """self after inner: apply inner first.  Requires self.ncols == inner.nrows."""
-        assert self.ncols == inner.nrows, "shape mismatch in composition"
+        """self after inner: apply inner first.  Requires self.ncols == inner.nrows.
+
+        Entry (i, k) is sum_j inner[j, k] * self[i, j], the inner entry on
+        the left, exactly as ``apply`` multiplies its coefficients.
+        """
+        if self.ncols != inner.nrows:
+            raise ValueError(
+                f"shape mismatch in composition: {self.nrows}x{self.ncols} "
+                f"after {inner.nrows}x{inner.ncols}")
+        outer = [self._support_column(j) for j in range(self.ncols)]
         out = ZGMatrix(self.group, self.nrows, inner.ncols)
-        acc: dict[tuple[int, int], GroupRingElement] = {}
-        cols: dict[int, list[tuple[int, GroupRingElement]]] = {}
-        for (j, k), n in inner.entries.items():
-            cols.setdefault(k, []).append((j, n))
-        rows_of: dict[int, list[tuple[int, GroupRingElement]]] = {}
-        for (i, j), m in self.entries.items():
-            rows_of.setdefault(j, []).append((i, m))
-        for k, jn in cols.items():
-            for j, n in jn:
-                for i, m in rows_of.get(j, ()):
-                    key = (i, k)
-                    prod = n * m  # inner entry on the left
-                    if key in acc:
-                        acc[key] = acc[key] + prod
-                    else:
-                        acc[key] = prod
-        for key, val in acc.items():
-            out.set(key[0], key[1], val)
+        out._cols = [_combine(self.group, [(n.support(), outer[j])
+                                           for j, n in col.items()])
+                     for col in inner._cols]
         return out
 
     def add(self, other: "ZGMatrix") -> "ZGMatrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        out = ZGMatrix(self.group, self.nrows, self.ncols, dict(self.entries))
-        for key, val in other.entries.items():
-            out.set(key[0], key[1], out.get(*key) + val)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch in addition: {self.nrows}x{self.ncols} "
+                f"plus {other.nrows}x{other.ncols}")
+        out = ZGMatrix(self.group, self.nrows, self.ncols)
+        out._cols = [dict(col) for col in self._cols]
+        for j, col in enumerate(other._cols):
+            for i, val in col.items():
+                out.set(i, j, out.get(i, j) + val)
         return out
 
     def scale(self, k: int) -> "ZGMatrix":
         out = ZGMatrix(self.group, self.nrows, self.ncols)
-        for (i, j), val in self.entries.items():
-            out.set(i, j, val.scale(k))
+        for j, col in enumerate(self._cols):
+            for i, val in col.items():
+                out.set(i, j, val.scale(k))
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZGMatrix):
             return NotImplemented
         return (self.group == other.group and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self._cols == other._cols)
 
     def __repr__(self) -> str:
         return (f"ZGMatrix({self.group.label}, {self.nrows}x{self.ncols}, "
-                f"{len(self.entries)} entries)")
+                f"{sum(map(len, self._cols))} entries)")
 
     # -- integer realization --------------------------------------------
 
@@ -156,42 +199,49 @@ class ZGMatrix:
         Row index (i, u) flattens to i * |G| + u, column index (j, g) to
         j * |G| + g.  Block entry: coefficient of g^{-1} u in M[i, j].
         """
-        G = self.group
-        order = G.order
-        inv = G.inverse
-        table = G.table
+        order = self.group.order
         out = IntMatrix.zeros(self.nrows * order, self.ncols * order)
         data = out.data
-        for (i, j), val in self.entries.items():
-            c = val.c
-            base_i = i * order
-            base_j = j * order
-            for g in range(order):
-                row_of = table[g]  # u = g * h has coefficient c[h]
-                col = base_j + g
-                for h in range(order):
-                    v = c[h]
-                    if v:
-                        data[base_i + row_of[h]][col] += v
+        for j, col in enumerate(self.z_columns()):
+            for r, v in col.items():
+                data[r][j] = v
         return out
 
     def z_columns(self) -> list[dict[int, int]]:
-        """Sparse columns of the z-expansion, same index flattening."""
-        G = self.group
-        order = G.order
-        table = G.table
-        cols: list[dict[int, int]] = [dict() for _ in range(self.ncols * order)]
-        for (i, j), val in self.entries.items():
-            base_i = i * order
-            base_j = j * order
-            supp = [(h, v) for h, v in enumerate(val.c) if v]
+        """Sparse columns of the z-expansion, same index flattening.
+
+        Column (j, g) is g times column j: entry M[i, j] puts its coefficient
+        of h on row (i, g h).  Distinct (i, h) land on distinct rows, so no
+        two terms ever meet.
+        """
+        order = self.group.order
+        table = self.group.table
+        cols: list[dict[int, int]] = []
+        for j in range(self.ncols):
+            ents = [(i * order, supp) for i, supp in self._support_column(j)]
             for g in range(order):
                 row_of = table[g]
-                col = cols[base_j + g]
-                for h, v in supp:
-                    r = base_i + row_of[h]
-                    col[r] = col.get(r, 0) + v
-        return [{i: v for i, v in col.items() if v} for col in cols]
+                cols.append({base + row_of[h]: v
+                             for base, supp in ents for h, v in supp})
+        return cols
+
+
+def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
+    """The sparse column sum over terms of a * (column of M), a on the left.
+
+    Each term pairs the support of a coefficient a with a column of M given
+    as (row, support of the entry) pairs.  Sums accumulate in integer lists;
+    only the nonzero ones become GroupRingElements.
+    """
+    table, order = group.table, group.order
+    acc: dict[int, list[int]] = {}
+    for a_supp, col in terms:
+        for i, m_supp in col:
+            c = acc.get(i)
+            if c is None:
+                c = acc[i] = [0] * order
+            _convolve_into(c, table, a_supp, m_supp)
+    return {i: GroupRingElement(group, c) for i, c in acc.items() if any(c)}
 
 
 def flatten_vector(vec: Sequence[GroupRingElement], group: FiniteGroup
@@ -206,7 +256,9 @@ def flatten_vector(vec: Sequence[GroupRingElement], group: FiniteGroup
 def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
                      rank: int) -> list[GroupRingElement]:
     order = group.order
-    assert len(flat) == rank * order, "flat vector length mismatch"
+    if len(flat) != rank * order:
+        raise ValueError(f"flat vector of length {len(flat)}, expected "
+                         f"{rank} x {order}")
     return [GroupRingElement(group, tuple(flat[i * order:(i + 1) * order]))
             for i in range(rank)]
 
@@ -243,15 +295,16 @@ class ZGSolver:
         ZG-column basis vector (j, g) is g times the basis chain e_j, so any
         integer solution reassembles into ring coefficients verbatim.
         """
-        assert len(b) == self.matrix.nrows, "right-hand side length mismatch"
+        if len(b) != self.matrix.nrows:
+            raise ValueError(f"right-hand side of length {len(b)} for a "
+                             f"matrix with {self.matrix.nrows} rows")
         solver = self._ensure()
         flat = solver.solve(flatten_vector(b, self.matrix.group))
         if flat is NoSolution:
             return NoSolution
         x = unflatten_vector(flat, self.matrix.group, self.matrix.ncols)
-        check = self.matrix.apply(x)
-        assert all((c - bb).is_zero() for c, bb in zip(check, b)), \
-            "ZG solver self-check failed"
+        if self.matrix.apply(x) != list(b):
+            raise InternalCheckError("ZG solver self-check failed: M x != b")
         return x
 
 

@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from tatejoin import (IntMatrix, NoSolution, kernel_basis,
+from tatejoin import (IntMatrix, InternalCheckError, NoSolution, kernel_basis,
                       minor_gcd_invariant_factors, smith_normal_form,
                       solve_linear, sparse_invariant_factors, sparse_rank)
-from tatejoin.intlinalg import IntegerLattice, lll_reduce_rows, xgcd
+from tatejoin.intlinalg import (IntegerLattice, IntegerSolver,
+                                lll_reduce_rows, xgcd)
 
 
 def test_xgcd_identity():
@@ -116,6 +117,16 @@ def test_solve_random_verified_by_multiplication():
             assert a.apply(x) == target
             hits += 1
     assert hits > 10  # the sweep actually exercised the solver
+
+
+def test_solver_check_is_not_an_assert():
+    # a doctored factorization yields a wrong x; the check must raise, not
+    # assert, so python -O cannot switch it off
+    solver = IntegerSolver(IntMatrix([[2, 0], [0, 3]]))
+    assert solver.solve([4, 9]) == [2, 3]
+    solver.vcols[0] = [2 * v for v in solver.vcols[0]]
+    with pytest.raises(InternalCheckError):
+        solver.solve([4, 9])
 
 
 def test_kernel_basis_spans_and_is_independent():

@@ -5,10 +5,14 @@ group-element basis by hand; solver answers are verified by multiplying
 back, never by comparing against the solver itself.
 """
 
+import random
+
 import pytest
 
-from tatejoin import (GroupRingElement, SizeBudgetError, ZGMatrix, ZGSolver,
-                      cyclic, norm_element, solve_zg_linear, symmetric)
+import tatejoin.intlinalg
+from tatejoin import (GroupRingElement, InternalCheckError, SizeBudgetError,
+                      ZGMatrix, ZGSolver, cyclic, norm_element,
+                      solve_zg_linear, symmetric)
 from tatejoin.intlinalg import NoSolution
 from tatejoin.zglinalg import (check_zrank, flatten_vector, unflatten_vector,
                                vector_is_zero)
@@ -100,7 +104,7 @@ def test_matrix_equality_and_compose_shapes():
     a = ZGMatrix.from_rows(g, [[e, t]])
     b = ZGMatrix.from_rows(g, [[t], [e]])
     assert a.compose(b).get(0, 0) == t.scale(2)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         b.compose(b)
 
 
@@ -116,3 +120,120 @@ def test_check_zrank_budget():
     with pytest.raises(SizeBudgetError) as err:
         check_zrank(g, [100, 200], 1000)
     assert err.value.needed > err.value.budget
+
+
+def s3_matrix(rng, nrows, ncols):
+    """A matrix over Z[S3] with non-monomial entries and some zeros."""
+    g = symmetric(3)
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            if rng.random() < 0.25:
+                row.append(GroupRingElement.zero(g))
+            else:
+                c = [0] * g.order
+                for h in rng.sample(range(g.order), rng.randrange(2, 5)):
+                    c[h] = rng.choice([-3, -2, -1, 1, 2, 3])
+                row.append(GroupRingElement(g, c))
+        rows.append(row)
+    return ZGMatrix.from_rows(g, rows)
+
+
+def test_compose_order_matches_expansion_over_s3():
+    # S3 is noncommutative, so swapping the factors of any entry product
+    # breaks the functoriality of the expansion
+    rng = random.Random(7)
+    for shape in [(2, 3, 4), (3, 1, 2), (1, 4, 3), (3, 3, 3)]:
+        a = s3_matrix(rng, shape[0], shape[1])
+        b = s3_matrix(rng, shape[1], shape[2])
+        prod = a.compose(b)
+        assert (prod.nrows, prod.ncols) == (shape[0], shape[2])
+        assert (prod.z_expansion().data
+                == a.z_expansion().mul(b.z_expansion()).data)
+        for i in range(shape[0]):
+            for k in range(shape[2]):
+                want = GroupRingElement.zero(a.group)
+                for j in range(shape[1]):
+                    want = want + b.get(j, k) * a.get(i, j)
+                assert prod.get(i, k) == want
+
+
+def test_column_and_apply_match_expansion_over_s3():
+    rng = random.Random(8)
+    g = symmetric(3)
+    for nrows, ncols in [(2, 3), (4, 1), (3, 5)]:
+        m = s3_matrix(rng, nrows, ncols)
+        dense = m.z_expansion()
+        for j in range(ncols):
+            col = m.column(j)
+            # column (j, identity) of the expansion holds column j verbatim
+            for i in range(nrows):
+                block = [dense.data[i * g.order + u][j * g.order]
+                         for u in range(g.order)]
+                if any(block):
+                    assert col[i].c == tuple(block)
+                else:
+                    assert i not in col
+        vec = s3_matrix(rng, ncols, 1)
+        vec = [vec.get(j, 0) for j in range(ncols)]
+        out = m.apply(vec)
+        assert (flatten_vector(out, g)
+                == dense.apply(flatten_vector(vec, g)))
+
+
+def test_set_after_column_read_and_zero_removes():
+    g = symmetric(3)
+    a = GroupRingElement(g, [1, 0, -2, 0, 0, 5])
+    m = ZGMatrix(g, 3, 2)
+    assert dict(m.column(1)) == {}
+    m.set(2, 1, a)
+    assert dict(m.column(1)) == {2: a}
+    assert dict(m.entries) == {(2, 1): a}
+    m.set(2, 1, GroupRingElement.zero(g))
+    assert dict(m.column(1)) == {}
+    assert (2, 1) not in m.entries and len(m.entries) == 0
+    assert m.is_zero()
+    assert m.get(2, 1) == GroupRingElement.zero(g)
+    # both views read the column store and refuse writes
+    with pytest.raises(TypeError):
+        m.column(0)[0] = a
+    with pytest.raises(TypeError):
+        m.entries[(0, 0)] = a
+
+
+def test_shape_and_index_errors_are_named():
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[e, t]])
+    with pytest.raises(ValueError):
+        m.set(1, 0, e)
+    with pytest.raises(ValueError):
+        m.set(0, -1, e)
+    with pytest.raises(ValueError):
+        m.set(0, 0, GroupRingElement.one(symmetric(3)))
+    with pytest.raises(ValueError):
+        ZGMatrix.from_rows(g, [[e, t], [e]])
+    with pytest.raises(ValueError):
+        m.apply([e])
+    with pytest.raises(ValueError):
+        m.add(ZGMatrix.from_rows(g, [[e]]))
+    with pytest.raises(ValueError):
+        unflatten_vector([1, 0, 1], g, 2)
+    with pytest.raises(ValueError):
+        ZGSolver(m).solve([e, t])
+
+
+def test_zg_solver_check_is_not_an_assert(monkeypatch):
+    # a wrong integer solution must raise, not assert, so python -O cannot
+    # switch the check off
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[norm_element(g)]])
+    real = tatejoin.intlinalg.IntegerSolver.solve
+
+    def off_by_one(self, b):
+        x = real(self, b)
+        return x if x is NoSolution else [x[0] + 1] + x[1:]
+
+    monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", off_by_one)
+    with pytest.raises(InternalCheckError):
+        ZGSolver(m).solve([e + t])
