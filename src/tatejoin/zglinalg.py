@@ -64,16 +64,12 @@ class ZGMatrix:
 
     __slots__ = ("group", "nrows", "ncols", "_cols")
 
-    def __init__(self, group: FiniteGroup, nrows: int, ncols: int,
-                 entries: dict[tuple[int, int], GroupRingElement] | None = None):
+    def __init__(self, group: FiniteGroup, nrows: int, ncols: int):
         self.group = group
         self.nrows = nrows
         self.ncols = ncols
         self._cols: list[dict[int, GroupRingElement]] = [
             {} for _ in range(ncols)]
-        if entries:
-            for (i, j), val in entries.items():
-                self.set(i, j, val)
 
     @classmethod
     def from_rows(cls, group: FiniteGroup,
@@ -94,12 +90,15 @@ class ZGMatrix:
             raise ValueError(f"index ({i}, {j}) out of range for a "
                              f"{self.nrows}x{self.ncols} matrix")
 
+    def _check_group(self, group: FiniteGroup, what: str) -> None:
+        if group is not self.group and group != self.group:
+            raise ValueError(f"{what} lives over Z[{group.label}], "
+                             f"matrix is over Z[{self.group.label}]")
+
     def set(self, i: int, j: int, val: GroupRingElement) -> None:
         """Store M[i, j] = val; a zero val removes the entry."""
         self._check_index(i, j)
-        if val.group is not self.group and val.group != self.group:
-            raise ValueError(f"entry lives in Z[{val.group.label}], "
-                             f"matrix is over Z[{self.group.label}]")
+        self._check_group(val.group, "entry")
         if val.is_zero():
             self._cols[j].pop(i, None)
         else:
@@ -138,6 +137,7 @@ class ZGMatrix:
                              f"{self.ncols} columns")
         terms = []
         for j, a in enumerate(vec):
+            self._check_group(a.group, f"vector entry {j}")
             a_supp = a.support()
             if a_supp:
                 terms.append((a_supp, self._support_column(j)))
@@ -155,6 +155,7 @@ class ZGMatrix:
             raise ValueError(
                 f"shape mismatch in composition: {self.nrows}x{self.ncols} "
                 f"after {inner.nrows}x{inner.ncols}")
+        self._check_group(inner.group, "inner map")
         outer = [self._support_column(j) for j in range(self.ncols)]
         out = ZGMatrix(self.group, self.nrows, inner.ncols)
         out._cols = [_combine(self.group, [(n.support(), outer[j])
@@ -167,6 +168,7 @@ class ZGMatrix:
             raise ValueError(
                 f"shape mismatch in addition: {self.nrows}x{self.ncols} "
                 f"plus {other.nrows}x{other.ncols}")
+        self._check_group(other.group, "summand")
         out = ZGMatrix(self.group, self.nrows, self.ncols)
         out._cols = [dict(col) for col in self._cols]
         for j, col in enumerate(other._cols):
@@ -198,13 +200,24 @@ class ZGMatrix:
 
         Row index (i, u) flattens to i * |G| + u, column index (j, g) to
         j * |G| + g.  Block entry: coefficient of g^{-1} u in M[i, j].
+        Computed entry by entry from the group table, not from ``z_columns``,
+        so each serves as a check on the other.
         """
         order = self.group.order
+        table = self.group.table
         out = IntMatrix.zeros(self.nrows * order, self.ncols * order)
         data = out.data
-        for j, col in enumerate(self.z_columns()):
-            for r, v in col.items():
-                data[r][j] = v
+        for j, col in enumerate(self._cols):
+            base_j = j * order
+            for i, val in col.items():
+                c = val.c
+                base_i = i * order
+                for g in range(order):
+                    row_of = table[g]  # u = g * h has coefficient c[h]
+                    for h in range(order):
+                        v = c[h]
+                        if v:
+                            data[base_i + row_of[h]][base_j + g] += v
         return out
 
     def z_columns(self) -> list[dict[int, int]]:

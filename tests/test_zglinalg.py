@@ -221,6 +221,23 @@ def test_shape_and_index_errors_are_named():
         unflatten_vector([1, 0, 1], g, 2)
     with pytest.raises(ValueError):
         ZGSolver(m).solve([e, t])
+    # operands from another group ring of the same order must not be
+    # multiplied through this group's table
+    s3 = symmetric(3)
+    c6 = cyclic(6)
+    one6 = GroupRingElement.one(c6)
+    a6 = ZGMatrix.from_rows(c6, [[one6]])
+    a_s3 = ZGMatrix.from_rows(s3, [[GroupRingElement.one(s3)]])
+    with pytest.raises(ValueError):
+        a6.compose(a_s3)
+    with pytest.raises(ValueError):
+        a6.apply([GroupRingElement.one(s3)])
+    with pytest.raises(ValueError):
+        a6.add(a_s3)
+    with pytest.raises(ValueError):
+        ZGMatrix.from_rows(g, [[e]]).compose(a_s3)
+    with pytest.raises(ValueError):
+        ZGMatrix.from_rows(g, [[e]]).apply([GroupRingElement.one(s3)])
 
 
 def test_zg_solver_check_is_not_an_assert(monkeypatch):
