@@ -46,7 +46,7 @@ def main():
     # a boundary is the cleanest zero class: its avatar factors through a
     # projective and the detector says so
     chain = [(-1) ** i * (i + 1) for i in range(res.ranks[4])]
-    boundary = res.down_matrix(4).apply(chain)
+    boundary = res.down_boundary(4, chain)
     cls = h3.classify(boundary)
     x = phi_inverse(res, 3, boundary)
     print(f"  boundary of a degree-4 chain: class {cls}, "

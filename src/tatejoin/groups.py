@@ -14,7 +14,7 @@ import itertools
 import json
 from typing import Iterable, Sequence
 
-from .errors import GroupError, SchemaError
+from .errors import GroupError, InternalCheckError, SchemaError
 
 # Closure of permutation generators refuses to enumerate past this order.
 MAX_CLOSURE_ORDER = 20000
@@ -109,20 +109,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteGroup)
                 and self.table == other.table and self.label == other.label)
@@ -143,8 +129,12 @@ class FiniteGroup:
     def from_json(cls, obj: dict) -> "FiniteGroup":
         if not isinstance(obj, dict):
             raise SchemaError("group JSON must be an object")
+        if not isinstance(obj.get("label", ""), str):
+            raise SchemaError("group 'label' must be a string")
         if "table" in obj:
-            table = obj["table"]
+            table = _list(obj["table"], "group 'table'")
+            for a, row in enumerate(table):
+                _int_list(row, f"group table row {a}")
             label = obj.get("label", "G")
             if "order" in obj and obj["order"] != len(table):
                 raise SchemaError("declared order does not match table size")
@@ -156,9 +146,40 @@ class FiniteGroup:
             degree = obj.get("degree")
             if degree is None:
                 raise SchemaError("permutation group JSON needs a 'degree'")
-            return from_permutations(degree, obj["generators"],
+            if not _is_int(degree):
+                raise SchemaError("permutation group 'degree' must be an integer")
+            gens = _list(obj["generators"], "permutation group 'generators'")
+            for t, g in enumerate(gens):
+                _int_list(g, f"generator {t}")
+            return from_permutations(degree, gens,
                                      label=obj.get("label", "perm"))
         raise SchemaError("group JSON needs either 'table' or 'generators'")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    """value itself if it is a JSON list of integers, else SchemaError."""
+    if not all(_is_int(v) for v in _list(value, what)):
+        raise SchemaError(f"{what} must be a list of integers")
+    return value
+
+
+def _read_json(path: str):
+    """The parsed contents of a JSON file; SchemaError if it does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise SchemaError(f"{path} is not valid JSON: {e}") from e
 
 
 # -- named families ---------------------------------------------------------
@@ -200,7 +221,8 @@ def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise GroupError("symmetric(n) supports 1 <= n <= 5")
     perms = sorted(itertools.permutations(range(n)))
-    assert perms[0] == tuple(range(n))  # identity is lexicographically first
+    if perms[0] != tuple(range(n)):
+        raise InternalCheckError("identity is not the first permutation")
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms]
              for p in perms]
@@ -282,8 +304,7 @@ def build_group(spec) -> FiniteGroup:
     if name in _NAMED and not arg:
         return _NAMED[name]()
     if name == "file":
-        with open(arg) as fh:
-            return FiniteGroup.from_json(json.load(fh))
+        return FiniteGroup.from_json(_read_json(arg))
     if not arg:
         raise SchemaError(f"unknown group spec {spec!r}")
     try:

@@ -10,10 +10,13 @@ Three tiers, one substance:
 * ``IntegerSolver`` factors a matrix once (column Hermite form) and answers
   many A x = b queries; a particular solution is produced by back
   substitution, with no size minimization, so results are deterministic.
-* ``_sparse_eliminate`` splits +/-1 pivots off sparse data and logs its row
-  operations; a dense Smith form of the small residue finishes the job.
-  ``sparse_invariant_factors`` takes only its diagonal; homology replays
-  the log to classify cycles.  This scales to bar-resolution boundaries.
+* ``_sparse_eliminate`` splits +/-1 pivots off a matrix given as sparse
+  columns ({row: value} dicts, the form in which resolutions hand over
+  their down complexes) and logs its row operations; a dense Smith form of
+  the small residue finishes the job.  ``sparse_invariant_factors`` takes
+  only its diagonal; homology replays the log to classify cycles.  No
+  dense copy of the input is ever made, so this scales to bar-resolution
+  boundaries.
 
 Pivot rule for the dense Smith form: smallest nonzero absolute value, ties
 broken by lowest (row, col).  Fixed so decompositions are reproducible.
@@ -96,14 +99,6 @@ class IntMatrix:
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
-
-    def columns_sparse(self) -> list[dict[int, int]]:
-        cols: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    cols[j][i] = v
-        return cols
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         """Matrix times column vector."""
@@ -374,7 +369,9 @@ def kernel_basis(A: IntMatrix) -> list[list[int]]:
     rank = len(solver.pivots)
     out = []
     for j in range(rank, A.ncols):
-        assert not any(solver.hcols[j]), "nonpivot column not cleared"
+        if any(solver.hcols[j]):
+            raise InternalCheckError(
+                f"kernel basis: nonpivot column {j} not cleared")
         out.append(solver.vcols[j][:])
     return out
 
@@ -539,8 +536,8 @@ class IntegerLattice:
             else:
                 g, x, y = xgcd(a, b)
                 # new pivot row with leading entry g; nonpivot combination continues
-                new_row = _row_scale_add(row, x, vec, y)
-                vec = _row_combine(vec, row, None, scale=(a // g, -(b // g)))
+                new_row = _row_combine(row, vec, y, s=x)
+                vec = _row_combine(vec, row, -(b // g), s=a // g)
                 self.rows[j] = new_row
                 changed = True
         if changed:
@@ -579,26 +576,12 @@ class IntegerLattice:
         return [dict(self.rows[j]) for j in sorted(self.rows)]
 
 
-def _row_combine(vec: dict[int, int], row: dict[int, int], q,
-                 scale: tuple[int, int] | None = None) -> dict[int, int]:
-    """vec + q*row, or scale=(s, t): s*vec + t*row.  Drops zeros."""
-    if scale is not None:
-        s, t = scale
-        out = {j: s * v for j, v in vec.items()}
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + t * v
-    else:
-        out = dict(vec)
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + q * v
-    return {j: v for j, v in out.items() if v}
-
-
-def _row_scale_add(r1: dict[int, int], x: int, r2: dict[int, int],
-                   y: int) -> dict[int, int]:
-    out = {j: x * v for j, v in r1.items()}
-    for j, v in r2.items():
-        out[j] = out.get(j, 0) + y * v
+def _row_combine(vec: dict[int, int], row: dict[int, int], q: int,
+                 s: int = 1) -> dict[int, int]:
+    """s*vec + q*row.  Drops zeros."""
+    out = dict(vec) if s == 1 else {j: s * v for j, v in vec.items()}
+    for j, v in row.items():
+        out[j] = out.get(j, 0) + q * v
     return {j: v for j, v in out.items() if v}
 
 
@@ -616,8 +599,7 @@ class Elimination(NamedTuple):
     residual: IntMatrix
 
 
-def _sparse_eliminate(cols: Iterable[dict[int, int]],
-                      nrows: int) -> Elimination:
+def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     """Split off +/-1 pivots from a sparse matrix given by columns.
 
     Deduplicates columns first and again in the residual; duplicate columns
@@ -731,8 +713,10 @@ def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int
 
     The unit pivots split off by sparse elimination contribute invariant
     factor 1 each; the dense Smith form of the residual supplies the rest.
+    ``nrows`` states the row count for callers; the elimination itself
+    reads only the columns.
     """
-    elim = _sparse_eliminate(cols, nrows)
+    elim = _sparse_eliminate(cols)
     if not elim.rows:
         return len(elim.pivots), []
     dec = smith_normal_form(elim.residual, transforms=False)

@@ -34,13 +34,17 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import defaultdict
 from typing import Sequence
 
-from .errors import ResolutionError, SchemaError, SizeBudgetError
-from .groups import (FiniteGroup, GroupRingElement, build_group)
+from .errors import (InternalCheckError, ResolutionError, SchemaError,
+                     SizeBudgetError)
+from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
+                     _read_json, build_group)
 from .intlinalg import (IntMatrix, IntegerLattice, kernel_basis,
                         lll_reduce_rows, sparse_invariant_factors)
-from .zglinalg import ZGMatrix, check_zrank, flatten_vector, unflatten_vector
+from .zglinalg import (ZGMatrix, ZGSolver, check_zrank, flatten_vector,
+                       unflatten_vector)
 
 
 class Resolution:
@@ -61,8 +65,8 @@ class Resolution:
         self.diffs = tuple(diffs)
         self.aug = tuple(int(a) for a in augmentation)
         self.label = label
-        self._down: dict[int, IntMatrix] = {}
-        self._hcache: dict = {}  # homology-side caches, see tate module
+        self._down: dict[int, list[dict[int, int]]] = {}
+        self._hcache: dict = {}  # solvers here, homology in the tate module
         if not self.ranks or any(r < 0 for r in self.ranks):
             raise ResolutionError("ranks must be a nonempty list of nonnegative integers")
         if len(self.diffs) != len(self.ranks) - 1:
@@ -100,28 +104,59 @@ class Resolution:
                            ) -> list[GroupRingElement]:
         return self.differential(k).apply(vec)
 
+    def solver(self, k: int) -> ZGSolver:
+        """The solver for d_k x = b, one factorization per degree."""
+        key = ("solver", k)
+        if key not in self._hcache:
+            self._hcache[key] = ZGSolver(self.differential(k))
+        return self._hcache[key]
+
     def augment(self, vec: Sequence[GroupRingElement]) -> int:
         """eps applied to an element of P_0."""
-        assert len(vec) == self.ranks[0]
+        if len(vec) != self.ranks[0]:
+            raise ResolutionError(f"chain has length {len(vec)}, "
+                                  f"rank in degree 0 is {self.ranks[0]}")
         return sum(a * v.augmentation() for a, v in zip(self.aug, vec))
 
     def zero_chain(self, k: int) -> list[GroupRingElement]:
         return [GroupRingElement.zero(self.group) for _ in range(self.rank(k))]
 
-    def down_matrix(self, k: int) -> IntMatrix:
-        """The integer matrix of d_k on the tensored-down complex P (x)_{Z[G]} Z.
+    def down_matrix(self, k: int) -> list[dict[int, int]]:
+        """D_k, the differential d_k of the tensored-down complex P (x)_{Z[G]} Z.
 
         Tensoring with the trivial module replaces each group-ring entry by
-        its augmentation; ranks are unchanged.
+        its augmentation; ranks are unchanged.  D_k is returned as sparse
+        integer columns, one {row: augmentation} dict per basis vector of
+        P_k with its zero entries left out, which is the input format of
+        the sparse eliminator in ``intlinalg``.  It has ranks[k - 1] rows.
+        Built once per degree and cached; callers must not mutate it.
         """
-        m = self._down.get(k)
-        if m is None:
+        cols = self._down.get(k)
+        if cols is None:
             d = self.differential(k)
-            m = IntMatrix.zeros(d.nrows, d.ncols)
-            for (i, j), val in d.entries.items():
-                m.data[i][j] = val.augmentation()
-            self._down[k] = m
-        return m
+            cols = []
+            for j in range(d.ncols):
+                col = {}
+                for i, val in d.column(j).items():
+                    a = val.augmentation()
+                    if a:
+                        col[i] = a
+                cols.append(col)
+            self._down[k] = cols
+        return cols
+
+    def down_boundary(self, k: int, vec: Sequence[int]) -> list[int]:
+        """D_k applied to an integer vector of the degree-k down complex."""
+        cols = self.down_matrix(k)
+        if len(vec) != len(cols):
+            raise ValueError(f"vector of length {len(vec)} for D_{k}, "
+                             f"which has {len(cols)} columns")
+        out = [0] * self.ranks[k - 1]
+        for col, c in zip(cols, vec):
+            if c:
+                for i, a in col.items():
+                    out[i] += c * a
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Resolution):
@@ -165,26 +200,34 @@ class Resolution:
             if key not in obj:
                 raise SchemaError(f"resolution JSON is missing {key!r}")
         group = build_group(obj["group"])
-        ranks = obj["ranks"]
-        raw = obj["differentials"]
+        ranks = _int_list(obj["ranks"], "resolution 'ranks'")
+        if any(r < 0 for r in ranks):
+            raise SchemaError("resolution 'ranks' must be nonnegative")
+        raw = _list(obj["differentials"], "resolution 'differentials'")
         if len(raw) != len(ranks) - 1:
             raise SchemaError("differential count does not match ranks")
-        diffs = []
+        # every shape and type is checked before any matrix is allocated
         for k, rows in enumerate(raw, start=1):
-            if len(rows) != ranks[k - 1]:
+            if len(_list(rows, f"differential {k}")) != ranks[k - 1]:
                 raise SchemaError(f"differential {k} has wrong row count")
-            m = ZGMatrix(group, ranks[k - 1], ranks[k])
             for i, row in enumerate(rows):
-                if len(row) != ranks[k]:
+                if len(_list(row, f"differential {k} row {i}")) != ranks[k]:
                     raise SchemaError(f"differential {k} row {i} has wrong length")
                 for j, coeffs in enumerate(row):
-                    if len(coeffs) != group.order:
+                    what = f"differential {k} entry ({i},{j})"
+                    if len(_int_list(coeffs, what)) != group.order:
                         raise SchemaError(
-                            f"differential {k} entry ({i},{j}) has "
-                            f"{len(coeffs)} coefficients, expected {group.order}")
+                            f"{what} has {len(coeffs)} coefficients, "
+                            f"expected {group.order}")
+        diffs = []
+        for k, rows in enumerate(raw, start=1):
+            m = ZGMatrix(group, ranks[k - 1], ranks[k])
+            for i, row in enumerate(rows):
+                for j, coeffs in enumerate(row):
                     m.set(i, j, GroupRingElement(group, coeffs))
             diffs.append(m)
-        return cls(group, ranks, diffs, obj["augmentation"], label=label)
+        aug = _int_list(obj["augmentation"], "resolution 'augmentation'")
+        return cls(group, ranks, diffs, aug, label=label)
 
 
 def load_resolution(path: str, max_zrank: int | None = None) -> Resolution:
@@ -193,11 +236,7 @@ def load_resolution(path: str, max_zrank: int | None = None) -> Resolution:
     Validation failures are load errors: the file must satisfy d o d = 0,
     eps o d_1 = 0, and the exactness certificate at every degree.
     """
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path} is not valid JSON: {e}") from e
+    obj = _read_json(path)
     try:
         res = Resolution.from_json(obj, label=os.path.basename(path))
     except ResolutionError as e:
@@ -381,22 +420,16 @@ def bar_resolution(group: FiniteGroup, n: int,
     for k in range(1, n + 1):
         d = ZGMatrix(group, ranks[k - 1], ranks[k])
         for col, tup in enumerate(tuples(k)):
-            acc: dict[int, list[int]] = {}
-
-            def put(row, g, v):
-                c = acc.get(row)
-                if c is None:
-                    c = acc[row] = [0] * w
-                c[g] += v
-
-            put(tuple_index(tup[1:]), tup[0], 1)
+            acc = defaultdict(lambda: [0] * w)  # row -> coefficients
+            acc[tuple_index(tup[1:])][tup[0]] += 1
             sign = -1
             for i in range(k - 1):
                 merged = group.table[tup[i]][tup[i + 1]]
                 if merged != 0:
-                    put(tuple_index(tup[:i] + (merged,) + tup[i + 2:]), 0, sign)
+                    row = tuple_index(tup[:i] + (merged,) + tup[i + 2:])
+                    acc[row][0] += sign
                 sign = -sign
-            put(tuple_index(tup[:-1]), 0, sign)
+            acc[tuple_index(tup[:-1])][0] += sign
             for row, coeffs in acc.items():
                 d.set(row, col, GroupRingElement(group, coeffs))
         diffs.append(d)
@@ -452,8 +485,13 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
         return []
 
     def orbit(vec):
-        return [flatten_vector([a.left_translate(g) for a in vec], group)
+        # the sparse integer vectors of g * vec, g in G
+        return [{i: x for i, x in enumerate(flatten_vector(
+                    [a.left_translate(g) for a in vec], group)) if x}
                 for g in range(order)]
+
+    def size(v):
+        return max(abs(x) for x in v), sum(1 for x in v if x), v
 
     # Candidates are reduced-echelon rows of the full kernel lattice, fed
     # with every group translate of every kernel basis vector (shortest
@@ -461,36 +499,23 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
     # reduction keeps candidate entries small; raw Hermite kernel vectors
     # compound in size from one degree to the next.
     full = IntegerLattice()
-    by_size = sorted(kbasis, key=lambda v: (max(abs(x) for x in v),
-                                            sum(1 for x in v if x),
-                                            v))
-    for v in by_size:
-        for flat in orbit(unflatten_vector(v, group, rank_above)):
-            full.add({i: x for i, x in enumerate(flat) if x})
-    ncols = z_matrix.ncols
-    dense = []
-    for row in full.basis_rows():
-        flat = [0] * ncols
-        for i, x in row.items():
-            flat[i] = x
-        dense.append(flat)
+    for v in sorted(kbasis, key=size):
+        for vec in orbit(unflatten_vector(v, group, rank_above)):
+            full.add(vec)
     # Echelon reduction alone cannot bound entries away from the pivot
     # columns; LLL can, and keeps generators small at every degree.
-    dense = lll_reduce_rows(dense)
-    dense.sort(key=lambda v: (max(abs(x) for x in v),
-                              sum(1 for x in v if x), v))
-    candidates = [unflatten_vector(flat, group, rank_above) for flat in dense]
-
+    dense = lll_reduce_rows([[row.get(i, 0) for i in range(z_matrix.ncols)]
+                             for row in full.basis_rows()])
+    candidates = [unflatten_vector(flat, group, rank_above)
+                  for flat in sorted(dense, key=size)]
     orbits = [orbit(v) for v in candidates]
-
-    cand_sparse = [{i: v for i, v in enumerate(orbits[t][0]) if v}
-                   for t in range(len(candidates))]
+    cand_sparse = [orb[0] for orb in orbits]
 
     def lattice_of(idxs):
         lat = IntegerLattice()
         for t in idxs:
-            for flat in orbits[t]:
-                lat.add({i: v for i, v in enumerate(flat) if v})
+            for vec in orbits[t]:
+                lat.add(vec)
         return lat
 
     def covers(idxs):
@@ -507,9 +532,10 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
     for t in order_pref:
         if not lat.contains(cand_sparse[t]):
             chosen.append(t)
-            for f in orbits[t]:
-                lat.add({i: v for i, v in enumerate(f) if v})
-    assert covers(chosen), "orbit cover missed part of the kernel lattice"
+            for vec in orbits[t]:
+                lat.add(vec)
+    if not covers(chosen):
+        raise InternalCheckError("orbit cover missed part of the kernel lattice")
     # reverse-delete: drop any generator whose orbit is redundant
     for t in list(chosen):
         rest = [s for s in chosen if s != t]
@@ -567,14 +593,7 @@ class JoinResolution(Resolution):
         except ResolutionError as e:
             # a broken join differential is a bug in the sign bookkeeping,
             # not a property of user input
-            from .errors import InternalCheckError
             raise InternalCheckError(f"join construction: {e}") from e
-
-    def basis(self, d: int) -> list[tuple]:
-        return self.bases[d]
-
-    def column_of(self, d: int, key: tuple) -> int:
-        return self.index[d][key]
 
 
 def join(P: Resolution, Q: Resolution, n: int,
@@ -600,7 +619,10 @@ def join(P: Resolution, Q: Resolution, n: int,
     check_zrank(G, ranks, max_zrank, what=f"join of {P.label} and {Q.label}")
     bases = [_join_basis(P, Q, d) for d in range(n + 1)]
     for d in range(n + 1):
-        assert len(bases[d]) == ranks[d], "basis enumeration disagrees with rank formula"
+        if len(bases[d]) != ranks[d]:
+            raise InternalCheckError(f"join basis in degree {d} has "
+                                     f"{len(bases[d])} elements, rank formula "
+                                     f"gives {ranks[d]}")
     index = [{key: c for c, key in enumerate(b)} for b in bases]
 
     diffs = []
@@ -608,14 +630,10 @@ def join(P: Resolution, Q: Resolution, n: int,
         m = ZGMatrix(G, ranks[d - 1], ranks[d])
         tgt = index[d - 1]
         for col, (k, i, g, j) in enumerate(bases[d]):
-            acc: dict[int, list[int]] = {}
+            acc = defaultdict(lambda: [0] * order)  # row -> coefficients
 
             def put(key, gelt, v):
-                row = tgt[key]
-                c = acc.get(row)
-                if c is None:
-                    c = acc[row] = [0] * order
-                c[gelt] += v
+                acc[tgt[key]][gelt] += v
 
             if k == 0:
                 # bottom summand Z (x) Q_d: the Q differential verbatim
@@ -678,16 +696,12 @@ def include_cycle_tensor(J: JoinResolution, x: Sequence[GroupRingElement],
     table = G.table
     inv = G.inverse
     idx = J.index[d]
-    acc: dict[int, list[int]] = {}
+    acc = defaultdict(lambda: [0] * order)  # row -> coefficients
     for i, a in enumerate(x):
         for u, av in a.support():
             for j, b in enumerate(y):
                 for v, bv in b.support():
-                    row = idx[(n + 1, i, table[inv[u]][v], j)]
-                    c = acc.get(row)
-                    if c is None:
-                        c = acc[row] = [0] * order
-                    c[u] += av * bv
+                    acc[idx[(n + 1, i, table[inv[u]][v], j)]][u] += av * bv
     out = J.zero_chain(d)
     for row, coeffs in acc.items():
         out[row] = GroupRingElement(G, coeffs)

@@ -96,13 +96,7 @@ def _feasible_pairs(depth: int) -> list[tuple[int, int]]:
 
 def _add_classes(factors: Sequence[int], u: Sequence[int],
                  v: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for f, a, b in zip(factors, u, v):
-        s = a + b
-        if f:
-            s %= f
-        out.append(s)
-    return tuple(out)
+    return tuple((a + b) % f if f else a + b for f, a, b in zip(factors, u, v))
 
 
 def _check_products(rep: ValidationReport, ctx: ProductContext, rng,
@@ -153,10 +147,10 @@ def _check_products(rep: ValidationReport, ctx: ProductContext, rng,
     ok = True
     detail = f"bidegree {n}x{m}, {rounds} perturbations per side"
     for _ in range(rounds):
-        ba = res.down_matrix(n + 1).apply(
-            [rng.randrange(-3, 4) for _ in range(res.ranks[n + 1])])
-        bb = res.down_matrix(m + 1).apply(
-            [rng.randrange(-3, 4) for _ in range(res.ranks[m + 1])])
+        ba = res.down_boundary(
+            n + 1, [rng.randrange(-3, 4) for _ in range(res.ranks[n + 1])])
+        bb = res.down_boundary(
+            m + 1, [rng.randrange(-3, 4) for _ in range(res.ranks[m + 1])])
         za2 = [a + b for a, b in zip(za, ba)]
         zb2 = [a + b for a, b in zip(zb, bb)]
         if ctx.join_product(n, za2, m, zb2) != base_j or \

@@ -2,15 +2,17 @@
 
 Tensoring a resolution down over the group ring (replacing every group-ring
 entry by its augmentation) gives the integer complex whose homology is the
-group homology H_n.  One engine does all the work: the sparse unit-pivot
-eliminator of ``intlinalg``.  Invariant factors are read off the boundary
-matrices: the torsion of H_n equals the nonunit invariant factors of
-D_{n+1}, because the kernel of D_n is a saturated sublattice, and the free
-rank is rank ker D_n - rank D_{n+1}.  Classifying cycles and exhibiting
-generators replays the row operations of the elimination of D_{n+1} and
-takes a transform-tracked Smith form of its small residual alone; a kernel
-basis of D_n is computed only when H_n has a free summand.  That data is
-built lazily, only when someone asks, and must reproduce the factors.
+group homology H_n.  ``Resolution.down_matrix`` builds its boundary maps D_k
+once, as sparse integer columns, and one engine does all the work on them:
+the sparse unit-pivot eliminator of ``intlinalg``.  Invariant factors are
+read off the boundary matrices: the torsion of H_n equals the nonunit
+invariant factors of D_{n+1}, because the kernel of D_n is a saturated
+sublattice, and the free rank is rank ker D_n - rank D_{n+1}.  Classifying
+cycles and exhibiting generators replays the row operations of the
+elimination of D_{n+1} and takes a transform-tracked Smith form of its
+small residual alone; a kernel basis of D_n, the only dense copy of a down
+map, is computed only when H_n has a free summand.  That data is built
+lazily, only when someone asks, and must reproduce the factors.
 
 The degree-(-n-1) groups of the Tate theory are reached through the norm
 correspondence: an invariant chain of P_n is exactly a norm N.y, and the
@@ -52,9 +54,8 @@ def _rank_and_factors(res: Resolution, k: int) -> tuple[int, list[int]]:
     """(rank, nonunit invariant factors) of D_k, cached on the resolution."""
     key = ("rf", k)
     if key not in res._hcache:
-        D = res.down_matrix(k)
-        res._hcache[key] = sparse_invariant_factors(D.columns_sparse(),
-                                                    D.nrows)
+        res._hcache[key] = sparse_invariant_factors(res.down_matrix(k),
+                                                    res.ranks[k - 1])
     return res._hcache[key]
 
 
@@ -187,8 +188,7 @@ class _CycleCoordinates:
                  "free_U", "factors", "generators")
 
     def __init__(self, res: Resolution, n: int, free: int):
-        D = res.down_matrix(n + 1)
-        elim = _sparse_eliminate(D.columns_sparse(), D.nrows)
+        elim = _sparse_eliminate(res.down_matrix(n + 1))
         self.ops, self.rows = elim.ops, elim.rows
         dec = smith_normal_form(elim.residual)
         self.U, self.rank = dec.U, dec.rank
@@ -196,21 +196,23 @@ class _CycleCoordinates:
         self.factors = [d for _, d in self.torsion] + [0] * free
         self.generators = []
         for p, _ in self.torsion:
-            y = [0] * D.nrows
+            y = [0] * res.ranks[n]
             for i, v in zip(self.rows, dec.Uinv.column(p)):
                 y[i] = v
             self.generators.append(y)
         self.zero_rows = self.free_U = None
         if free:
             used = set(elim.pivots) | set(self.rows)
-            self.zero_rows = [i for i in range(D.nrows) if i not in used]
+            self.zero_rows = [i for i in range(res.ranks[n]) if i not in used]
             self._add_free_generators(res, n, free)
         if not all(is_cycle(res, n, g) for g in self.generators):
             raise InternalCheckError(f"H_{n}: a generator is not a cycle")
 
     def _add_free_generators(self, res: Resolution, n: int,
                              free: int) -> None:
-        Dn = res.down_matrix(n) if n else IntMatrix.zeros(0, res.ranks[0])
+        Dn = (IntMatrix.from_sparse_columns(res.down_matrix(n),
+                                            res.ranks[n - 1])
+              if n else IntMatrix.zeros(0, res.ranks[0]))
         kernel = kernel_basis(Dn)
         values = [self._coords(k)[1] for k in kernel]
         fdec = smith_normal_form(IntMatrix([list(r) for r in zip(*values)],
@@ -258,7 +260,7 @@ def homology(res: Resolution, n: int) -> HomologyGroup:
 def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
     if n == 0:
         return len(coords) == res.ranks[0]
-    return not any(res.down_matrix(n).apply(list(coords)))
+    return not any(res.down_boundary(n, coords))
 
 
 class InvariantCycle:
@@ -378,8 +380,8 @@ def random_cycle(res: Resolution, n: int, rng) -> list[int]:
     A random combination of the generators of H_n plus a random boundary.
     """
     h = homology(res, n)
-    out = res.down_matrix(n + 1).apply(
-        [rng.randrange(-4, 5) for _ in range(res.ranks[n + 1])])
+    out = res.down_boundary(
+        n + 1, [rng.randrange(-4, 5) for _ in range(res.ranks[n + 1])])
     for g in h.generators:
         c = rng.randrange(-4, 5)
         out = [x + c * y for x, y in zip(out, g)]

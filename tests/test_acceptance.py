@@ -6,6 +6,8 @@ noted in the line but not asserted, so a slow machine cannot turn a correct
 run red.  Run with -rP (or -s) to see the lines for passing tests.
 """
 
+import ast
+import glob
 import os
 import random
 import time
@@ -235,3 +237,17 @@ def test_oracle_cross_checks():
         assert got == oracle == want, (g.label, got, oracle)
     print(f"PASS oracle cross checks (200 random Smith forms, first "
           f"homology vs abelianization): {time.perf_counter() - t0:.2f}s")
+
+
+def test_no_assert_statements_in_the_package():
+    # certificates and preconditions raise named errors; an assert would
+    # vanish under python -O
+    src = os.path.dirname(tatejoin.resolutions.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+    print("PASS no assert statements in src/tatejoin")

@@ -235,3 +235,99 @@ def test_group_file_input(capsys, tmp_path):
                        "--degrees", "1..2")
     assert code == 0
     assert factors_of(out) == [[6], []]
+
+
+def _c4_resolution_doc():
+    from tatejoin import periodic_cyclic_resolution
+    return periodic_cyclic_resolution(4, 4).to_json()
+
+
+def _doctor(path, value):
+    """A copy of the C4 resolution document with one field replaced."""
+    def edit(doc):
+        *keys, last = path
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        return doc
+    return edit
+
+
+CORRUPT_GROUP_FILES = [
+    ("truncated", '{"table": [[0, 1], [1,', "not valid JSON"),
+    ("not utf-8", b'{"table": \xff}', "not valid JSON"),
+    ("string entry", {"table": [[0, "1"], [1, 0]]},
+     "group table row 0 must be a list of integers"),
+    ("bool entry", {"table": [[0, True], [True, 0]]},
+     "group table row 0 must be a list of integers"),
+    ("table not a list", {"table": 5}, "group 'table' must be a list"),
+    ("row not a list", {"table": [[0, 1], 7]},
+     "group table row 1 must be a list"),
+    ("not a group", {"table": [[0, 1], [0, 1]]}, "invalid group table"),
+    ("label not a string", {"label": [1], "table": [[0]]},
+     "'label' must be a string"),
+    ("degree a string", {"degree": "3", "generators": [[1, 0, 2]]},
+     "'degree' must be an integer"),
+    ("generator with a string", {"degree": 3, "generators": [[1, 0, "2"]]},
+     "generator 0 must be a list of integers"),
+    ("top level a list", [[0]], "group JSON must be an object"),
+]
+
+
+@pytest.mark.parametrize("name,content,message", CORRUPT_GROUP_FILES,
+                         ids=[c[0] for c in CORRUPT_GROUP_FILES])
+def test_corrupted_group_file_exit_2(capsys, tmp_path, name, content,
+                                     message):
+    path = tmp_path / "group.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+    code, out, err = run(capsys, "homology", "--group", f"file:{path}",
+                         "--degrees", "1..2")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+CORRUPT_RESOLUTION_FILES = [
+    ("truncated", '{"ranks": [1, 1', "not valid JSON"),
+    ("rank a string", _doctor(["ranks", 1], "1"),
+     "'ranks' must be a list of integers"),
+    ("negative rank", _doctor(["ranks", 1], -1), "must be nonnegative"),
+    ("differentials not a list", _doctor(["differentials"], {}),
+     "'differentials' must be a list"),
+    ("differential not a list", _doctor(["differentials", 0], 3),
+     "differential 1 must be a list"),
+    ("row not a list", _doctor(["differentials", 0, 0], "x"),
+     "differential 1 row 0 must be a list"),
+    ("short row", _doctor(["differentials", 1, 0], []),
+     "differential 2 row 0 has wrong length"),
+    ("string coefficient", _doctor(["differentials", 0, 0, 0, 1], "1"),
+     "differential 1 entry (0,0) must be a list of integers"),
+    ("float coefficient", _doctor(["differentials", 2, 0, 0, 0], 1.0),
+     "differential 3 entry (0,0) must be a list of integers"),
+    ("coefficient count", _doctor(["differentials", 0, 0, 0], [1, -1]),
+     "has 2 coefficients, expected 4"),
+    ("augmentation a string", _doctor(["augmentation"], "1"),
+     "'augmentation' must be a list"),
+    ("augmentation entry null", _doctor(["augmentation", 0], None),
+     "'augmentation' must be a list of integers"),
+    ("group null", _doctor(["group"], None), "cannot build a group"),
+]
+
+
+@pytest.mark.parametrize("name,content,message", CORRUPT_RESOLUTION_FILES,
+                         ids=[c[0] for c in CORRUPT_RESOLUTION_FILES])
+def test_corrupted_resolution_file_exit_2(capsys, tmp_path, name, content,
+                                          message):
+    path = tmp_path / "res.json"
+    path.write_text(content if isinstance(content, str)
+                    else json.dumps(content(_c4_resolution_doc())))
+    code, out, err = run(capsys, "homology", "--group", "cyclic:4",
+                         "--resolution", f"file:{path}", "--degrees", "1..2")
+    assert code == 2
+    assert out == ""
+    assert message in err

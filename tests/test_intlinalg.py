@@ -81,11 +81,12 @@ def test_sparse_matches_dense():
         nc = rng.randrange(1, 7)
         a = IntMatrix([[rng.randrange(-4, 5) if rng.random() < 0.4 else 0
                         for _ in range(nc)] for _ in range(nr)])
+        cols = [{i: a[i, j] for i in range(nr) if a[i, j]} for j in range(nc)]
         want = [d for d in smith_normal_form(a).invariant_factors if d != 1]
-        rank, factors = sparse_invariant_factors(a.columns_sparse(), nr)
+        rank, factors = sparse_invariant_factors(cols, nr)
         assert factors == want
         assert rank == len(smith_normal_form(a).invariant_factors)
-        assert sparse_rank(a.columns_sparse(), nr) == rank
+        assert sparse_rank(cols, nr) == rank
 
 
 def test_solve_single_diophantine():
@@ -127,6 +128,20 @@ def test_solver_check_is_not_an_assert():
     solver.vcols[0] = [2 * v for v in solver.vcols[0]]
     with pytest.raises(InternalCheckError):
         solver.solve([4, 9])
+
+
+def test_kernel_basis_check_is_not_an_assert(monkeypatch):
+    # a factorization that leaves a nonpivot column uncleared must raise
+    class Doctored(IntegerSolver):
+        def __init__(self, A):
+            super().__init__(A)
+            self.hcols[-1] = [1] * self.nrows
+
+    a = IntMatrix([[1, 1]])
+    assert kernel_basis(a) in ([[1, -1]], [[-1, 1]])
+    monkeypatch.setattr("tatejoin.intlinalg.IntegerSolver", Doctored)
+    with pytest.raises(InternalCheckError, match="nonpivot"):
+        kernel_basis(a)
 
 
 def test_kernel_basis_spans_and_is_independent():

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from tatejoin import (ChainMap, GroupRingElement, InternalCheckError,
-                      ProductContext, ZGMatrix, bar_resolution,
+                      ProductContext, ResolutionError, ZGMatrix, bar_resolution,
                       composition_product, cyclic, from_permutations,
                       homology, join_product, lift_comparison,
                       periodic_cyclic_resolution, product_table, quaternion8,
@@ -77,8 +77,8 @@ def test_representative_independence():
     b = homology(res, 3).generators[0]
     base = ctx.join_product(1, a, 3, b)
     for _ in range(5):
-        shift = res.down_matrix(2).apply(
-            [rng.randrange(-3, 4) for _ in range(res.ranks[2])])
+        shift = res.down_boundary(
+            2, [rng.randrange(-3, 4) for _ in range(res.ranks[2])])
         a2 = [u + v for u, v in zip(a, shift)]
         assert ctx.join_product(1, a2, 3, b) == base
         assert ctx.composition_product(1, a2, 3, b) == base
@@ -162,6 +162,26 @@ def test_lift_comparison_bar_to_periodic():
     assert hp.class_order(hp.classify(moved)) == 3
 
 
+def test_lift_comparison_over_s3_both_ways():
+    # S3 is nonabelian, so a lift that multiplies a differential entry on
+    # the wrong side of a lifted column fails ChainMap.check()
+    s3 = symmetric(3)
+    bar = bar_resolution(s3, 3)
+    syz = syzygy_resolution(s3, 3)
+    for src, tgt in ((bar, syz), (syz, bar)):
+        cm = lift_comparison(src, tgt, 3)  # ChainMap.check() runs inside
+        for k in (1, 2):
+            h_src, h_tgt = homology(src, k), homology(tgt, k)
+            for gen in h_src.generators:
+                comp = cm.components[k]
+                moved = [sum(comp.get(i, j).augmentation() * gen[j]
+                             for j in range(len(gen)))
+                         for i in range(tgt.ranks[k])]
+                # a comparison map is an isomorphism on homology
+                assert h_tgt.class_order(h_tgt.classify(moved)) == \
+                    h_src.class_order(h_src.classify(gen))
+
+
 def _cycle_of(h, coords, res):
     """A cycle with the given canonical coordinates: integer combination
     of the stored generators."""
@@ -197,6 +217,14 @@ def test_resolution_independence_of_products():
     want = ProductContext(per).join_product(1, rep, 1, rep)
     assert moved_prod_cls == want
     assert hp3.class_order(moved_prod_cls) == 3  # still a generator
+
+
+def test_lift_before_join_is_a_named_error():
+    ctx = ProductContext(periodic_cyclic_resolution(2, 4))
+    with pytest.raises(ResolutionError, match="join_to"):
+        ctx.lift()
+    ctx.join_to(2)
+    assert ctx.lift().target is ctx.P
 
 
 def test_chain_map_check_catches_broken_commutation():

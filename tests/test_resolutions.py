@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from tatejoin import (GroupRingElement, ResolutionError, Resolution,
+from tatejoin import (GroupRingElement, InternalCheckError,
+                      ResolutionError, Resolution,
                       SchemaError, SizeBudgetError, bar_resolution, cyclic,
                       dihedral, include_cycle_tensor, join, join_rank,
                       load_resolution, norm_element,
@@ -34,8 +35,8 @@ def test_periodic_differential_pattern():
     assert r.differential(2).get(0, 0) == norm_element(g)
     assert r.differential(3) == r.differential(1)
     assert r.differential(4) == r.differential(2)
-    for k, want in ((1, 0), (2, 2), (3, 0), (4, 2)):
-        assert r.down_matrix(k).data == [[want]]
+    for k, want in ((1, [{}]), (2, [{0: 2}]), (3, [{}]), (4, [{0: 2}])):
+        assert r.down_matrix(k) == want
 
 
 def test_periodic_rejects_tiny_order():
@@ -176,6 +177,15 @@ def test_join_validates_as_resolution():
     assert rep.passed, rep.first_failure
 
 
+def test_join_basis_count_is_checked(monkeypatch):
+    per = periodic_cyclic_resolution(2, 3)
+    real = join_rank
+    monkeypatch.setattr("tatejoin.resolutions.join_rank",
+                        lambda P, Q, d: real(P, Q, d) + (d == 2))
+    with pytest.raises(InternalCheckError, match="join basis"):
+        join(per, per, 3)
+
+
 def test_join_requires_depth():
     p = periodic_cyclic_resolution(2, 2)
     with pytest.raises(ResolutionError):
@@ -217,3 +227,60 @@ def test_include_cycle_tensor_depth_guard():
     with pytest.raises(ResolutionError):
         include_cycle_tensor(j, [norm_element(g)], 1,
                              [GroupRingElement.basis(g, 0)], 1)
+
+
+# -- the down complex -----------------------------------------------------------
+
+def _down_from_expansion(res, k):
+    """D_k read off the z-expansion of d_k: entry (i, j) is the sum over u
+    of block entry ((i, u), (j, identity)), the augmentation of d_k[i, j]."""
+    z = res.differential(k).z_expansion()
+    w = res.group.order
+    cols = []
+    for j in range(res.ranks[k]):
+        col = {}
+        for i in range(res.ranks[k - 1]):
+            v = sum(z[i * w + u, j * w] for u in range(w))
+            if v:
+                col[i] = v
+        cols.append(col)
+    return cols
+
+
+def test_down_matrix_matches_expansion():
+    d4 = syzygy_resolution(dihedral(4), 3)
+    for res in (periodic_cyclic_resolution(4, 5),
+                bar_resolution(cyclic(3), 4),
+                syzygy_resolution(symmetric(3), 6),
+                join(d4, d4, 3)):
+        for k in range(1, res.depth + 1):
+            assert res.down_matrix(k) == _down_from_expansion(res, k), \
+                (res, k)
+
+
+def test_down_boundary_applies_the_columns():
+    res = syzygy_resolution(symmetric(3), 4)
+    for k in range(1, res.depth + 1):
+        cols = _down_from_expansion(res, k)
+        vec = [(-1) ** j * (j + 2) for j in range(res.ranks[k])]
+        want = [sum(col.get(i, 0) * v for col, v in zip(cols, vec))
+                for i in range(res.ranks[k - 1])]
+        assert res.down_boundary(k, vec) == want
+
+
+def test_down_boundary_rejects_wrong_length():
+    res = syzygy_resolution(symmetric(3), 3)
+    with pytest.raises(ValueError, match="length"):
+        res.down_boundary(2, [1] * (res.ranks[2] + 1))
+    with pytest.raises(ValueError, match="length"):
+        res.down_boundary(1, [])
+    with pytest.raises(ResolutionError):
+        res.down_boundary(4, [])  # no differential beyond the depth
+
+
+def test_augment_checks_length():
+    res = syzygy_resolution(symmetric(3), 2)
+    e = GroupRingElement.one(res.group)
+    assert res.augment([e.scale(3)]) == 3
+    with pytest.raises(ResolutionError, match="length"):
+        res.augment([e, e])
