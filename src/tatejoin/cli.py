@@ -158,20 +158,23 @@ def _require_json(args) -> None:
             "(coordinate lists do not flatten losslessly)")
 
 
-def _emit_groups(args, degrees: list[int], farthest: int, need: int,
-                 group_in_degree) -> int:
-    """Resolve to the needed depth and emit one document per degree."""
+def cmd_homology(args) -> int:
+    degrees = _parse_degrees(args.degrees)
+    if min(degrees) < 0:
+        raise SchemaError("homology degrees must be >= 0 (use the tate "
+                          "command for negative degrees)")
+    need = max(degrees) + 1
     depth = args.depth if args.depth is not None else need
     if depth < need:
         raise SchemaError(f"--depth {depth} cannot reach degree "
-                          f"{farthest} (need depth >= {need})")
+                          f"{max(degrees)} (need depth >= {need})")
     _require_json(args)
     group = build_group(args.group)
     res = build_resolution(group, args.group, args.resolution, depth,
                            args.max_zrank)
     doc = []
     for n in degrees:
-        h = group_in_degree(res, n)
+        h = homology(res, n)
         doc.append({"group": group.label, "degree": n,
                     "invariant_factors": list(h.invariant_factors),
                     "generators": [list(g) for g in h.generators]})
@@ -179,22 +182,28 @@ def _emit_groups(args, degrees: list[int], farthest: int, need: int,
     return 0
 
 
-def cmd_homology(args) -> int:
-    degrees = _parse_degrees(args.degrees)
-    if min(degrees) < 0:
-        raise SchemaError("homology degrees must be >= 0 (use the tate "
-                          "command for negative degrees)")
-    return _emit_groups(args, degrees, max(degrees), max(degrees) + 1,
-                        homology)
-
-
 def cmd_tate(args) -> int:
     degrees = _parse_degrees(args.degrees)
     if max(degrees) > -1:
         raise SchemaError("tate degrees must be <= -1 (degrees >= 0 are out "
                           "of scope)")
-    return _emit_groups(args, degrees, min(degrees), max(1, -min(degrees)),
-                        tate_group)
+    need = max(1, -min(degrees))
+    depth = args.depth if args.depth is not None else need
+    if depth < need:
+        raise SchemaError(f"--depth {depth} cannot reach degree "
+                          f"{min(degrees)} (need depth >= {need})")
+    _require_json(args)
+    group = build_group(args.group)
+    res = build_resolution(group, args.group, args.resolution, depth,
+                           args.max_zrank)
+    doc = []
+    for k in degrees:
+        t = tate_group(res, k)
+        doc.append({"group": group.label, "degree": k,
+                    "invariant_factors": list(t.invariant_factors),
+                    "generators": [list(g) for g in t.generators]})
+    _emit_json(args, doc)
+    return 0
 
 
 def cmd_product_table(args) -> int:

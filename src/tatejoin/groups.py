@@ -109,6 +109,20 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
+    @property
+    def identity(self) -> int:
+        return 0
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def element_order(self, a: int) -> int:
+        k, x = 1, a
+        while x != 0:
+            x = self.table[x][a]
+            k += 1
+        return k
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteGroup)
                 and self.table == other.table and self.label == other.label)

@@ -536,8 +536,8 @@ class IntegerLattice:
             else:
                 g, x, y = xgcd(a, b)
                 # new pivot row with leading entry g; nonpivot combination continues
-                new_row = _row_combine(row, vec, y, s=x)
-                vec = _row_combine(vec, row, -(b // g), s=a // g)
+                new_row = _row_scale_add(row, x, vec, y)
+                vec = _row_combine(vec, row, None, scale=(a // g, -(b // g)))
                 self.rows[j] = new_row
                 changed = True
         if changed:
@@ -576,12 +576,26 @@ class IntegerLattice:
         return [dict(self.rows[j]) for j in sorted(self.rows)]
 
 
-def _row_combine(vec: dict[int, int], row: dict[int, int], q: int,
-                 s: int = 1) -> dict[int, int]:
-    """s*vec + q*row.  Drops zeros."""
-    out = dict(vec) if s == 1 else {j: s * v for j, v in vec.items()}
-    for j, v in row.items():
-        out[j] = out.get(j, 0) + q * v
+def _row_combine(vec: dict[int, int], row: dict[int, int], q,
+                 scale: tuple[int, int] | None = None) -> dict[int, int]:
+    """vec + q*row, or scale=(s, t): s*vec + t*row.  Drops zeros."""
+    if scale is not None:
+        s, t = scale
+        out = {j: s * v for j, v in vec.items()}
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + t * v
+    else:
+        out = dict(vec)
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + q * v
+    return {j: v for j, v in out.items() if v}
+
+
+def _row_scale_add(r1: dict[int, int], x: int, r2: dict[int, int],
+                   y: int) -> dict[int, int]:
+    out = {j: x * v for j, v in r1.items()}
+    for j, v in r2.items():
+        out[j] = out.get(j, 0) + y * v
     return {j: v for j, v in out.items() if v}
 
 

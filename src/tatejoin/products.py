@@ -32,21 +32,7 @@ from .intlinalg import IntegerSolver, IntMatrix, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, _combine, vector_is_zero
-
-
-def _left_combination(P: Resolution, k: int, terms) -> list[GroupRingElement]:
-    """The chain sum of a * v over the (a, v) in terms, for chains v in P_k.
-
-    Each coefficient a multiplies its chain on the left, as a module map
-    does; the sums run in ``zglinalg``'s kernel on integer lists.
-    """
-    col = _combine(P.group, [
-        (a.support(), [(r, x.support()) for r, x in enumerate(v)
-                       if not x.is_zero()])
-        for a, v in terms if not a.is_zero()])
-    zero = GroupRingElement.zero(P.group)
-    return [col.get(r, zero) for r in range(P.rank(k))]
+from .zglinalg import ZGMatrix, ZGSolver, vector_is_zero
 
 
 class ChainMap:
@@ -65,6 +51,10 @@ class ChainMap:
         self.target = target
         self.shift = shift
         self.components = dict(components)
+
+    def apply(self, k: int, vec: Sequence[GroupRingElement]
+              ) -> list[GroupRingElement]:
+        return self.components[k].apply(vec)
 
     def check(self) -> None:
         """Assert the chain-map identities on every stored degree."""
@@ -95,11 +85,10 @@ class ComparisonLift:
     Columns are lifted on demand: column j in degree k is a solution of
     d^T_k x = psi_{k-1}(d^S_k e_j), with degree 0 seeded by matching
     augmentations.  Solutions are memoized, and the group-ring solvers for
-    the target differentials, cached on the target, are shared by all
-    columns and products.
+    the target differentials are shared across all columns and products.
     """
 
-    __slots__ = ("source", "target", "_cols", "_aug_solver")
+    __slots__ = ("source", "target", "_cols", "_aug_solver", "_solvers")
 
     def __init__(self, source: Resolution, target: Resolution):
         if source.group != target.group:
@@ -108,25 +97,35 @@ class ComparisonLift:
         self.target = target
         self._cols: dict[tuple[int, int], list[GroupRingElement]] = {}
         self._aug_solver = IntegerSolver(IntMatrix([list(target.aug)]))
+        self._solvers: dict[int, ZGSolver] = {}
+
+    def _solver(self, k: int) -> ZGSolver:
+        s = self._solvers.get(k)
+        if s is None:
+            s = self._solvers[k] = ZGSolver(self.target.differential(k))
+        return s
 
     def column(self, k: int, j: int) -> list[GroupRingElement]:
         key = (k, j)
         col = self._cols.get(key)
         if col is not None:
             return col
+        G = self.source.group
         if k == 0:
             z = self._aug_solver.solve([self.source.aug[j]])
             if z is NoSolution:
                 raise ResolutionError(
                     "target augmentation is not onto; invalid resolution")
-            col = [GroupRingElement.basis(self.target.group, 0, v)
-                   for v in z]
+            col = [GroupRingElement.basis(G, 0, v) for v in z]
         else:
-            rhs = _left_combination(
-                self.target, k - 1,
-                [(val, self.column(k - 1, i)) for i, val
-                 in self.source.differential(k).column(j).items()])
-            col = self.target.solver(k).solve(rhs)
+            rhs = [GroupRingElement.zero(G)
+                   for _ in range(self.target.rank(k - 1))]
+            for i, val in self.source.differential(k).column(j).items():
+                prev = self.column(k - 1, i)
+                for r in range(len(rhs)):
+                    if not prev[r].is_zero():
+                        rhs[r] = rhs[r] + val * prev[r]
+            col = self._solver(k).solve(rhs)
             if col is NoSolution:
                 raise ResolutionError(
                     f"lifting failed at degree {k}: target resolution not exact")
@@ -174,18 +173,18 @@ class ProductContext:
     """Shared caches for computing many products over one resolution.
 
     Holds the join P*P (grown lazily to the deepest degree requested), the
-    lazy comparison lift join -> P, and the chain self-map lifts of the
-    composition pipeline; both pipelines solve through ``P.solver``.  All
-    methods are deterministic.
+    lazy comparison lift join -> P, and the per-degree solvers for the
+    composition pipeline.  All methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_join", "_lift", "_glifts")
+    __slots__ = ("P", "max_zrank", "_join", "_lift", "_solvers", "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
         self.max_zrank = max_zrank
         self._join: JoinResolution | None = None
         self._lift: ComparisonLift | None = None
+        self._solvers: dict[int, ZGSolver] = {}
         self._glifts: dict[tuple, dict[int, list[list[GroupRingElement]]]] = {}
 
     def join_to(self, depth: int) -> JoinResolution:
@@ -198,6 +197,12 @@ class ProductContext:
         if self._lift is None:
             raise ResolutionError("no join built yet: join_to must run first")
         return self._lift
+
+    def solver(self, k: int) -> ZGSolver:
+        s = self._solvers.get(k)
+        if s is None:
+            s = self._solvers[k] = ZGSolver(self.P.differential(k))
+        return s
 
     # -- the two pipelines ------------------------------------------------
 
@@ -233,13 +238,14 @@ class ProductContext:
         key = (m, tuple(zb))
         cache = self._glifts.setdefault(key, {})
         P = self.P
+        G = P.group
         s = phi_inverse(P, m, zb).vector
         for k in range(up_to + 1):
             if k in cache:
                 continue
             cols = []
             if k == 0:
-                solver = P.solver(m + 1)
+                solver = self.solver(m + 1)
                 for j in range(P.rank(0)):
                     rhs = [v.scale(P.aug[j]) for v in s]
                     x = solver.solve(rhs)
@@ -248,12 +254,16 @@ class ProductContext:
                             "invariant cycle is not a boundary; resolution not exact")
                     cols.append(x)
             else:
-                solver = P.solver(k + m + 1)
+                solver = self.solver(k + m + 1)
                 prev = cache[k - 1]
                 for j in range(P.rank(k)):
-                    rhs = _left_combination(
-                        P, k + m, [(val, prev[i]) for i, val
-                                   in P.differential(k).column(j).items()])
+                    rhs = [GroupRingElement.zero(G)
+                           for _ in range(P.rank(k + m))]
+                    for i, val in P.differential(k).column(j).items():
+                        pcol = prev[i]
+                        for r in range(len(rhs)):
+                            if not pcol[r].is_zero():
+                                rhs[r] = rhs[r] + val * pcol[r]
                     x = solver.solve(rhs)
                     if x is NoSolution:
                         raise InternalCheckError(
@@ -272,7 +282,14 @@ class ProductContext:
             raise ResolutionError("first factor is not a cycle")
         glift = self._g_lift(m, zb, n)
         x = phi_inverse(P, n, za).vector  # N . y_a in P_n
-        out = _left_combination(P, out_deg, zip(x, glift[n]))
+        out = [GroupRingElement.zero(P.group) for _ in range(P.rank(out_deg))]
+        cols = glift[n]
+        for j, coeff in enumerate(x):
+            if not coeff.is_zero():
+                col = cols[j]
+                for r in range(len(out)):
+                    if not col[r].is_zero():
+                        out[r] = out[r] + coeff * col[r]
         # the image of an invariant cycle under a chain map is again an
         # invariant cycle; classify through the norm correspondence
         if not vector_is_zero(P.apply_differential(out_deg, out)):

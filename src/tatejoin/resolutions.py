@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import defaultdict
 from typing import Sequence
 
 from .errors import (InternalCheckError, ResolutionError, SchemaError,
@@ -43,8 +42,7 @@ from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
                      _read_json, build_group)
 from .intlinalg import (IntMatrix, IntegerLattice, kernel_basis,
                         lll_reduce_rows, sparse_invariant_factors)
-from .zglinalg import (ZGMatrix, ZGSolver, check_zrank, flatten_vector,
-                       unflatten_vector)
+from .zglinalg import ZGMatrix, check_zrank, flatten_vector, unflatten_vector
 
 
 class Resolution:
@@ -66,7 +64,7 @@ class Resolution:
         self.aug = tuple(int(a) for a in augmentation)
         self.label = label
         self._down: dict[int, list[dict[int, int]]] = {}
-        self._hcache: dict = {}  # solvers here, homology in the tate module
+        self._hcache: dict = {}  # homology-side caches, see tate module
         if not self.ranks or any(r < 0 for r in self.ranks):
             raise ResolutionError("ranks must be a nonempty list of nonnegative integers")
         if len(self.diffs) != len(self.ranks) - 1:
@@ -104,13 +102,6 @@ class Resolution:
                            ) -> list[GroupRingElement]:
         return self.differential(k).apply(vec)
 
-    def solver(self, k: int) -> ZGSolver:
-        """The solver for d_k x = b, one factorization per degree."""
-        key = ("solver", k)
-        if key not in self._hcache:
-            self._hcache[key] = ZGSolver(self.differential(k))
-        return self._hcache[key]
-
     def augment(self, vec: Sequence[GroupRingElement]) -> int:
         """eps applied to an element of P_0."""
         if len(vec) != self.ranks[0]:
@@ -134,15 +125,10 @@ class Resolution:
         cols = self._down.get(k)
         if cols is None:
             d = self.differential(k)
-            cols = []
-            for j in range(d.ncols):
-                col = {}
-                for i, val in d.column(j).items():
-                    a = val.augmentation()
-                    if a:
-                        col[i] = a
-                cols.append(col)
-            self._down[k] = cols
+            cols = self._down[k] = [
+                {i: a for i, val in d.column(j).items()
+                 if (a := val.augmentation())}
+                for j in range(d.ncols)]
         return cols
 
     def down_boundary(self, k: int, vec: Sequence[int]) -> list[int]:
@@ -203,13 +189,15 @@ class Resolution:
         ranks = _int_list(obj["ranks"], "resolution 'ranks'")
         if any(r < 0 for r in ranks):
             raise SchemaError("resolution 'ranks' must be nonnegative")
+        aug = _int_list(obj["augmentation"], "resolution 'augmentation'")
         raw = _list(obj["differentials"], "resolution 'differentials'")
         if len(raw) != len(ranks) - 1:
             raise SchemaError("differential count does not match ranks")
-        # every shape and type is checked before any matrix is allocated
+        diffs = []
         for k, rows in enumerate(raw, start=1):
             if len(_list(rows, f"differential {k}")) != ranks[k - 1]:
                 raise SchemaError(f"differential {k} has wrong row count")
+            m = ZGMatrix(group, ranks[k - 1], ranks[k])
             for i, row in enumerate(rows):
                 if len(_list(row, f"differential {k} row {i}")) != ranks[k]:
                     raise SchemaError(f"differential {k} row {i} has wrong length")
@@ -219,14 +207,8 @@ class Resolution:
                         raise SchemaError(
                             f"{what} has {len(coeffs)} coefficients, "
                             f"expected {group.order}")
-        diffs = []
-        for k, rows in enumerate(raw, start=1):
-            m = ZGMatrix(group, ranks[k - 1], ranks[k])
-            for i, row in enumerate(rows):
-                for j, coeffs in enumerate(row):
                     m.set(i, j, GroupRingElement(group, coeffs))
             diffs.append(m)
-        aug = _int_list(obj["augmentation"], "resolution 'augmentation'")
         return cls(group, ranks, diffs, aug, label=label)
 
 
@@ -420,16 +402,22 @@ def bar_resolution(group: FiniteGroup, n: int,
     for k in range(1, n + 1):
         d = ZGMatrix(group, ranks[k - 1], ranks[k])
         for col, tup in enumerate(tuples(k)):
-            acc = defaultdict(lambda: [0] * w)  # row -> coefficients
-            acc[tuple_index(tup[1:])][tup[0]] += 1
+            acc: dict[int, list[int]] = {}
+
+            def put(row, g, v):
+                c = acc.get(row)
+                if c is None:
+                    c = acc[row] = [0] * w
+                c[g] += v
+
+            put(tuple_index(tup[1:]), tup[0], 1)
             sign = -1
             for i in range(k - 1):
                 merged = group.table[tup[i]][tup[i + 1]]
                 if merged != 0:
-                    row = tuple_index(tup[:i] + (merged,) + tup[i + 2:])
-                    acc[row][0] += sign
+                    put(tuple_index(tup[:i] + (merged,) + tup[i + 2:]), 0, sign)
                 sign = -sign
-            acc[tuple_index(tup[:-1])][0] += sign
+            put(tuple_index(tup[:-1]), 0, sign)
             for row, coeffs in acc.items():
                 d.set(row, col, GroupRingElement(group, coeffs))
         diffs.append(d)
@@ -485,13 +473,8 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
         return []
 
     def orbit(vec):
-        # the sparse integer vectors of g * vec, g in G
-        return [{i: x for i, x in enumerate(flatten_vector(
-                    [a.left_translate(g) for a in vec], group)) if x}
+        return [flatten_vector([a.left_translate(g) for a in vec], group)
                 for g in range(order)]
-
-    def size(v):
-        return max(abs(x) for x in v), sum(1 for x in v if x), v
 
     # Candidates are reduced-echelon rows of the full kernel lattice, fed
     # with every group translate of every kernel basis vector (shortest
@@ -499,23 +482,36 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
     # reduction keeps candidate entries small; raw Hermite kernel vectors
     # compound in size from one degree to the next.
     full = IntegerLattice()
-    for v in sorted(kbasis, key=size):
-        for vec in orbit(unflatten_vector(v, group, rank_above)):
-            full.add(vec)
+    by_size = sorted(kbasis, key=lambda v: (max(abs(x) for x in v),
+                                            sum(1 for x in v if x),
+                                            v))
+    for v in by_size:
+        for flat in orbit(unflatten_vector(v, group, rank_above)):
+            full.add({i: x for i, x in enumerate(flat) if x})
+    ncols = z_matrix.ncols
+    dense = []
+    for row in full.basis_rows():
+        flat = [0] * ncols
+        for i, x in row.items():
+            flat[i] = x
+        dense.append(flat)
     # Echelon reduction alone cannot bound entries away from the pivot
     # columns; LLL can, and keeps generators small at every degree.
-    dense = lll_reduce_rows([[row.get(i, 0) for i in range(z_matrix.ncols)]
-                             for row in full.basis_rows()])
-    candidates = [unflatten_vector(flat, group, rank_above)
-                  for flat in sorted(dense, key=size)]
+    dense = lll_reduce_rows(dense)
+    dense.sort(key=lambda v: (max(abs(x) for x in v),
+                              sum(1 for x in v if x), v))
+    candidates = [unflatten_vector(flat, group, rank_above) for flat in dense]
+
     orbits = [orbit(v) for v in candidates]
-    cand_sparse = [orb[0] for orb in orbits]
+
+    cand_sparse = [{i: v for i, v in enumerate(orbits[t][0]) if v}
+                   for t in range(len(candidates))]
 
     def lattice_of(idxs):
         lat = IntegerLattice()
         for t in idxs:
-            for vec in orbits[t]:
-                lat.add(vec)
+            for flat in orbits[t]:
+                lat.add({i: v for i, v in enumerate(flat) if v})
         return lat
 
     def covers(idxs):
@@ -532,8 +528,8 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
     for t in order_pref:
         if not lat.contains(cand_sparse[t]):
             chosen.append(t)
-            for vec in orbits[t]:
-                lat.add(vec)
+            for f in orbits[t]:
+                lat.add({i: v for i, v in enumerate(f) if v})
     if not covers(chosen):
         raise InternalCheckError("orbit cover missed part of the kernel lattice")
     # reverse-delete: drop any generator whose orbit is redundant
@@ -595,6 +591,12 @@ class JoinResolution(Resolution):
             # not a property of user input
             raise InternalCheckError(f"join construction: {e}") from e
 
+    def basis(self, d: int) -> list[tuple]:
+        return self.bases[d]
+
+    def column_of(self, d: int, key: tuple) -> int:
+        return self.index[d][key]
+
 
 def join(P: Resolution, Q: Resolution, n: int,
          max_zrank: int | None = None) -> JoinResolution:
@@ -620,9 +622,8 @@ def join(P: Resolution, Q: Resolution, n: int,
     bases = [_join_basis(P, Q, d) for d in range(n + 1)]
     for d in range(n + 1):
         if len(bases[d]) != ranks[d]:
-            raise InternalCheckError(f"join basis in degree {d} has "
-                                     f"{len(bases[d])} elements, rank formula "
-                                     f"gives {ranks[d]}")
+            raise InternalCheckError(f"join basis in degree {d} disagrees "
+                                     "with the rank formula")
     index = [{key: c for c, key in enumerate(b)} for b in bases]
 
     diffs = []
@@ -630,10 +631,14 @@ def join(P: Resolution, Q: Resolution, n: int,
         m = ZGMatrix(G, ranks[d - 1], ranks[d])
         tgt = index[d - 1]
         for col, (k, i, g, j) in enumerate(bases[d]):
-            acc = defaultdict(lambda: [0] * order)  # row -> coefficients
+            acc: dict[int, list[int]] = {}
 
             def put(key, gelt, v):
-                acc[tgt[key]][gelt] += v
+                row = tgt[key]
+                c = acc.get(row)
+                if c is None:
+                    c = acc[row] = [0] * order
+                c[gelt] += v
 
             if k == 0:
                 # bottom summand Z (x) Q_d: the Q differential verbatim
@@ -696,12 +701,16 @@ def include_cycle_tensor(J: JoinResolution, x: Sequence[GroupRingElement],
     table = G.table
     inv = G.inverse
     idx = J.index[d]
-    acc = defaultdict(lambda: [0] * order)  # row -> coefficients
+    acc: dict[int, list[int]] = {}
     for i, a in enumerate(x):
         for u, av in a.support():
             for j, b in enumerate(y):
                 for v, bv in b.support():
-                    acc[idx[(n + 1, i, table[inv[u]][v], j)]][u] += av * bv
+                    row = idx[(n + 1, i, table[inv[u]][v], j)]
+                    c = acc.get(row)
+                    if c is None:
+                        c = acc[row] = [0] * order
+                    c[u] += av * bv
     out = J.zero_chain(d)
     for row, coeffs in acc.items():
         out[row] = GroupRingElement(G, coeffs)

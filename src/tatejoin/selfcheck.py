@@ -96,7 +96,13 @@ def _feasible_pairs(depth: int) -> list[tuple[int, int]]:
 
 def _add_classes(factors: Sequence[int], u: Sequence[int],
                  v: Sequence[int]) -> tuple[int, ...]:
-    return tuple((a + b) % f if f else a + b for f, a, b in zip(factors, u, v))
+    out = []
+    for f, a, b in zip(factors, u, v):
+        s = a + b
+        if f:
+            s %= f
+        out.append(s)
+    return tuple(out)
 
 
 def _check_products(rep: ValidationReport, ctx: ProductContext, rng,
