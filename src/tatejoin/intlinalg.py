@@ -5,21 +5,27 @@ entries in Smith/Hermite eliminations can far exceed any fixed word size.
 
 Three tiers, one substance:
 
-* ``smith_normal_form`` is the transform-tracked decomposition U*A*V = S,
-  run on small matrices only, such as the residue of the sparse eliminator.
+* ``_sparse_eliminate`` splits +/-1 pivots off a matrix given as sparse
+  columns ({row: value} dicts, the form in which resolutions hand over
+  their down complexes) and logs its row operations.  It runs until no
+  surviving row holds a unit, so what is left is a small residual with no
+  entry +/-1.  ``sparse_invariant_factors`` adds the residual's factors to
+  one per pivot; homology replays the log to classify cycles.  No dense
+  copy of the input is ever made, so this scales to bar-resolution
+  boundaries.
+* ``smith_normal_form`` is the one Smith elimination loop.  With
+  transforms it runs exactly over Z and tracks U*A*V = S; classify and
+  generators call it on residuals only.  Without transforms it runs the
+  same loop modulo D, the determinant of a nonsingular r x r minor found
+  by a fraction-free Bareiss pass, so no entry ever exceeds D (Kannan and
+  Bachem 1979; Cohen, GTM 138, section 2.4).
 * ``IntegerSolver`` factors a matrix once (column Hermite form) and answers
   many A x = b queries; a particular solution is produced by back
   substitution, with no size minimization, so results are deterministic.
-* ``_sparse_eliminate`` splits +/-1 pivots off a matrix given as sparse
-  columns ({row: value} dicts, the form in which resolutions hand over
-  their down complexes) and logs its row operations; a dense Smith form of
-  the small residue finishes the job.  ``sparse_invariant_factors`` takes
-  only its diagonal; homology replays the log to classify cycles.  No
-  dense copy of the input is ever made, so this scales to bar-resolution
-  boundaries.
 
-Pivot rule for the dense Smith form: smallest nonzero absolute value, ties
-broken by lowest (row, col).  Fixed so decompositions are reproducible.
+Pivot rule for the Smith loop and the Bareiss pass: smallest nonzero
+absolute value, ties broken by lowest (row, col).  Fixed so decompositions
+are reproducible.
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalCheckError
-
-# Fall back from sparse elimination to a dense Smith form when the remaining
-# fill-in density exceeds this fraction.
-DENSE_FALLBACK_DENSITY = 0.25
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -204,20 +206,71 @@ def _find_pivot(S: list[list[int]], k: int, nrows: int, ncols: int):
     return best
 
 
+def _rank_and_minor(A: IntMatrix) -> tuple[int, int]:
+    """(r, D): the rank r of A and D = |det| of a nonsingular r x r minor.
+
+    Fraction-free Bareiss elimination with the Smith pivot rule.  After step
+    k every live entry is a (k+1) x (k+1) minor of A, so entries stay as
+    small as minors are, and the last pivot is the minor on the pivot rows
+    and columns.  D = 1 for the zero matrix (the empty minor).
+    """
+    nrows, ncols = A.nrows, A.ncols
+    m = [row[:] for row in A.data]
+    prev = 1
+    r = 0
+    while r < min(nrows, ncols):
+        pos = _find_pivot(m, r, nrows, ncols)
+        if pos is None:
+            break
+        i, j = pos
+        m[r], m[i] = m[i], m[r]
+        if j != r:
+            for row in m:
+                row[r], row[j] = row[j], row[r]
+        mr = m[r]
+        p = mr[r]
+        for i in range(r + 1, nrows):
+            mi = m[i]
+            a = mi[r]
+            for c in range(r + 1, ncols):
+                mi[c] = (mi[c] * p - a * mr[c]) // prev
+            mi[r] = 0
+        prev = p
+        r += 1
+    return r, abs(prev)
+
+
+def _balanced(v: int, D: int) -> int:
+    """v mod D in (-D/2, D/2]."""
+    v %= D
+    return v - D if 2 * v > D else v
+
+
 def smith_normal_form(A: IntMatrix, transforms: bool = True
                       ) -> SmithDecomposition:
     """Smith normal form with the deterministic pivot rule.
 
-    With transforms=False only S is computed; the U/V bookkeeping is skipped,
-    which matters when ncols is huge and only the diagonal is wanted.
+    With transforms the loop runs exactly over Z and returns U, V and their
+    inverses.  With transforms=False only S is wanted, and the same loop
+    runs on the entries reduced modulo D = |det| of a nonsingular r x r
+    minor (``_rank_and_minor``).  With m = nrows, the column lattice plus
+    D*Z^m has invariant factors d_1, ..., d_r and then m - r copies of D, as
+    d_1 * ... * d_r divides every r x r minor; so d_i = gcd(s_i, D) for the
+    first r diagonal entries s_i of the reduced form, and every entry stays
+    below D.  Both modes return the same S; the modular one certifies its
+    factors against r and D and raises InternalCheckError on a mismatch.
     """
     nrows, ncols = A.nrows, A.ncols
-    S = [row[:] for row in A.data]
     if transforms:
+        modulus = 0
+        S = [row[:] for row in A.data]
         U = IntMatrix.identity(nrows).data
         Uinv = IntMatrix.identity(nrows).data
         V = IntMatrix.identity(ncols).data
         Vinv = IntMatrix.identity(ncols).data
+    else:
+        rank, modulus = _rank_and_minor(A)
+        S = [[_balanced(v, modulus) for v in row] for row in A.data]
 
     # Row op r_i -= q*r_k mirrors in U; Uinv gets the inverse column op.
     def row_sub(i: int, k: int, q: int) -> None:
@@ -227,6 +280,8 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         for j in range(ncols):
             if Sk[j]:
                 Si[j] -= q * Sk[j]
+        if modulus:
+            Si[:] = [_balanced(v, modulus) for v in Si]
         if not transforms:
             return
         Ui, Uk = U[i], U[k]
@@ -264,6 +319,8 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
             Sr = S[r]
             if Sr[k]:
                 Sr[j] -= q * Sr[k]
+                if modulus:
+                    Sr[j] = _balanced(Sr[j], modulus)
         if not transforms:
             return
         for r in range(ncols):
@@ -337,10 +394,41 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         if fixed:
             k += 1
     if not transforms:
-        return SmithDecomposition(None, IntMatrix(S, ncols=ncols),
+        return SmithDecomposition(None, _modular_diagonal(S, rank, modulus,
+                                                          nrows, ncols),
                                   None, None, None)
     return SmithDecomposition(IntMatrix(U), IntMatrix(S, ncols=ncols),
                               IntMatrix(V), IntMatrix(Uinv), IntMatrix(Vinv))
+
+
+def _modular_diagonal(S: list[list[int]], rank: int, D: int, nrows: int,
+                      ncols: int) -> IntMatrix:
+    """diag(d_1, ..., d_r, 0, ...) from the Smith form of A modulo D.
+
+    Certifies the factors: at most r diagonal entries may be nonzero
+    mod D, and the first r must hold them (else the rank is wrong); and
+    d_1 | ... | d_r with the product dividing D (else D is not a multiple
+    of the gcd of the r x r minors).
+    """
+    diag = [math.gcd(S[i][i], D) for i in range(min(nrows, ncols))]
+    factors = diag[:rank]
+    nonzero = sum(1 for d in diag if d != D)
+    if len(factors) != rank or nonzero > rank:
+        raise InternalCheckError(
+            f"modular Smith form: {nonzero} of {len(diag)} factors nonzero "
+            f"mod {D}, Bareiss rank {rank}")
+    if any(b % a for a, b in zip(factors, factors[1:])):
+        raise InternalCheckError(
+            f"modular Smith form: factors {factors} are not a "
+            "divisibility chain")
+    if D % math.prod(factors):
+        raise InternalCheckError(
+            f"modular Smith form: factors {factors} do not divide the "
+            f"minor {D}")
+    out = IntMatrix.zeros(nrows, ncols)
+    for i, d in enumerate(factors):
+        out.data[i][i] = d
+    return out
 
 
 def lll_reduce_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -616,9 +704,12 @@ class Elimination(NamedTuple):
 def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     """Split off +/-1 pivots from a sparse matrix given by columns.
 
-    Deduplicates columns first and again in the residual; duplicate columns
-    never change the column lattice, hence neither rank nor invariant
-    factors.  Column operations are not logged, for the same reason.
+    Runs until no surviving row holds a +/-1 entry, however dense the
+    fill-in, so no residual entry is a unit and the residual is left small
+    for a Smith form.  Deduplicates columns first and again in the
+    residual; duplicate columns never change the column lattice, hence
+    neither rank nor invariant factors.  Column operations are not logged,
+    for the same reason.
     """
     seen: set[tuple[tuple[int, int], ...]] = set()
     rows: dict[int, dict[int, int]] = {}
@@ -643,7 +734,6 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     stamp = {i: len(r) for i, r in rows.items()}
-    nnz = sum(len(r) for r in rows.values())
     pivots: list[int] = []
     ops: list[tuple[int, int, int]] = []
     stuck: list[int] = []
@@ -677,12 +767,10 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
                 if new:
                     if jj not in r2:
                         col_rows[jj].add(i2)
-                        nnz += 1
                     r2[jj] = new
                 elif jj in r2:
                     del r2[jj]
                     col_rows[jj].discard(i2)
-                    nnz -= 1
             if r2:
                 stamp[i2] = len(r2)
                 heapq.heappush(heap, (len(r2), i2))
@@ -693,7 +781,6 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
             col_rows[jj].discard(i)
             if not col_rows[jj]:
                 del col_rows[jj]
-        nnz -= len(row)
         del rows[i]
         stamp.pop(i, None)
         col_rows.pop(j, None)
@@ -704,10 +791,6 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
                     stamp[s] = len(rows[s])
                     heapq.heappush(heap, (len(rows[s]), s))
             stuck.clear()
-        nr, nc = len(rows), len(col_rows)
-        if nr and nc:
-            if nnz > DENSE_FALLBACK_DENSITY * nr * nc and nr * nc < 1 << 22:
-                break  # dense fallback is now cheaper than fighting fill-in
     # the surviving rows on the columns they still touch, one column per
     # +/- pair: fill-in makes many residual columns equal up to sign
     distinct: dict[tuple[int, ...], None] = {}
@@ -726,7 +809,8 @@ def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int
     """(rank, nontrivial invariant factors > 1) of the matrix with the given columns.
 
     The unit pivots split off by sparse elimination contribute invariant
-    factor 1 each; the dense Smith form of the residual supplies the rest.
+    factor 1 each; the Smith form of the residual, taken modulo one of its
+    maximal minors, supplies the rest.
     ``nrows`` states the row count for callers; the elimination itself
     reads only the columns.
     """

@@ -13,7 +13,9 @@ import pytest
 from tatejoin import (IntMatrix, InternalCheckError, NoSolution, kernel_basis,
                       minor_gcd_invariant_factors, smith_normal_form,
                       solve_linear, sparse_invariant_factors, sparse_rank)
+from tatejoin import intlinalg
 from tatejoin.intlinalg import (IntegerLattice, IntegerSolver,
+                                _modular_diagonal, _sparse_eliminate,
                                 lll_reduce_rows, xgcd)
 
 
@@ -87,6 +89,126 @@ def test_sparse_matches_dense():
         assert factors == want
         assert rank == len(smith_normal_form(a).invariant_factors)
         assert sparse_rank(cols, nr) == rank
+
+
+# -- factors modulo a minor ----------------------------------------------------
+
+BIG = 2 ** 40
+
+MODULAR_CASES = {
+    "rank-deficient": [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+    "rank-deficient, no unit": [[2, 4], [4, 8], [6, 12]],
+    "wide": [[2, 0, 4, 6], [0, 6, 3, 9]],
+    "tall": [[2, 0], [0, 6], [4, 3], [6, 9]],
+    "1 x n": [[4, 6, 10]],
+    "n x 1": [[4], [6], [10]],
+    "1 x 1": [[-12]],
+    "zero": [[0, 0, 0], [0, 0, 0]],
+    "d_r = D, all equal": [[2, 0], [0, 2]],
+    "d_r = D": [[1, 0], [0, 6]],
+    "d_r = D, scrambled": [[3, 5], [9, 13]],
+    "unimodular": [[2, 3], [1, 2]],
+    "entries near 2^40": [[BIG + 1, BIG], [BIG, BIG - 1], [BIG, -BIG]],
+    "near 2^40, rank 2": [[BIG, 2 * BIG, 2], [BIG + 2, 2 * BIG + 4, 0]],
+    "near 2^40, square": [[BIG - 3, 6, 2 * BIG], [BIG + 5, -BIG, 9],
+                          [4, BIG - 7, BIG + 11]],
+}
+
+
+@pytest.mark.parametrize("rows", list(MODULAR_CASES.values()),
+                         ids=list(MODULAR_CASES))
+def test_modular_factors_match_oracles(rows):
+    a = IntMatrix(rows)
+    bare = smith_normal_form(a, transforms=False)
+    full = smith_normal_form(a)
+    assert bare.U is None and bare.Vinv is None
+    assert bare.S == full.S
+    assert bare.invariant_factors == minor_gcd_invariant_factors(a)
+
+
+def test_modular_factors_of_empty_shapes():
+    for a in (IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0),
+              IntMatrix.zeros(0, 0)):
+        bare = smith_normal_form(a, transforms=False)
+        assert bare.S == smith_normal_form(a).S
+        assert bare.invariant_factors == []
+
+
+def test_modular_factors_random_near_2_40():
+    rng = random.Random(40)
+    for _ in range(30):
+        nr, nc = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = IntMatrix([[rng.choice([0, rng.randrange(-BIG - 50, -BIG + 50),
+                                    rng.randrange(BIG - 50, BIG + 50),
+                                    rng.randrange(-9, 10)])
+                        for _ in range(nc)] for _ in range(nr)])
+        bare = smith_normal_form(a, transforms=False)
+        assert bare.S == smith_normal_form(a).S
+        assert bare.invariant_factors == minor_gcd_invariant_factors(a)
+
+
+def test_modular_certificate_is_not_an_assert(monkeypatch):
+    # diag(2, 2): rank 2, minor 4.  A wrong rank or a minor that the
+    # factors do not divide must raise, not assert
+    a = IntMatrix([[2, 0], [0, 2]])
+    assert smith_normal_form(a, transforms=False).invariant_factors == [2, 2]
+    for rank, minor, what in [(1, 4, "Bareiss rank 1"),
+                              (3, 4, "Bareiss rank 3"),
+                              (2, 2, "do not divide")]:
+        monkeypatch.setattr(intlinalg, "_rank_and_minor",
+                            lambda A, r=rank, D=minor: (r, D))
+        with pytest.raises(InternalCheckError, match=what):
+            smith_normal_form(a, transforms=False)
+
+
+def test_modular_chain_certificate():
+    with pytest.raises(InternalCheckError, match="divisibility chain"):
+        _modular_diagonal([[4, 0], [0, 6]], 2, 12, 2, 2)
+    assert _modular_diagonal([[2, 0], [0, 6]], 2, 12, 2, 2).data == \
+        [[2, 0], [0, 6]]
+
+
+def test_sparse_residual_has_no_unit_entry():
+    # the unit-pivot elimination runs to the end: no +/-1 survives in the
+    # residual, however dense the fill-in gets
+    rng = random.Random(5)
+    for _ in range(40):
+        nr, nc = rng.randrange(1, 30), rng.randrange(1, 30)
+        cols = [{i: v for i in range(nr)
+                 if (v := rng.choice([-2, -1, 0, 0, 0, 1, 2, 3]))}
+                for _ in range(nc)]
+        elim = _sparse_eliminate(cols)
+        assert all(abs(v) != 1 for row in elim.residual.data for v in row)
+        # the whole matrix modulo its own minor, without the elimination
+        dense = smith_normal_form(IntMatrix.from_sparse_columns(cols, nr),
+                                  transforms=False)
+        assert sparse_invariant_factors(cols, nr) == \
+            (dense.rank, dense.nontrivial_factors())
+
+
+def test_invariant_factor_engines_agree_fuzz():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-4, 4), st.integers(-2 ** 41, 2 ** 41))
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    matrices = shapes.flatmap(lambda s: st.lists(
+        st.lists(entry, min_size=s[1], max_size=s[1]),
+        min_size=s[0], max_size=s[0]))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(matrices)
+    def agree(rows):
+        a = IntMatrix(rows)
+        full = smith_normal_form(a)
+        assert smith_normal_form(a, transforms=False).S == full.S
+        assert full.invariant_factors == minor_gcd_invariant_factors(a)
+        cols = [{i: r[j] for i, r in enumerate(rows) if r[j]}
+                for j in range(a.ncols)]
+        assert sparse_invariant_factors(cols, a.nrows) == \
+            (full.rank, full.nontrivial_factors())
+
+    agree()
 
 
 def test_solve_single_diophantine():

@@ -14,7 +14,8 @@ import pytest
 from tatejoin import (GroupRingElement, InternalCheckError,
                       ResolutionError, Resolution,
                       SchemaError, SizeBudgetError, bar_resolution, cyclic,
-                      dihedral, include_cycle_tensor, join, join_rank,
+                      dihedral, homology, include_cycle_tensor, join,
+                      join_rank,
                       load_resolution, norm_element,
                       periodic_cyclic_resolution, quaternion8, symmetric,
                       syzygy_resolution, validate_resolution)
@@ -103,6 +104,19 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_resolution(path)
     assert loaded == res
     assert loaded.ranks == res.ranks
+
+
+def test_computed_s4_resolution_reloads(tmp_path):
+    # validating this file eliminates a degree-5 block which, stopped at
+    # 25% fill, leaves a 63x87 part whose exact Smith form grows entries
+    # past 10^5 bits; the load must finish without such a form
+    res = syzygy_resolution(symmetric(4), 5)
+    path = str(tmp_path / "s4.json")
+    res.save(path)
+    loaded = load_resolution(path)
+    assert loaded.ranks == (1, 2, 3, 3, 3, 4)
+    assert [homology(loaded, n).invariant_factors for n in range(1, 5)] == \
+        [[2], [2], [2, 12], [2]]
 
 
 def test_load_rejects_doctored_file(tmp_path):
