@@ -13,9 +13,8 @@ from .groups import (FiniteGroup, GroupRingElement, augmentation, build_group,
                      cyclic, dihedral, from_permutations, norm_element,
                      quaternion8, symmetric, trivial)
 from .intlinalg import (IntMatrix, NoSolution, SmithDecomposition,
-                        kernel_basis, minor_gcd_invariant_factors,
-                        smith_normal_form, solve_linear,
-                        sparse_invariant_factors, sparse_rank)
+                        kernel_basis, smith_normal_form,
+                        sparse_invariant_factors)
 from .zglinalg import ZGMatrix, ZGSolver, solve_zg_linear
 from .resolutions import (JoinResolution, Resolution, ValidationReport,
                           bar_resolution, include_cycle_tensor, join,
@@ -39,8 +38,7 @@ __all__ = [
     "dihedral", "symmetric", "quaternion8", "from_permutations",
     "norm_element", "augmentation",
     "IntMatrix", "SmithDecomposition", "smith_normal_form", "kernel_basis",
-    "solve_linear", "NoSolution", "sparse_rank", "sparse_invariant_factors",
-    "minor_gcd_invariant_factors",
+    "NoSolution", "sparse_invariant_factors",
     "ZGMatrix", "ZGSolver", "solve_zg_linear",
     "Resolution", "JoinResolution", "ValidationReport", "load_resolution",
     "validate_resolution", "periodic_cyclic_resolution", "bar_resolution",

@@ -16,8 +16,10 @@ from typing import Iterable, Sequence
 
 from .errors import GroupError, InternalCheckError, SchemaError
 
-# Closure of permutation generators refuses to enumerate past this order.
-MAX_CLOSURE_ORDER = 20000
+# The largest group order whose multiplication table is built.  The table
+# has order^2 entries (about a million at this order), so larger requests
+# are refused before anything is allocated.
+MAX_TABLE_ORDER = 1024
 
 
 class FiniteGroup:
@@ -109,20 +111,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteGroup)
                 and self.table == other.table and self.label == other.label)
@@ -187,6 +175,12 @@ def _int_list(value, what: str) -> list[int]:
     return value
 
 
+def _check_order(order: int, what: str) -> None:
+    if order > MAX_TABLE_ORDER:
+        raise GroupError(f"{what} has order {order}, above the largest "
+                         f"supported table order {MAX_TABLE_ORDER}")
+
+
 def _read_json(path: str):
     """The parsed contents of a JSON file; SchemaError if it does not parse."""
     with open(path) as fh:
@@ -202,6 +196,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n; element i is t^i."""
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
+    _check_order(n, f"cyclic:{n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, label=f"C{n}")
 
@@ -215,6 +210,7 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
     w = 2 * n
+    _check_order(w, f"dihedral:{n}")
 
     def idx(i: int, j: int) -> int:
         return i % n + n * (j % 2)
@@ -264,8 +260,7 @@ def quaternion8() -> FiniteGroup:
 
 
 def from_permutations(degree: int, generators: Iterable[Sequence[int]],
-                      label: str = "perm",
-                      max_order: int = MAX_CLOSURE_ORDER) -> FiniteGroup:
+                      label: str = "perm") -> FiniteGroup:
     """Close a set of permutations (0-based image lists) under composition.
 
     Elements are enumerated in breadth-first order from the identity, so the
@@ -287,9 +282,10 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
         for g in gens:
             q = tuple(p[g[i]] for i in range(degree))
             if q not in index:
-                if len(elems) >= max_order:
+                if len(elems) == MAX_TABLE_ORDER:
                     raise GroupError(
-                        f"closure exceeds the maximum order {max_order}")
+                        f"closure of {label!r} exceeds the largest supported "
+                        f"table order {MAX_TABLE_ORDER}")
                 index[q] = len(elems)
                 elems.append(q)
                 queue.append(q)

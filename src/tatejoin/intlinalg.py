@@ -3,7 +3,7 @@
 Everything here works with arbitrary-precision Python ints; intermediate
 entries in Smith/Hermite eliminations can far exceed any fixed word size.
 
-Three tiers, one substance:
+One engine per job:
 
 * ``_sparse_eliminate`` splits +/-1 pivots off a matrix given as sparse
   columns ({row: value} dicts, the form in which resolutions hand over
@@ -17,11 +17,15 @@ Three tiers, one substance:
   transforms it runs exactly over Z and tracks U*A*V = S; classify and
   generators call it on residuals only.  Without transforms it runs the
   same loop modulo D, the determinant of a nonsingular r x r minor found
-  by a fraction-free Bareiss pass, so no entry ever exceeds D (Kannan and
-  Bachem 1979; Cohen, GTM 138, section 2.4).
+  by ``_rank_and_minor``, the package's one fraction-free Bareiss pass, so
+  no entry ever exceeds D (Kannan and Bachem 1979; Cohen, GTM 138,
+  section 2.4).
 * ``IntegerSolver`` factors a matrix once (column Hermite form) and answers
   many A x = b queries; a particular solution is produced by back
   substitution, with no size minimization, so results are deterministic.
+
+The minor-gcd oracle that cross-checks these engines lives with the tests
+(``tests/oracles.py``) and shares no code with them.
 
 Pivot rule for the Smith loop and the Bareiss pass: smallest nonzero
 absolute value, ties broken by lowest (row, col).  Fixed so decompositions
@@ -123,52 +127,22 @@ class IntMatrix:
                             orow[j] += a * b
         return out
 
-    def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
-
-
-def det_bareiss(A: IntMatrix) -> int:
-    """Fraction-free determinant; used for unimodularity checks in tests."""
-    n = A.nrows
-    if n != A.ncols:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m = [row[:] for row in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pk - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
-
 
 class SmithDecomposition:
     """U * A * V = S with U, V unimodular and S = diag(d_1, ..., d_r, 0, ...), d_i | d_{i+1}.
 
-    Uinv and Vinv are tracked alongside so callers can move vectors in and out
-    of Smith coordinates without solving anything.  Decompositions produced
-    with transforms=False carry only S (the transform slots hold None).
+    Uinv is tracked alongside U so callers can move row vectors in and out
+    of Smith coordinates without solving anything; V is kept for the free
+    part, whose coordinates are read off its columns.  Decompositions
+    produced with transforms=False carry only S (the transform slots hold
+    None).
     """
 
-    __slots__ = ("U", "S", "V", "Uinv", "Vinv")
+    __slots__ = ("U", "S", "V", "Uinv")
 
     def __init__(self, U: IntMatrix | None, S: IntMatrix,
-                 V: IntMatrix | None, Uinv: IntMatrix | None,
-                 Vinv: IntMatrix | None):
-        self.U, self.S, self.V, self.Uinv, self.Vinv = U, S, V, Uinv, Vinv
+                 V: IntMatrix | None, Uinv: IntMatrix | None):
+        self.U, self.S, self.V, self.Uinv = U, S, V, Uinv
 
     @property
     def diagonal(self) -> list[int]:
@@ -250,8 +224,8 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
                       ) -> SmithDecomposition:
     """Smith normal form with the deterministic pivot rule.
 
-    With transforms the loop runs exactly over Z and returns U, V and their
-    inverses.  With transforms=False only S is wanted, and the same loop
+    With transforms the loop runs exactly over Z and returns U, V and
+    U's inverse.  With transforms=False only S is wanted, and the same loop
     runs on the entries reduced modulo D = |det| of a nonsingular r x r
     minor (``_rank_and_minor``).  With m = nrows, the column lattice plus
     D*Z^m has invariant factors d_1, ..., d_r and then m - r copies of D, as
@@ -267,7 +241,6 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         U = IntMatrix.identity(nrows).data
         Uinv = IntMatrix.identity(nrows).data
         V = IntMatrix.identity(ncols).data
-        Vinv = IntMatrix.identity(ncols).data
     else:
         rank, modulus = _rank_and_minor(A)
         S = [[_balanced(v, modulus) for v in row] for row in A.data]
@@ -327,10 +300,6 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
             Vr = V[r]
             if Vr[k]:
                 Vr[j] -= q * Vr[k]
-        Vk, Vj = Vinv[k], Vinv[j]
-        for c in range(ncols):
-            if Vj[c]:
-                Vk[c] += q * Vj[c]
 
     def col_swap(j: int, k: int) -> None:
         if j == k:
@@ -343,7 +312,6 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         for r in range(ncols):
             Vr = V[r]
             Vr[j], Vr[k] = Vr[k], Vr[j]
-        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
 
     n = min(nrows, ncols)
     k = 0
@@ -396,9 +364,9 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
     if not transforms:
         return SmithDecomposition(None, _modular_diagonal(S, rank, modulus,
                                                           nrows, ncols),
-                                  None, None, None)
+                                  None, None)
     return SmithDecomposition(IntMatrix(U), IntMatrix(S, ncols=ncols),
-                              IntMatrix(V), IntMatrix(Uinv), IntMatrix(Vinv))
+                              IntMatrix(V), IntMatrix(Uinv))
 
 
 def _modular_diagonal(S: list[list[int]], rank: int, D: int, nrows: int,
@@ -575,15 +543,6 @@ class IntegerSolver:
             raise InternalCheckError("integer solver self-check failed: A x != b")
         return x
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def solve_linear(A: IntMatrix, b: Sequence[int]):
-    """One-shot A x = b over Z.  Returns a solution list or NoSolution."""
-    return IntegerSolver(A).solve(b)
-
 
 # -- sparse elimination ------------------------------------------------------
 
@@ -619,14 +578,12 @@ class IntegerLattice:
                 break
             a, b = row[j], vec[j]
             if b % a == 0:
-                q = b // a
-                vec = _row_combine(vec, row, -q)
+                vec = _row_combine(1, vec, -(b // a), row)
             else:
                 g, x, y = xgcd(a, b)
                 # new pivot row with leading entry g; nonpivot combination continues
-                new_row = _row_scale_add(row, x, vec, y)
-                vec = _row_combine(vec, row, None, scale=(a // g, -(b // g)))
-                self.rows[j] = new_row
+                self.rows[j] = _row_combine(x, row, y, vec)
+                vec = _row_combine(a // g, vec, -(b // g), row)
                 changed = True
         if changed:
             self._reduce()
@@ -647,7 +604,7 @@ class IntegerLattice:
                         r -= p
                     q = (v - r) // p
                     if q:
-                        row = _row_combine(row, self.rows[jm], -q)
+                        row = _row_combine(1, row, -q, self.rows[jm])
             self.rows[ji] = row
 
     def contains(self, vec: dict[int, int]) -> bool:
@@ -657,33 +614,19 @@ class IntegerLattice:
             row = self.rows.get(j)
             if row is None or vec[j] % row[j]:
                 return False
-            vec = _row_combine(vec, row, -(vec[j] // row[j]))
+            vec = _row_combine(1, vec, -(vec[j] // row[j]), row)
         return True
 
     def basis_rows(self) -> list[dict[int, int]]:
         return [dict(self.rows[j]) for j in sorted(self.rows)]
 
 
-def _row_combine(vec: dict[int, int], row: dict[int, int], q,
-                 scale: tuple[int, int] | None = None) -> dict[int, int]:
-    """vec + q*row, or scale=(s, t): s*vec + t*row.  Drops zeros."""
-    if scale is not None:
-        s, t = scale
-        out = {j: s * v for j, v in vec.items()}
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + t * v
-    else:
-        out = dict(vec)
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + q * v
-    return {j: v for j, v in out.items() if v}
-
-
-def _row_scale_add(r1: dict[int, int], x: int, r2: dict[int, int],
-                   y: int) -> dict[int, int]:
-    out = {j: x * v for j, v in r1.items()}
-    for j, v in r2.items():
-        out[j] = out.get(j, 0) + y * v
+def _row_combine(s: int, a: dict[int, int], t: int,
+                 b: dict[int, int]) -> dict[int, int]:
+    """s*a + t*b for sparse rows, zeros dropped; s = 1 only copies a."""
+    out = dict(a) if s == 1 else {j: s * v for j, v in a.items()}
+    for j, v in b.items():
+        out[j] = out.get(j, 0) + t * v
     return {j: v for j, v in out.items() if v}
 
 
@@ -710,11 +653,16 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     residual; duplicate columns never change the column lattice, hence
     neither rank nor invariant factors.  Column operations are not logged,
     for the same reason.
+
+    Bookkeeping per column j: ``live[j]`` counts the surviving rows that
+    hold it (the pivot rule's key), and ``holders[j]`` lists every row that
+    ever gained it, stale ones included; a row is skipped there when it is
+    gone or no longer holds j.  A heap entry (length, row) is stale unless
+    the row still has that length.
     """
     seen: set[tuple[tuple[int, int], ...]] = set()
     rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    ncols = 0
+    holders: list[list[int]] = []
     for col in cols:
         col = {i: v for i, v in col.items() if v}
         if not col:
@@ -723,17 +671,15 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
         if key in seen:
             continue
         seen.add(key)
-        j = ncols
-        ncols += 1
-        col_rows[j] = set()
+        j = len(holders)
+        holders.append(list(col))
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
-            col_rows[j].add(i)
     del seen
+    live = [len(h) for h in holders]
 
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
-    stamp = {i: len(r) for i, r in rows.items()}
     pivots: list[int] = []
     ops: list[tuple[int, int, int]] = []
     stuck: list[int] = []
@@ -741,13 +687,13 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     while heap:
         ln, i = heapq.heappop(heap)
         row = rows.get(i)
-        if row is None or stamp.get(i) != ln or ln != len(row):
+        if row is None or ln != len(row):
             continue
         # find a +/-1 entry, preferring emptiest column, lowest index
         best = None
         for j, v in row.items():
             if v == 1 or v == -1:
-                key = (len(col_rows[j]), j)
+                key = (live[j], j)
                 if best is None or key < best[0]:
                     best = (key, j, v)
         if best is None:
@@ -756,41 +702,37 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
         _, j, v = best
         # clear column j with row i, then drop both (the implicit column
         # operations touch nothing else because column j is now singleton)
-        for i2 in list(col_rows[j]):
-            if i2 == i:
+        for i2 in holders[j]:
+            r2 = rows.get(i2)
+            if i2 == i or r2 is None or j not in r2:
                 continue
-            r2 = rows[i2]
             q = r2[j] * v  # v in {1,-1}: q = r2[j] / v
             ops.append((i2, i, q))
             for jj, vv in row.items():
-                new = r2.get(jj, 0) - q * vv
-                if new:
-                    if jj not in r2:
-                        col_rows[jj].add(i2)
-                    r2[jj] = new
-                elif jj in r2:
+                old = r2.get(jj)
+                qv = q * vv
+                if old is None:
+                    r2[jj] = -qv
+                    live[jj] += 1
+                    holders[jj].append(i2)
+                elif old != qv:
+                    r2[jj] = old - qv
+                else:
                     del r2[jj]
-                    col_rows[jj].discard(i2)
+                    live[jj] -= 1
             if r2:
-                stamp[i2] = len(r2)
                 heapq.heappush(heap, (len(r2), i2))
             else:
                 del rows[i2]
-                stamp.pop(i2, None)
         for jj in row:
-            col_rows[jj].discard(i)
-            if not col_rows[jj]:
-                del col_rows[jj]
+            live[jj] -= 1
+        holders[j] = []
         del rows[i]
-        stamp.pop(i, None)
-        col_rows.pop(j, None)
         pivots.append(i)
-        if stuck:
-            for s in stuck:
-                if s in rows:
-                    stamp[s] = len(rows[s])
-                    heapq.heappush(heap, (len(rows[s]), s))
-            stuck.clear()
+        for s in stuck:
+            if s in rows:
+                heapq.heappush(heap, (len(rows[s]), s))
+        stuck.clear()
     # the surviving rows on the columns they still touch, one column per
     # +/- pair: fill-in makes many residual columns equal up to sign
     distinct: dict[tuple[int, ...], None] = {}
@@ -819,34 +761,3 @@ def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int
         return len(elim.pivots), []
     dec = smith_normal_form(elim.residual, transforms=False)
     return len(elim.pivots) + dec.rank, dec.nontrivial_factors()
-
-
-def sparse_rank(cols: Iterable[dict[int, int]], nrows: int) -> int:
-    return sparse_invariant_factors(cols, nrows)[0]
-
-
-def minor_gcd_invariant_factors(A: IntMatrix) -> list[int]:
-    """Invariant factors via gcds of k x k minors; an oracle for small matrices.
-
-    d_1 * ... * d_k equals the gcd of all k x k minors.  Exponential; only for
-    cross-checking the elimination code on dimensions <= 5 or so.
-    """
-    from itertools import combinations
-    n = min(A.nrows, A.ncols)
-    factors = []
-    prev = 1
-    for k in range(1, n + 1):
-        g = 0
-        for rows in combinations(range(A.nrows), k):
-            for cols in combinations(range(A.ncols), k):
-                sub = IntMatrix([[A.data[i][j] for j in cols] for i in rows])
-                g = math.gcd(g, det_bareiss(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return factors

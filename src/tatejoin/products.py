@@ -52,10 +52,6 @@ class ChainMap:
         self.shift = shift
         self.components = dict(components)
 
-    def apply(self, k: int, vec: Sequence[GroupRingElement]
-              ) -> list[GroupRingElement]:
-        return self.components[k].apply(vec)
-
     def check(self) -> None:
         """Assert the chain-map identities on every stored degree."""
         degrees = sorted(self.components)
@@ -74,7 +70,8 @@ class ChainMap:
             lhs = self.target.differential(k + self.shift).compose(
                 self.components[k])
             rhs = self.components[k - 1].compose(self.source.differential(k))
-            if not lhs.add(rhs.scale(-1)).is_zero():
+            # compose never stores a zero entry, so equal maps compare equal
+            if lhs != rhs:
                 raise InternalCheckError(
                     f"chain map fails to commute with differentials at degree {k}")
 
@@ -121,10 +118,7 @@ class ComparisonLift:
             rhs = [GroupRingElement.zero(G)
                    for _ in range(self.target.rank(k - 1))]
             for i, val in self.source.differential(k).column(j).items():
-                prev = self.column(k - 1, i)
-                for r in range(len(rhs)):
-                    if not prev[r].is_zero():
-                        rhs[r] = rhs[r] + val * prev[r]
+                _add_multiple(rhs, val, self.column(k - 1, i))
             col = self._solver(k).solve(rhs)
             if col is NoSolution:
                 raise ResolutionError(
@@ -260,10 +254,7 @@ class ProductContext:
                     rhs = [GroupRingElement.zero(G)
                            for _ in range(P.rank(k + m))]
                     for i, val in P.differential(k).column(j).items():
-                        pcol = prev[i]
-                        for r in range(len(rhs)):
-                            if not pcol[r].is_zero():
-                                rhs[r] = rhs[r] + val * pcol[r]
+                        _add_multiple(rhs, val, prev[i])
                     x = solver.solve(rhs)
                     if x is NoSolution:
                         raise InternalCheckError(
@@ -283,13 +274,8 @@ class ProductContext:
         glift = self._g_lift(m, zb, n)
         x = phi_inverse(P, n, za).vector  # N . y_a in P_n
         out = [GroupRingElement.zero(P.group) for _ in range(P.rank(out_deg))]
-        cols = glift[n]
-        for j, coeff in enumerate(x):
-            if not coeff.is_zero():
-                col = cols[j]
-                for r in range(len(out)):
-                    if not col[r].is_zero():
-                        out[r] = out[r] + coeff * col[r]
+        for coeff, col in zip(x, glift[n]):
+            _add_multiple(out, coeff, col)
         # the image of an invariant cycle under a chain map is again an
         # invariant cycle; classify through the norm correspondence
         if not vector_is_zero(P.apply_differential(out_deg, out)):
@@ -298,6 +284,16 @@ class ProductContext:
             raise InternalCheckError("composed chain lost invariance")
         down = [a.c[0] for a in out]
         return homology(P, out_deg).classify(down)
+
+
+def _add_multiple(out: list[GroupRingElement], c: GroupRingElement,
+                  vec: Sequence[GroupRingElement]) -> None:
+    """out[r] += c * vec[r] for every r, c on the left; zero terms skipped."""
+    if c.is_zero():
+        return
+    for r, v in enumerate(vec):
+        if not v.is_zero():
+            out[r] = out[r] + c * v
 
 
 def _require_depth(P: Resolution, need: int) -> None:

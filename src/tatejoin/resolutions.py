@@ -591,12 +591,6 @@ class JoinResolution(Resolution):
             # not a property of user input
             raise InternalCheckError(f"join construction: {e}") from e
 
-    def basis(self, d: int) -> list[tuple]:
-        return self.bases[d]
-
-    def column_of(self, d: int, key: tuple) -> int:
-        return self.index[d][key]
-
 
 def join(P: Resolution, Q: Resolution, n: int,
          max_zrank: int | None = None) -> JoinResolution:

@@ -163,26 +163,6 @@ class ZGMatrix:
                      for col in inner._cols]
         return out
 
-    def add(self, other: "ZGMatrix") -> "ZGMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"shape mismatch in addition: {self.nrows}x{self.ncols} "
-                f"plus {other.nrows}x{other.ncols}")
-        self._check_group(other.group, "summand")
-        out = ZGMatrix(self.group, self.nrows, self.ncols)
-        out._cols = [dict(col) for col in self._cols]
-        for j, col in enumerate(other._cols):
-            for i, val in col.items():
-                out.set(i, j, out.get(i, j) + val)
-        return out
-
-    def scale(self, k: int) -> "ZGMatrix":
-        out = ZGMatrix(self.group, self.nrows, self.ncols)
-        for j, col in enumerate(self._cols):
-            for i, val in col.items():
-                out.set(i, j, val.scale(k))
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZGMatrix):
             return NotImplemented

@@ -15,12 +15,12 @@ import time
 from tatejoin import (IntMatrix, ProductContext, ZERO, bar_resolution,
                       composition_product, cyclic, dihedral, homology,
                       is_stably_zero, join_product, lift_comparison,
-                      load_resolution, minor_gcd_invariant_factors,
-                      periodic_cyclic_resolution, phi, phi_inverse,
-                      product_table, quaternion8, random_cycle, run_verify,
-                      smith_normal_form, symmetric, syzygy_resolution,
-                      tate_group, trivial)
+                      load_resolution, periodic_cyclic_resolution, phi,
+                      phi_inverse, product_table, quaternion8, random_cycle,
+                      run_verify, smith_normal_form, symmetric,
+                      syzygy_resolution, tate_group, trivial)
 import tatejoin.resolutions
+from oracles import minor_gcd_invariant_factors
 
 FIXTURE = os.path.join(os.path.dirname(tatejoin.resolutions.__file__),
                        "fixtures", "q8_periodic.json")

@@ -7,6 +7,7 @@ the fixture fallback for file resolutions.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -205,6 +206,29 @@ def test_unknown_group_exit_2(capsys):
     code, _, err = run(capsys, "homology", "--group", "frieze:7",
                        "--degrees", "1..2")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec, order", [("cyclic:30000", 30000),
+                                         ("dihedral:15000", 30000)])
+def test_huge_group_order_exit_2(capsys, spec, order):
+    # refused before the order^2 multiplication table, billions of entries
+    # here, is allocated
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "homology", "--group", spec, "--degrees", "1")
+    assert code == 2
+    assert str(order) in err and "table order" in err
+    assert time.perf_counter() - t0 < 10
+
+
+def test_huge_permutation_closure_exit_2(capsys, tmp_path):
+    gpath = tmp_path / "s7.json"
+    gpath.write_text(json.dumps(
+        {"label": "S7", "degree": 7,
+         "generators": [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]}))
+    code, _, err = run(capsys, "homology", "--group", f"file:{gpath}",
+                       "--degrees", "1")
+    assert code == 2
+    assert "'S7'" in err and "table order" in err
 
 
 def test_byte_determinism(capsys, tmp_path):

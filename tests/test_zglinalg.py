@@ -216,8 +216,6 @@ def test_shape_and_index_errors_are_named():
     with pytest.raises(ValueError):
         m.apply([e])
     with pytest.raises(ValueError):
-        m.add(ZGMatrix.from_rows(g, [[e]]))
-    with pytest.raises(ValueError):
         unflatten_vector([1, 0, 1], g, 2)
     with pytest.raises(ValueError):
         ZGSolver(m).solve([e, t])
@@ -232,8 +230,6 @@ def test_shape_and_index_errors_are_named():
         a6.compose(a_s3)
     with pytest.raises(ValueError):
         a6.apply([GroupRingElement.one(s3)])
-    with pytest.raises(ValueError):
-        a6.add(a_s3)
     with pytest.raises(ValueError):
         ZGMatrix.from_rows(g, [[e]]).compose(a_s3)
     with pytest.raises(ValueError):
