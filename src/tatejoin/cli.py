@@ -158,23 +158,24 @@ def _require_json(args) -> None:
             "(coordinate lists do not flatten losslessly)")
 
 
-def cmd_homology(args) -> int:
-    degrees = _parse_degrees(args.degrees)
-    if min(degrees) < 0:
-        raise SchemaError("homology degrees must be >= 0 (use the tate "
-                          "command for negative degrees)")
-    need = max(degrees) + 1
+def _emit_degrees(args, degrees: list[int], farthest: int, need: int,
+                  group_in) -> int:
+    """Resolve to depth >= need and emit one record per degree.
+
+    ``group_in(res, n)`` is the homology or Tate group in degree n; farthest
+    is the degree that sets need, named when --depth is too shallow.
+    """
     depth = args.depth if args.depth is not None else need
     if depth < need:
         raise SchemaError(f"--depth {depth} cannot reach degree "
-                          f"{max(degrees)} (need depth >= {need})")
+                          f"{farthest} (need depth >= {need})")
     _require_json(args)
     group = build_group(args.group)
     res = build_resolution(group, args.group, args.resolution, depth,
                            args.max_zrank)
     doc = []
     for n in degrees:
-        h = homology(res, n)
+        h = group_in(res, n)
         doc.append({"group": group.label, "degree": n,
                     "invariant_factors": list(h.invariant_factors),
                     "generators": [list(g) for g in h.generators]})
@@ -182,28 +183,22 @@ def cmd_homology(args) -> int:
     return 0
 
 
+def cmd_homology(args) -> int:
+    degrees = _parse_degrees(args.degrees)
+    if min(degrees) < 0:
+        raise SchemaError("homology degrees must be >= 0 (use the tate "
+                          "command for negative degrees)")
+    return _emit_degrees(args, degrees, max(degrees), max(degrees) + 1,
+                         homology)
+
+
 def cmd_tate(args) -> int:
     degrees = _parse_degrees(args.degrees)
     if max(degrees) > -1:
         raise SchemaError("tate degrees must be <= -1 (degrees >= 0 are out "
                           "of scope)")
-    need = max(1, -min(degrees))
-    depth = args.depth if args.depth is not None else need
-    if depth < need:
-        raise SchemaError(f"--depth {depth} cannot reach degree "
-                          f"{min(degrees)} (need depth >= {need})")
-    _require_json(args)
-    group = build_group(args.group)
-    res = build_resolution(group, args.group, args.resolution, depth,
-                           args.max_zrank)
-    doc = []
-    for k in degrees:
-        t = tate_group(res, k)
-        doc.append({"group": group.label, "degree": k,
-                    "invariant_factors": list(t.invariant_factors),
-                    "generators": [list(g) for g in t.generators]})
-    _emit_json(args, doc)
-    return 0
+    return _emit_degrees(args, degrees, min(degrees), max(1, -min(degrees)),
+                         tate_group)
 
 
 def cmd_product_table(args) -> int:
@@ -249,7 +244,7 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else EXIT_INTERNAL
 
 
-def _add_common(sub: argparse.ArgumentParser, default_zrank: int) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group", required=True,
                      help="trivial | q8 | cyclic:N | dihedral:N | sym:N | "
                           "file:PATH (table or permutation JSON)")
@@ -258,7 +253,7 @@ def _add_common(sub: argparse.ArgumentParser, default_zrank: int) -> None:
                           "(PATH falls back to the shipped fixtures)")
     sub.add_argument("--depth", type=int, default=None,
                      help="resolution depth (default: minimum the command needs)")
-    sub.add_argument("--max-zrank", type=int, default=default_zrank,
+    sub.add_argument("--max-zrank", type=int, default=None,
                      help="size budget: largest expanded integer column count "
                           f"(default {DEFAULT_MAX_ZRANK}, env {ENV_MAX_ZRANK})")
     sub.add_argument("--output", default=None,
@@ -267,11 +262,27 @@ def _add_common(sub: argparse.ArgumentParser, default_zrank: int) -> None:
                      help="csv is available for product-table only")
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _max_zrank(flag: int | None) -> int:
+    """The size budget: --max-zrank, else $TATEJOIN_MAX_ZRANK, else the default.
+
+    Anything but a positive integer is invalid input, reported under the
+    flag or variable it came from.
+    """
+    if flag is not None:
+        source, raw = "--max-zrank", flag
+    else:
+        source = ENV_MAX_ZRANK
+        raw = os.environ.get(ENV_MAX_ZRANK, DEFAULT_MAX_ZRANK)
     try:
-        default_zrank = int(os.environ.get(ENV_MAX_ZRANK, DEFAULT_MAX_ZRANK))
+        value = int(raw)
     except ValueError:
-        default_zrank = DEFAULT_MAX_ZRANK
+        value = 0
+    if value < 1:
+        raise SchemaError(f"{source} must be a positive integer, got {raw!r}")
+    return value
+
+
+def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tatejoin",
         description="Exact integral group homology and negative-degree Tate "
@@ -280,27 +291,27 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("homology", help="invariant factors and generators "
                                          "of H_n for a degree range")
-    _add_common(s, default_zrank)
+    _add_common(s)
     s.add_argument("--degrees", required=True,
                    help="e.g. 1..5 or 0,2,4 (inclusive ranges)")
     s.set_defaults(func=cmd_homology)
 
     s = subs.add_parser("tate", help="negative-degree Tate groups")
-    _add_common(s, default_zrank)
+    _add_common(s)
     s.add_argument("--degrees", required=True,
                    help="negative degrees, e.g. -6..-1")
     s.set_defaults(func=cmd_tate)
 
     s = subs.add_parser("product-table",
                         help="generator products by both pipelines")
-    _add_common(s, default_zrank)
+    _add_common(s)
     s.add_argument("--pairs", required=True,
                    help="bidegrees, e.g. 1x1,1x3,3x3 (record NxM and MxN to "
                         "compare the two orders)")
     s.set_defaults(func=cmd_product_table)
 
     s = subs.add_parser("verify", help="run the full invariant battery")
-    _add_common(s, default_zrank)
+    _add_common(s)
     s.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized property sweeps")
     s.set_defaults(func=cmd_verify)
@@ -317,6 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         i += 1
     args = make_parser().parse_args(argv)
     try:
+        args.max_zrank = _max_zrank(args.max_zrank)
         return args.func(args)
     except SizeBudgetError as e:
         print(f"error: size budget: {e}", file=sys.stderr)

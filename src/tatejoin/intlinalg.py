@@ -84,15 +84,6 @@ class IntMatrix:
             m.data[i][i] = 1
         return m
 
-    @classmethod
-    def from_sparse_columns(cls, cols: Sequence[dict[int, int]],
-                            nrows: int) -> "IntMatrix":
-        m = cls.zeros(nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                m.data[i][j] = v
-        return m
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 
@@ -414,17 +405,19 @@ def lll_reduce_rows(rows: list[list[int]]) -> list[list[int]]:
     return [[int(v) for v in r] for r in reduced.to_list()]
 
 
-def kernel_basis(A: IntMatrix) -> list[list[int]]:
+def kernel_basis(cols: Sequence[dict[int, int]],
+                 nrows: int) -> list[list[int]]:
     """A basis of the integer kernel {x : A x = 0}.
 
-    Read off the column Hermite form A*V = [H|0]: the transform columns over
-    the zero block are a kernel basis.  One-sided column operations keep the
-    basis vectors far smaller than the two-sided Smith transforms would.
+    A is given as for ``IntegerSolver``.  Read off the column Hermite form
+    A*V = [H|0]: the transform columns over the zero block are a kernel
+    basis.  One-sided column operations keep the basis vectors far smaller
+    than the two-sided Smith transforms would.
     """
-    solver = IntegerSolver(A)
+    solver = IntegerSolver(cols, nrows)
     rank = len(solver.pivots)
     out = []
-    for j in range(rank, A.ncols):
+    for j in range(rank, solver.ncols):
         if any(solver.hcols[j]):
             raise InternalCheckError(
                 f"kernel basis: nonpivot column {j} not cleared")
@@ -455,24 +448,29 @@ NoSolution = NoSolutionType()
 class IntegerSolver:
     """Factor A once (column Hermite form A*V = H), then solve A x = b repeatedly.
 
-    solve() returns a particular solution or NoSolution.  Every returned
-    solution is verified by multiplying back; failure to verify is a bug.
+    A is given by its row count and sparse columns ({row: value} dicts, as
+    ``z_columns`` and ``down_matrix`` return them).  solve() returns a
+    particular solution or NoSolution.  Every returned solution is verified
+    by multiplying back; failure to verify is a bug.
     """
 
     __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots", "_acols")
 
-    def __init__(self, A: IntMatrix):
-        self.nrows, self.ncols = A.nrows, A.ncols
-        self._acols = [A.column(j) for j in range(A.ncols)]
-        hcols = [col[:] for col in self._acols]
-        vcols = [[1 if i == j else 0 for i in range(A.ncols)]
-                 for j in range(A.ncols)]
+    def __init__(self, cols: Sequence[dict[int, int]], nrows: int):
+        ncols = len(cols)
+        self.nrows, self.ncols, self._acols = nrows, ncols, cols
+        hcols = [[0] * nrows for _ in cols]
+        for h, col in zip(hcols, cols):
+            for i, v in col.items():
+                h[i] = v
+        vcols = [[1 if i == j else 0 for i in range(ncols)]
+                 for j in range(ncols)]
         self.pivots: list[tuple[int, int]] = []
         c = 0
-        for r in range(A.nrows):
-            if c >= A.ncols:
+        for r in range(nrows):
+            if c >= ncols:
                 break
-            live = [j for j in range(c, A.ncols) if hcols[j][r]]
+            live = [j for j in range(c, ncols) if hcols[j][r]]
             if not live:
                 continue
             # gcd-combine live columns into a single pivot at column c
@@ -484,11 +482,11 @@ class IntegerSolver:
                     q = hcols[j][r] // hcols[j0][r]
                     if q:
                         hj, h0 = hcols[j], hcols[j0]
-                        for i in range(r, A.nrows):
+                        for i in range(r, nrows):
                             if h0[i]:
                                 hj[i] -= q * h0[i]
                         vj, v0 = vcols[j], vcols[j0]
-                        for i in range(A.ncols):
+                        for i in range(ncols):
                             if v0[i]:
                                 vj[i] -= q * v0[i]
                     if hcols[j][r]:
@@ -536,9 +534,8 @@ class IntegerSolver:
         ax = [0] * self.nrows
         for j, xv in enumerate(x):
             if xv:
-                for i, a in enumerate(self._acols[j]):
-                    if a:
-                        ax[i] += a * xv
+                for i, a in self._acols[j].items():
+                    ax[i] += a * xv
         if ax != list(b):
             raise InternalCheckError("integer solver self-check failed: A x != b")
         return x
@@ -547,11 +544,18 @@ class IntegerSolver:
 # -- sparse elimination ------------------------------------------------------
 
 class IntegerLattice:
-    """A subgroup of Z^n kept as an echelon basis of sparse rows.
+    """A subgroup of Z^n kept as its reduced echelon basis of sparse rows.
 
     Rows are dicts {col: value} keyed by their leading (lowest) column.  add()
     inserts a vector, combining with existing rows by extended gcd; contains()
     tests exact membership (divisibility at every leading position).
+
+    After every add() the basis satisfies two rules: each pivot (leading
+    entry) is positive, and every entry that another row holds in a pivot
+    column is balanced-reduced modulo that pivot, into (-p/2, p/2].  This is
+    a Hermite normal form, so the basis depends only on the lattice, not on
+    the vectors that generated it or their order: two lattices are equal
+    exactly when their ``rows`` are.
     """
 
     __slots__ = ("rows",)
@@ -616,9 +620,6 @@ class IntegerLattice:
                 return False
             vec = _row_combine(1, vec, -(vec[j] // row[j]), row)
         return True
-
-    def basis_rows(self) -> list[dict[int, int]]:
-        return [dict(self.rows[j]) for j in sorted(self.rows)]
 
 
 def _row_combine(s: int, a: dict[int, int], t: int,

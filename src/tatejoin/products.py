@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import InternalCheckError, ResolutionError
 from .groups import GroupRingElement
-from .intlinalg import IntegerSolver, IntMatrix, NoSolution
+from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
@@ -93,7 +93,7 @@ class ComparisonLift:
         self.source = source
         self.target = target
         self._cols: dict[tuple[int, int], list[GroupRingElement]] = {}
-        self._aug_solver = IntegerSolver(IntMatrix([list(target.aug)]))
+        self._aug_solver = IntegerSolver([{0: a} for a in target.aug], 1)
         self._solvers: dict[int, ZGSolver] = {}
 
     def _solver(self, k: int) -> ZGSolver:

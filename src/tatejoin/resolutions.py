@@ -40,8 +40,8 @@ from .errors import (InternalCheckError, ResolutionError, SchemaError,
                      SizeBudgetError)
 from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
                      _read_json, build_group)
-from .intlinalg import (IntMatrix, IntegerLattice, kernel_basis,
-                        lll_reduce_rows, sparse_invariant_factors)
+from .intlinalg import (IntegerLattice, kernel_basis, lll_reduce_rows,
+                        sparse_invariant_factors)
 from .zglinalg import ZGMatrix, check_zrank, flatten_vector, unflatten_vector
 
 
@@ -431,8 +431,8 @@ def syzygy_resolution(group: FiniteGroup, n: int,
     Degree k+1 generators are found by taking an integer kernel basis of the
     expanded d_k, computing the sublattice each vector's group orbit spans,
     and greedily accumulating orbits (largest first) until the whole kernel
-    lattice is covered; a reverse-delete pass then drops redundant
-    generators.  Covering the full kernel lattice, not merely a finite-index
+    lattice is covered, as equal reduced echelon bases certify; a
+    reverse-delete pass then drops redundant generators.  Covering the full kernel lattice, not merely a finite-index
     sublattice, is exactly degreewise exactness, so the result passes the
     same certificate as any other resolution.  Generator counts are not
     guaranteed minimal, only small.
@@ -443,9 +443,9 @@ def syzygy_resolution(group: FiniteGroup, n: int,
     ranks = [1]
     diffs: list[ZGMatrix] = []
     # kernel of eps on z-coordinates: the augmentation ideal
-    prev_z = IntMatrix([[1] * order])
+    z_cols, z_rows = [{0: 1} for _ in range(order)], 1
     for k in range(1, n + 1):
-        gens = _cover_kernel_with_orbits(group, prev_z, ranks[k - 1])
+        gens = _cover_kernel_with_orbits(group, z_cols, z_rows, ranks[k - 1])
         check_zrank(group, [max(len(gens), 1)], max_zrank,
                     what=f"computed resolution of {group.label} at degree {k}")
         d = ZGMatrix(group, ranks[k - 1], len(gens))
@@ -454,71 +454,53 @@ def syzygy_resolution(group: FiniteGroup, n: int,
                 d.set(i, j, val)
         ranks.append(len(gens))
         diffs.append(d)
-        prev_z = IntMatrix.from_sparse_columns(d.z_columns(),
-                                               ranks[k - 1] * order)
+        z_cols, z_rows = d.z_columns(), ranks[k - 1] * order
     return Resolution(group, ranks, diffs, [1],
                       label=f"computed({group.label})")
 
 
-def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
-                              rank_above: int) -> list[list[GroupRingElement]]:
+def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
+                              nrows: int, rank_above: int
+                              ) -> list[list[GroupRingElement]]:
     """Module generators for the kernel of a Z[G]-map given by its z-expansion.
 
-    Returns Z[G]-column vectors (length rank_above) whose orbits span the
-    integer kernel lattice of z_matrix exactly.
+    z_cols are the sparse integer columns of the expansion (rank_above * |G|
+    of them) and nrows its row count.  Returns Z[G]-column vectors (length
+    rank_above) whose orbits span the integer kernel lattice exactly.
     """
     order = group.order
-    kbasis = kernel_basis(z_matrix)
-    if not kbasis:
-        return []
 
     def orbit(vec):
         return [flatten_vector([a.left_translate(g) for a in vec], group)
                 for g in range(order)]
 
-    # Candidates are reduced-echelon rows of the full kernel lattice, fed
-    # with every group translate of every kernel basis vector (shortest
-    # first).  The kernel is G-stable, so the lattice is unchanged, but the
-    # reduction keeps candidate entries small; raw Hermite kernel vectors
-    # compound in size from one degree to the next.
+    # ``full`` holds the reduced echelon basis of the kernel lattice.  That
+    # basis is unique for the lattice (see IntegerLattice), so it does not
+    # depend on the kernel basis that fed it, and it keeps candidate entries
+    # small where raw Hermite kernel vectors compound in size from one
+    # degree to the next.  The kernel is G-stable, so group translates of
+    # its basis would add nothing.
     full = IntegerLattice()
-    by_size = sorted(kbasis, key=lambda v: (max(abs(x) for x in v),
-                                            sum(1 for x in v if x),
-                                            v))
-    for v in by_size:
-        for flat in orbit(unflatten_vector(v, group, rank_above)):
-            full.add({i: x for i, x in enumerate(flat) if x})
-    ncols = z_matrix.ncols
-    dense = []
-    for row in full.basis_rows():
-        flat = [0] * ncols
-        for i, x in row.items():
-            flat[i] = x
-        dense.append(flat)
+    for v in kernel_basis(z_cols, nrows):
+        full.add({i: x for i, x in enumerate(v) if x})
+    dense = [[full.rows[j].get(i, 0) for i in range(len(z_cols))]
+             for j in sorted(full.rows)]
     # Echelon reduction alone cannot bound entries away from the pivot
     # columns; LLL can, and keeps generators small at every degree.
     dense = lll_reduce_rows(dense)
     dense.sort(key=lambda v: (max(abs(x) for x in v),
                               sum(1 for x in v if x), v))
     candidates = [unflatten_vector(flat, group, rank_above) for flat in dense]
-
-    orbits = [orbit(v) for v in candidates]
-
-    cand_sparse = [{i: v for i, v in enumerate(orbits[t][0]) if v}
-                   for t in range(len(candidates))]
+    # orbits[t][0] is candidate t itself: the identity is group element 0
+    orbits = [[{i: x for i, x in enumerate(flat) if x} for flat in orbit(v)]
+              for v in candidates]
 
     def lattice_of(idxs):
         lat = IntegerLattice()
         for t in idxs:
-            for flat in orbits[t]:
-                lat.add({i: v for i, v in enumerate(flat) if v})
+            for vec in orbits[t]:
+                lat.add(vec)
         return lat
-
-    def covers(idxs):
-        # candidates span the kernel lattice, so containing them all is
-        # containing the kernel; orbit vectors never leave it
-        lat = lattice_of(idxs)
-        return all(lat.contains(c) for c in cand_sparse)
 
     orbit_rank = [lattice_of([t]).rank for t in range(len(candidates))]
     order_pref = sorted(range(len(candidates)),
@@ -526,16 +508,20 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_matrix: IntMatrix,
     chosen: list[int] = []
     lat = IntegerLattice()
     for t in order_pref:
-        if not lat.contains(cand_sparse[t]):
+        if not lat.contains(orbits[t][0]):
             chosen.append(t)
-            for f in orbits[t]:
-                lat.add({i: v for i, v in enumerate(f) if v})
-    if not covers(chosen):
+            for vec in orbits[t]:
+                lat.add(vec)
+    # Orbit vectors never leave the kernel, and equal reduced echelon bases
+    # are equal lattices, so a lattice of orbits covers the kernel exactly
+    # when its rows are full's.  The greedy lattice holds every candidate,
+    # hence the kernel; comparing the bases certifies that.
+    if lat.rows != full.rows:
         raise InternalCheckError("orbit cover missed part of the kernel lattice")
     # reverse-delete: drop any generator whose orbit is redundant
     for t in list(chosen):
         rest = [s for s in chosen if s != t]
-        if rest and covers(rest):
+        if rest and lattice_of(rest).rows == full.rows:
             chosen = rest
     chosen.sort()
     return [candidates[t] for t in chosen]

@@ -210,10 +210,9 @@ class _CycleCoordinates:
 
     def _add_free_generators(self, res: Resolution, n: int,
                              free: int) -> None:
-        Dn = (IntMatrix.from_sparse_columns(res.down_matrix(n),
-                                            res.ranks[n - 1])
-              if n else IntMatrix.zeros(0, res.ranks[0]))
-        kernel = kernel_basis(Dn)
+        # D_0 maps to the zero module: r_0 empty columns over no rows
+        kernel = (kernel_basis(res.down_matrix(n), res.ranks[n - 1]) if n
+                  else kernel_basis([{}] * res.ranks[0], 0))
         values = [self._coords(k)[1] for k in kernel]
         fdec = smith_normal_form(IntMatrix([list(r) for r in zip(*values)],
                                            ncols=len(kernel)))

@@ -275,10 +275,9 @@ class ZGSolver:
 
     def _ensure(self) -> IntegerSolver:
         if self._solver is None:
-            order = self.matrix.group.order
-            cols = self.matrix.z_columns()
-            A = IntMatrix.from_sparse_columns(cols, self.matrix.nrows * order)
-            self._solver = IntegerSolver(A)
+            m = self.matrix
+            self._solver = IntegerSolver(m.z_columns(),
+                                         m.nrows * m.group.order)
         return self._solver
 
     def solve(self, b: Sequence[GroupRingElement]):

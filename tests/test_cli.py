@@ -184,6 +184,39 @@ def test_env_budget_override(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_flag_exit_2(capsys, value):
+    code, out, err = run(capsys, "homology", "--group", "cyclic:2",
+                         "--degrees", "1", "--max-zrank", value)
+    assert code == 2 and out == ""
+    assert f"--max-zrank must be a positive integer, got {value}" in err
+
+
+def test_non_integer_budget_flag_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--group", "cyclic:2", "--degrees", "1",
+              "--max-zrank", "abc"])
+    assert exc.value.code == 2
+    assert "--max-zrank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_bad_budget_variable_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("TATEJOIN_MAX_ZRANK", value)
+    code, out, err = run(capsys, "homology", "--group", "cyclic:2",
+                         "--degrees", "1")
+    assert code == 2 and out == ""
+    assert "TATEJOIN_MAX_ZRANK must be a positive integer" in err
+    assert value in err
+
+
+def test_budget_flag_overrides_variable(capsys, monkeypatch):
+    monkeypatch.setenv("TATEJOIN_MAX_ZRANK", "abc")
+    code, out, _ = run(capsys, "homology", "--group", "cyclic:2",
+                       "--degrees", "1", "--max-zrank", "100")
+    assert code == 0 and factors_of(out) == [[2]]
+
+
 def test_bad_degree_and_pair_tokens(capsys):
     assert run(capsys, "homology", "--group", "cyclic:2",
                "--degrees", "5..2")[0] == 2

@@ -19,6 +19,16 @@ from tatejoin.intlinalg import (IntegerLattice, IntegerSolver,
                                 lll_reduce_rows, xgcd)
 
 
+def columns(a):
+    """The sparse {row: value} columns of a dense matrix, as the solver takes them."""
+    return [{i: v for i, v in enumerate(a.column(j)) if v}
+            for j in range(a.ncols)]
+
+
+def solver_of(a):
+    return IntegerSolver(columns(a), a.nrows)
+
+
 def test_xgcd_identity():
     for a, b in [(12, 18), (-4, 6), (0, 0), (0, -7), (35, 21), (1, 0)]:
         g, x, y = xgcd(a, b)
@@ -180,8 +190,9 @@ def test_sparse_residual_has_no_unit_entry():
         elim = _sparse_eliminate(cols)
         assert all(abs(v) != 1 for row in elim.residual.data for v in row)
         # the whole matrix modulo its own minor, without the elimination
-        dense = smith_normal_form(IntMatrix.from_sparse_columns(cols, nr),
-                                  transforms=False)
+        dense = smith_normal_form(
+            IntMatrix([[c.get(i, 0) for c in cols] for i in range(nr)],
+                      ncols=nc), transforms=False)
         assert sparse_invariant_factors(cols, nr) == \
             (dense.rank, dense.nontrivial_factors())
 
@@ -213,17 +224,17 @@ def test_invariant_factor_engines_agree_fuzz():
 
 def test_solve_single_diophantine():
     a = IntMatrix([[2, 3]])
-    x = IntegerSolver(a).solve([1])
+    x = solver_of(a).solve([1])
     assert a.apply(x) == [1]
 
 
 def test_solve_consistency_and_no_solution():
     a = IntMatrix([[2, 0], [0, 2]])
-    assert a.apply(IntegerSolver(a).solve([4, -6])) == [4, -6]
-    assert IntegerSolver(a).solve([1, 0]) is NoSolution
+    assert a.apply(solver_of(a).solve([4, -6])) == [4, -6]
+    assert solver_of(a).solve([1, 0]) is NoSolution
     # inconsistent overdetermined system
     b = IntMatrix([[1], [1]])
-    assert IntegerSolver(b).solve([1, 2]) is NoSolution
+    assert solver_of(b).solve([1, 2]) is NoSolution
 
 
 def test_solve_random_verified_by_multiplication():
@@ -235,7 +246,7 @@ def test_solve_random_verified_by_multiplication():
         a = IntMatrix([[rng.randrange(-5, 6) for _ in range(nc)]
                        for _ in range(nr)])
         target = [rng.randrange(-8, 9) for _ in range(nr)]
-        x = IntegerSolver(a).solve(target)
+        x = solver_of(a).solve(target)
         if x is not NoSolution:
             assert a.apply(x) == target
             hits += 1
@@ -245,7 +256,7 @@ def test_solve_random_verified_by_multiplication():
 def test_solver_check_is_not_an_assert():
     # a doctored factorization yields a wrong x; the check must raise, not
     # assert, so python -O cannot switch it off
-    solver = IntegerSolver(IntMatrix([[2, 0], [0, 3]]))
+    solver = solver_of(IntMatrix([[2, 0], [0, 3]]))
     assert solver.solve([4, 9]) == [2, 3]
     solver.vcols[0] = [2 * v for v in solver.vcols[0]]
     with pytest.raises(InternalCheckError):
@@ -255,15 +266,15 @@ def test_solver_check_is_not_an_assert():
 def test_kernel_basis_check_is_not_an_assert(monkeypatch):
     # a factorization that leaves a nonpivot column uncleared must raise
     class Doctored(IntegerSolver):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, cols, nrows):
+            super().__init__(cols, nrows)
             self.hcols[-1] = [1] * self.nrows
 
-    a = IntMatrix([[1, 1]])
-    assert kernel_basis(a) in ([[1, -1]], [[-1, 1]])
+    a = [{0: 1}, {0: 1}]
+    assert kernel_basis(a, 1) in ([[1, -1]], [[-1, 1]])
     monkeypatch.setattr("tatejoin.intlinalg.IntegerSolver", Doctored)
     with pytest.raises(InternalCheckError, match="nonpivot"):
-        kernel_basis(a)
+        kernel_basis(a, 1)
 
 
 def test_kernel_basis_spans_and_is_independent():
@@ -273,7 +284,7 @@ def test_kernel_basis_spans_and_is_independent():
         nc = rng.randrange(1, 6)
         a = IntMatrix([[rng.randrange(-4, 5) for _ in range(nc)]
                        for _ in range(nr)])
-        basis = kernel_basis(a)
+        basis = kernel_basis(columns(a), nr)
         for v in basis:
             assert a.apply(v) == [0] * nr
         rank = len(smith_normal_form(a).invariant_factors)
@@ -284,7 +295,19 @@ def test_kernel_basis_spans_and_is_independent():
 
 
 def test_kernel_basis_of_injective_map_is_empty():
-    assert kernel_basis(IntMatrix([[1, 0], [0, 2], [3, 3]])) == []
+    assert kernel_basis([{0: 1, 2: 3}, {1: 2, 2: 3}], 3) == []
+
+
+def test_kernel_basis_of_zero_rows_is_the_identity():
+    # D_0 of a down complex: columns with no rows to land in
+    assert kernel_basis([{}, {}], 0) == [[1, 0], [0, 1]]
+
+
+def test_solver_takes_sparse_columns_with_stored_zeros():
+    # {0: a} for every augmentation entry, a = 0 included
+    solver = IntegerSolver([{0: 0}, {0: 2}, {0: 3}], 1)
+    x = solver.solve([1])
+    assert 2 * x[1] + 3 * x[2] == 1
 
 
 # -- integer lattices ---------------------------------------------------------
@@ -312,8 +335,55 @@ def test_lattice_entries_stay_reduced():
     lat = IntegerLattice()
     for _ in range(80):
         lat.add({i: rng.randrange(-50, 51) for i in range(6)})
-    rows = lat.basis_rows()
+    rows = lat.rows.values()
     assert max(abs(v) for row in rows for v in row.values()) < 10 ** 6
+
+
+def _lattice(vectors):
+    lat = IntegerLattice()
+    for v in vectors:
+        lat.add({i: x for i, x in enumerate(v) if x})
+    return lat
+
+
+def test_lattice_basis_depends_only_on_the_lattice():
+    # the reduced echelon basis is a Hermite normal form: shuffled,
+    # unimodularly recombined and redundant generating sets of one lattice
+    # leave identical rows, and a different lattice leaves different ones
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        gens = [[rng.randrange(-6, 7) for _ in range(n)]
+                for _ in range(rng.randrange(1, 6))]
+        ref = _lattice(gens)
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        recombined = [v[:] for v in gens]
+        for _ in range(3 * len(gens)):
+            i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+            if i != j:
+                c = rng.choice([-3, -1, 1, 2])
+                recombined[i] = [a + c * b for a, b in
+                                 zip(recombined[i], recombined[j])]
+            else:
+                recombined[i] = [-a for a in recombined[i]]
+        redundant = gens + [[0] * n]
+        for _ in range(3):
+            coeffs = [rng.randrange(-2, 3) for _ in gens]
+            redundant.append([sum(c * v[k] for c, v in zip(coeffs, gens))
+                              for k in range(n)])
+        rng.shuffle(redundant)
+        for other in (shuffled, recombined, redundant):
+            assert _lattice(other).rows == ref.rows
+        if ref.rank:
+            assert _lattice([[2 * a for a in v] for v in gens]).rows != ref.rows
+        # the two rules the uniqueness rests on
+        for lead, row in ref.rows.items():
+            assert min(row) == lead and row[lead] > 0
+            for other_lead, other_row in ref.rows.items():
+                v = other_row.get(lead, 0)
+                if other_lead != lead:
+                    assert -row[lead] < 2 * v <= row[lead]
 
 
 def test_lll_preserves_lattice_and_shrinks():
@@ -324,7 +394,7 @@ def test_lll_preserves_lattice_and_shrinks():
     # same lattice: each original row solvable over the reduced basis and
     # determinants agree up to sign
     assert abs(det_bareiss(IntMatrix(red))) == abs(det_bareiss(IntMatrix(rows)))
-    solver = IntegerSolver(IntMatrix([list(c) for c in zip(*red)]))
+    solver = solver_of(IntMatrix([list(c) for c in zip(*red)]))
     for v in rows:
         assert solver.solve(v) is not NoSolution
 

@@ -8,6 +8,7 @@ of asserted from memory.
 
 import json
 import os
+import random
 
 import pytest
 
@@ -19,6 +20,8 @@ from tatejoin import (GroupRingElement, InternalCheckError,
                       load_resolution, norm_element,
                       periodic_cyclic_resolution, quaternion8, symmetric,
                       syzygy_resolution, validate_resolution)
+from tatejoin import resolutions
+from tatejoin.intlinalg import IntegerLattice
 from tatejoin.tate import down_vector
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
@@ -173,6 +176,40 @@ def test_syzygy_entries_stay_small():
 
 
 # -- joins ---------------------------------------------------------------------
+
+def test_syzygy_cover_ignores_the_kernel_basis_given(monkeypatch):
+    # the cover reads the reduced echelon basis of the kernel lattice, which
+    # every basis of the kernel yields; a unimodular recombination of the
+    # Hermite kernel basis must not change a single coefficient
+    want = syzygy_resolution(symmetric(3), 6).to_json()
+    real = resolutions.kernel_basis
+    changed = []
+
+    def recombined(cols, nrows):
+        basis = real(cols, nrows)
+        out = [v[:] for v in basis]
+        rng = random.Random(len(out))
+        for _ in range(3 * len(out)):
+            if len(out) > 1:
+                i, j = rng.sample(range(len(out)), 2)
+                c = rng.choice([-2, -1, 1, 2])
+                out[i] = [a + c * b for a, b in zip(out[i], out[j])]
+        out.reverse()
+        changed.append(out != basis)
+        return out
+
+    monkeypatch.setattr(resolutions, "kernel_basis", recombined)
+    assert syzygy_resolution(symmetric(3), 6).to_json() == want
+    assert len(changed) == 6 and all(changed)
+
+
+def test_syzygy_cover_certificate_is_live(monkeypatch):
+    # a greedy pass that takes every candidate as covered picks nothing;
+    # the basis-equality certificate must catch it, as a named error
+    monkeypatch.setattr(IntegerLattice, "contains", lambda self, vec: True)
+    with pytest.raises(InternalCheckError, match="orbit cover missed"):
+        syzygy_resolution(symmetric(3), 3)
+
 
 def test_join_rank_formula_c2():
     p = periodic_cyclic_resolution(2, 4)
