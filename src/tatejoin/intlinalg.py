@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalCheckError
@@ -393,16 +394,69 @@ def _modular_diagonal(S: list[list[int]], rank: int, D: int, nrows: int,
 def lll_reduce_rows(rows: list[list[int]]) -> list[list[int]]:
     """LLL-reduce a list of independent integer rows (same lattice, short basis).
 
-    Thin wrapper over sympy's exact integer LLL.  Used to keep computed
-    resolution differentials small; entry growth otherwise compounds from one
-    syzygy degree to the next.
+    Cohen's integral LLL (GTM 138, Alg. 2.6.7) with delta = 3/4: the Gram
+    determinants d[i] of the first i rows and lam[k][j] = d[j+1] * mu_kj
+    stay integers, so no fraction is ever formed.  Used to keep computed
+    resolution differentials small; entry growth otherwise compounds from
+    one syzygy degree to the next.
+
+    Invariant: the control flow is exactly that of sympy's rational
+    ``DomainMatrix.lll()`` (size-reduce (k, k-1); Lovasz test, swapping only
+    when it fails; then size-reduce (k, l) for l = k-2 down to 0; rounding
+    mu to floor(mu + 1/2); after a swap k = max(k-1, 1)), and every test is
+    the exact integer image of sympy's, so the output equals sympy's row for
+    row.  Dependent rows raise InternalCheckError.
     """
-    if len(rows) <= 1:
-        return [list(r) for r in rows]
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    reduced = DomainMatrix.from_list([[int(v) for v in r] for r in rows], ZZ).lll()
-    return [[int(v) for v in r] for r in reduced.to_list()]
+    b = [list(r) for r in rows]
+    m = len(b)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            u = sum(map(operator.mul, b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u:
+                d[i + 1] = u
+            else:
+                raise InternalCheckError(
+                    f"LLL: row {i} depends on the rows before it")
+
+    def size_reduce(k: int, l: int) -> None:
+        # b_k -= q b_l with q = floor(mu_kl + 1/2), skipped when |mu_kl| <= 1/2
+        lk, dl = lam[k], d[l + 1]
+        if 2 * abs(lk[l]) <= dl:
+            return
+        q = (2 * lk[l] + dl) // (2 * dl)
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        lk[l] -= q * dl
+        ll = lam[l]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+    k = 1
+    while k < m:
+        size_reduce(k, k - 1)
+        nu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * nu * nu:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        # swap b_{k-1} and b_k; lam[k][k-1] keeps its value
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        dk = (d[k - 1] * d[k + 1] + nu * nu) // d[k]
+        for i in range(k + 1, m):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - nu * t) // d[k]
+            li[k - 1] = (dk * t + nu * li[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return b
 
 
 def kernel_basis(cols: Sequence[dict[int, int]],
@@ -566,6 +620,16 @@ class IntegerLattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def copy(self) -> "IntegerLattice":
+        """An independent lattice with the same basis.
+
+        The row dicts are shared: add() and its reduction always replace a
+        row by a new dict and never change one in place.
+        """
+        out = IntegerLattice()
+        out.rows = dict(self.rows)
+        return out
 
     def add(self, vec: dict[int, int]) -> bool:
         """Insert a vector; returns True if the lattice grew (rank or index)."""

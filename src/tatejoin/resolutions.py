@@ -40,7 +40,8 @@ from .errors import (InternalCheckError, ResolutionError, SchemaError,
                      SizeBudgetError)
 from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
                      _read_json, build_group)
-from .intlinalg import (IntegerLattice, kernel_basis, lll_reduce_rows,
+from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
+                        kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
 from .zglinalg import ZGMatrix, check_zrank, flatten_vector, unflatten_vector
 
@@ -432,10 +433,11 @@ def syzygy_resolution(group: FiniteGroup, n: int,
     expanded d_k, computing the sublattice each vector's group orbit spans,
     and greedily accumulating orbits (largest first) until the whole kernel
     lattice is covered, as equal reduced echelon bases certify; a
-    reverse-delete pass then drops redundant generators.  Covering the full kernel lattice, not merely a finite-index
-    sublattice, is exactly degreewise exactness, so the result passes the
-    same certificate as any other resolution.  Generator counts are not
-    guaranteed minimal, only small.
+    reverse-delete pass then drops redundant generators.  Covering the full
+    kernel lattice, not merely a finite-index sublattice, is exactly
+    degreewise exactness, so the result passes the same certificate as any
+    other resolution.  Generator counts are not guaranteed minimal, only
+    small.
     """
     if n < 0:
         raise ResolutionError("depth must be nonnegative")
@@ -491,18 +493,18 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     dense.sort(key=lambda v: (max(abs(x) for x in v),
                               sum(1 for x in v if x), v))
     candidates = [unflatten_vector(flat, group, rank_above) for flat in dense]
+    flat_orbits = [orbit(v) for v in candidates]
     # orbits[t][0] is candidate t itself: the identity is group element 0
-    orbits = [[{i: x for i, x in enumerate(flat) if x} for flat in orbit(v)]
-              for v in candidates]
+    orbits = [[{i: x for i, x in enumerate(flat) if x} for flat in rows]
+              for rows in flat_orbits]
 
-    def lattice_of(idxs):
-        lat = IntegerLattice()
+    def add_orbits(lat, idxs):
         for t in idxs:
             for vec in orbits[t]:
                 lat.add(vec)
         return lat
 
-    orbit_rank = [lattice_of([t]).rank for t in range(len(candidates))]
+    orbit_rank = [_rank_and_minor(IntMatrix(rows))[0] for rows in flat_orbits]
     order_pref = sorted(range(len(candidates)),
                         key=lambda t: (-orbit_rank[t], t))
     chosen: list[int] = []
@@ -510,21 +512,26 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     for t in order_pref:
         if not lat.contains(orbits[t][0]):
             chosen.append(t)
-            for vec in orbits[t]:
-                lat.add(vec)
+            add_orbits(lat, [t])
     # Orbit vectors never leave the kernel, and equal reduced echelon bases
     # are equal lattices, so a lattice of orbits covers the kernel exactly
     # when its rows are full's.  The greedy lattice holds every candidate,
     # hence the kernel; comparing the bases certifies that.
     if lat.rows != full.rows:
         raise InternalCheckError("orbit cover missed part of the kernel lattice")
-    # reverse-delete: drop any generator whose orbit is redundant
-    for t in list(chosen):
-        rest = [s for s in chosen if s != t]
-        if rest and lattice_of(rest).rows == full.rows:
-            chosen = rest
-    chosen.sort()
-    return [candidates[t] for t in chosen]
+    # reverse-delete: drop any generator whose orbit is redundant.  ``kept``
+    # is the lattice of the generators kept so far, so generator i is tested
+    # by adding only the orbits of the generators after it to a copy.
+    kept = IntegerLattice()
+    survivors = []
+    for i, t in enumerate(chosen):
+        if add_orbits(kept.copy(), chosen[i + 1:]).rows != full.rows:
+            survivors.append(t)
+            add_orbits(kept, [t])
+    if kept.rows != full.rows:
+        raise InternalCheckError("reverse-delete dropped part of the kernel "
+                                 "lattice")
+    return [candidates[t] for t in sorted(survivors)]
 
 
 # -- the join -----------------------------------------------------------------

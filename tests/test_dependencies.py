@@ -1,0 +1,44 @@
+"""The package runs on the standard library alone.
+
+A CLI homology run on the computed resolution of S4 to depth 5 (a syzygy
+build, LLL included) happens in a fresh interpreter in which importing
+sympy fails, and ``pyproject.toml`` declares no runtime
+dependency.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import tatejoin
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+SCRIPT = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from tatejoin.cli import main
+sys.exit(main(["homology", "--group", "sym:4", "--resolution", "computed",
+               "--depth", "5", "--degrees", "1..4"]))
+"""
+
+
+def test_runs_without_sympy():
+    src = os.path.dirname(os.path.dirname(tatejoin.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert [d["invariant_factors"] for d in json.loads(proc.stdout)] == \
+        [[2], [2], [2, 12], [2]]
+
+
+def test_no_runtime_dependency_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project.get("dependencies", []) == []

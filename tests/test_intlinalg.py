@@ -7,6 +7,7 @@ elimination.  Frozen small examples were worked by hand.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -399,6 +400,93 @@ def test_lll_preserves_lattice_and_shrinks():
         assert solver.solve(v) is not NoSolution
 
 
+def test_lll_rounds_ties_up():
+    # mu = 3/2 and -3/2 round to floor(mu + 1/2) = 2 and -1, as sympy's
+    # DomainMatrix.lll() does; the other rounding gives other bases
+    assert lll_reduce_rows([[2, 0], [3, 1]]) == [[-1, 1], [1, 1]]
+    assert lll_reduce_rows([[2, 0], [-3, 1]]) == [[-1, 1], [1, 1]]
+
+
 def test_lll_single_row_passthrough():
     assert lll_reduce_rows([[3, 6, 9]]) == [[3, 6, 9]]
     assert lll_reduce_rows([]) == []
+
+
+def test_lll_equals_sympy_on_cover_lattices(monkeypatch):
+    # the integral LLL makes sympy's rational decisions exactly, so the
+    # chosen generators cannot depend on which of the two ran
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from tatejoin import (cyclic, dihedral, from_permutations, quaternion8,
+                          resolutions, symmetric, syzygy_resolution)
+    lattices = []
+
+    def capture(rows):
+        lattices.append([r[:] for r in rows])
+        return lll_reduce_rows(rows)
+
+    monkeypatch.setattr(resolutions, "lll_reduce_rows", capture)
+    for group, depth in [
+            (cyclic(4), 5), (dihedral(4), 6), (symmetric(3), 8),
+            (quaternion8(), 6),
+            (from_permutations(6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]), 5),
+            (from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]]), 5),
+            (symmetric(4), 4)]:
+        syzygy_resolution(group, depth)
+    assert len(lattices) == 39
+    for rows in lattices:
+        want = DomainMatrix.from_list(rows, ZZ).lll().to_list()
+        assert lll_reduce_rows(rows) == [[int(v) for v in r] for r in want]
+
+
+def gram_schmidt(rows):
+    """(mu, squared lengths of the b*_i), in exact fractions."""
+    star, mu, norms = [], [], []
+    for b in rows:
+        v = [Fraction(x) for x in b]
+        coeffs = []
+        for s, n in zip(star, norms):
+            c = sum(x * y for x, y in zip(b, s)) / n
+            coeffs.append(c)
+            v = [x - c * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(coeffs)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def lattice_rows(rows):
+    lat = IntegerLattice()
+    for r in rows:
+        lat.add({j: v for j, v in enumerate(r) if v})
+    return lat.rows
+
+
+def test_lll_output_is_reduced_on_random_inputs():
+    rng = random.Random(8)
+    done = 0
+    while done < 60:
+        m = rng.randint(2, 7)
+        rows = [[rng.randint(-20, 20) for _ in range(rng.randint(m, 9))]]
+        rows += [[rng.randint(-20, 20) for _ in rows[0]] for _ in range(m - 1)]
+        if 0 in gram_schmidt(rows)[1]:
+            continue  # dependent rows; covered below
+        done += 1
+        red = lll_reduce_rows(rows)
+        mu, norms = gram_schmidt(red)
+        assert all(abs(c) <= Fraction(1, 2) for coeffs in mu for c in coeffs)
+        for k in range(1, m):
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+        assert lattice_rows(red) == lattice_rows(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0]],
+    [[1, 2, 3], [2, 4, 6]],
+    [[1, 0], [0, 1], [1, 1]],
+    [[1, 0, 0], [0, 1, 0], [3, -5, 0], [0, 0, 2]],
+])
+def test_lll_rejects_dependent_rows(rows):
+    with pytest.raises(InternalCheckError, match="LLL"):
+        lll_reduce_rows(rows)

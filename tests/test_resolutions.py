@@ -6,6 +6,7 @@ by hand on C_2; larger cases are certified by the exactness checks instead
 of asserted from memory.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -15,7 +16,8 @@ import pytest
 from tatejoin import (GroupRingElement, InternalCheckError,
                       ResolutionError, Resolution,
                       SchemaError, SizeBudgetError, bar_resolution, cyclic,
-                      dihedral, homology, include_cycle_tensor, join,
+                      dihedral, from_permutations, homology,
+                      include_cycle_tensor, join,
                       join_rank,
                       load_resolution, norm_element,
                       periodic_cyclic_resolution, quaternion8, symmetric,
@@ -209,6 +211,53 @@ def test_syzygy_cover_certificate_is_live(monkeypatch):
     monkeypatch.setattr(IntegerLattice, "contains", lambda self, vec: True)
     with pytest.raises(InternalCheckError, match="orbit cover missed"):
         syzygy_resolution(symmetric(3), 3)
+
+
+def test_syzygy_reverse_delete_certificate_is_live(monkeypatch):
+    # a reverse-delete pass that finds every generator redundant keeps
+    # none; the final basis comparison must catch it, as a named error
+    class CoversAll:
+        rows = type("AnyBasis", (), {"__ne__": lambda self, other: False})()
+
+        def add(self, vec):
+            return False
+
+    monkeypatch.setattr(IntegerLattice, "copy", lambda self: CoversAll())
+    with pytest.raises(InternalCheckError, match="reverse-delete"):
+        syzygy_resolution(symmetric(3), 3)
+
+
+# sha256 of json.dumps(to_json(), sort_keys=True).  A change of any of these
+# is a change of the generators the cover chooses, which must be announced.
+PINNED_SYZYGY = {
+    "D4": (lambda: dihedral(4), 9,
+           "59dc90d26e86888ce91ed02d610d9d1f4328dd42c946753a652aa9020550df93"),
+    "S3": (lambda: symmetric(3), 10,
+           "da8794b7caf5f31c63482c6837f7dc2db6b7f1d8dac2570d21d0496212ea5d96"),
+    "Q8": (quaternion8, 8,
+           "d45293482bb8494bc4118bfed495a75626d225b1b4540e020349aef1dcea28ba"),
+    "C2^3": (lambda: from_permutations(6, [[1, 0, 2, 3, 4, 5],
+                                           [0, 1, 3, 2, 4, 5],
+                                           [0, 1, 2, 3, 5, 4]]), 5,
+             "44c9897498cd9945b5a8366f6c76da804ec64b4aca3729725428a20517be4c5e"),
+    "S4": (lambda: symmetric(4), 6,
+           "6b7121bec968a0e9c968ce9c78eb44f464522f7e721f23303128ea7d17d69ec3"),
+    "A4": (lambda: from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]]), 6,
+           "fbb3379212367da04daf57e08cc502f7cab964012ba40adc00faeda7e26eee67"),
+    "C4xC4": (lambda: from_permutations(8, [[1, 2, 3, 0, 4, 5, 6, 7],
+                                            [0, 1, 2, 3, 5, 6, 7, 4]]), 4,
+              "bf33f54264f317ec976f5499a2db06388e2ea5fc202067d49ad59dc4d22d13f5"),
+    "S3-relabelled": (lambda: from_permutations(3, [[1, 0, 2], [1, 2, 0]]), 10,
+                      "4533cc58c73379cce1faa02dc1774ae6f8fb41df3e831ddfa8a0727a4b2904c2"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SYZYGY)
+def test_syzygy_resolutions_are_byte_identical(name):
+    make, depth, digest = PINNED_SYZYGY[name]
+    res = syzygy_resolution(make(), depth)
+    text = json.dumps(res.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_join_rank_formula_c2():
