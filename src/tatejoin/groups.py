@@ -386,15 +386,6 @@ class GroupRingElement:
     def scale(self, k: int) -> "GroupRingElement":
         return GroupRingElement(self.group, [k * a for a in self.c])
 
-    def left_translate(self, g: int) -> "GroupRingElement":
-        """g * self: permutes coefficients by left multiplication."""
-        row = self.group.table[g]
-        out = [0] * self.group.order
-        for h, v in enumerate(self.c):
-            if v:
-                out[row[h]] = v
-        return GroupRingElement(self.group, out)
-
     def augmentation(self) -> int:
         return sum(self.c)
 

@@ -123,18 +123,17 @@ class IntMatrix:
 class SmithDecomposition:
     """U * A * V = S with U, V unimodular and S = diag(d_1, ..., d_r, 0, ...), d_i | d_{i+1}.
 
-    Uinv is tracked alongside U so callers can move row vectors in and out
-    of Smith coordinates without solving anything; V is kept for the free
-    part, whose coordinates are read off its columns.  Decompositions
-    produced with transforms=False carry only S (the transform slots hold
-    None).
+    U moves column vectors into Smith coordinates.  U's inverse is not
+    kept: A V = U^-1 S, so for d_p != 0 its column p is A V e_p / d_p, an
+    exact division.  Decompositions produced with transforms=False carry
+    only S (the transform slots hold None).
     """
 
-    __slots__ = ("U", "S", "V", "Uinv")
+    __slots__ = ("U", "S", "V")
 
     def __init__(self, U: IntMatrix | None, S: IntMatrix,
-                 V: IntMatrix | None, Uinv: IntMatrix | None):
-        self.U, self.S, self.V, self.Uinv = U, S, V, Uinv
+                 V: IntMatrix | None):
+        self.U, self.S, self.V = U, S, V
 
     @property
     def diagonal(self) -> list[int]:
@@ -216,10 +215,10 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
                       ) -> SmithDecomposition:
     """Smith normal form with the deterministic pivot rule.
 
-    With transforms the loop runs exactly over Z and returns U, V and
-    U's inverse.  With transforms=False only S is wanted, and the same loop
-    runs on the entries reduced modulo D = |det| of a nonsingular r x r
-    minor (``_rank_and_minor``).  With m = nrows, the column lattice plus
+    With transforms the loop runs exactly over Z and returns U and V.
+    With transforms=False only S is wanted, and the same loop runs on the
+    entries reduced modulo D = |det| of a nonsingular r x r minor
+    (``_rank_and_minor``).  With m = nrows, the column lattice plus
     D*Z^m has invariant factors d_1, ..., d_r and then m - r copies of D, as
     d_1 * ... * d_r divides every r x r minor; so d_i = gcd(s_i, D) for the
     first r diagonal entries s_i of the reduced form, and every entry stays
@@ -231,13 +230,12 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         modulus = 0
         S = [row[:] for row in A.data]
         U = IntMatrix.identity(nrows).data
-        Uinv = IntMatrix.identity(nrows).data
         V = IntMatrix.identity(ncols).data
     else:
         rank, modulus = _rank_and_minor(A)
         S = [[_balanced(v, modulus) for v in row] for row in A.data]
 
-    # Row op r_i -= q*r_k mirrors in U; Uinv gets the inverse column op.
+    # Row op r_i -= q*r_k mirrors in U.
     def row_sub(i: int, k: int, q: int) -> None:
         if not q:
             return
@@ -253,10 +251,6 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         for j in range(nrows):
             if Uk[j]:
                 Ui[j] -= q * Uk[j]
-        for r in range(nrows):
-            Ur = Uinv[r]
-            if Ur[i]:
-                Ur[k] += q * Ur[i]
 
     def row_swap(i: int, k: int) -> None:
         if i == k:
@@ -265,17 +259,12 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         if not transforms:
             return
         U[i], U[k] = U[k], U[i]
-        for r in range(nrows):
-            Ur = Uinv[r]
-            Ur[i], Ur[k] = Ur[k], Ur[i]
 
     def row_negate(i: int) -> None:
         S[i] = [-v for v in S[i]]
         if not transforms:
             return
         U[i] = [-v for v in U[i]]
-        for r in range(nrows):
-            Uinv[r][i] = -Uinv[r][i]
 
     def col_sub(j: int, k: int, q: int) -> None:
         if not q:
@@ -356,9 +345,9 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
     if not transforms:
         return SmithDecomposition(None, _modular_diagonal(S, rank, modulus,
                                                           nrows, ncols),
-                                  None, None)
+                                  None)
     return SmithDecomposition(IntMatrix(U), IntMatrix(S, ncols=ncols),
-                              IntMatrix(V), IntMatrix(Uinv))
+                              IntMatrix(V))
 
 
 def _modular_diagonal(S: list[list[int]], rank: int, D: int, nrows: int,

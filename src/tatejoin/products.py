@@ -17,9 +17,10 @@ lift on the invariant chain N . y_a, and classify the result.  The two
 pipelines realize the same stable composition, so their classified outputs
 must agree exactly; ``product_table`` records both and flags any mismatch.
 
-Comparison maps are lifted lazily column by column: transporting one product
-out of a join only ever touches the columns reachable from the product
-chain's support, a small fraction of the join's basis.
+Both pipelines lift into P with one lazy lifter, ``ComparisonLift``: shift
+0 for the join's comparison map, shift m+1 seeded by N.y_b for the self-map.
+Each lift has its own solvers, so the pipelines share no intermediate data,
+and a product lifts only the columns reachable from its input's support.
 """
 
 from __future__ import annotations
@@ -77,24 +78,36 @@ class ChainMap:
 
 
 class ComparisonLift:
-    """Lazy degree-0 comparison map from one resolution of Z to another.
+    """Lazy chain map of degree ``shift`` from one resolution into another.
 
-    Columns are lifted on demand: column j in degree k is a solution of
-    d^T_k x = psi_{k-1}(d^S_k e_j), with degree 0 seeded by matching
-    augmentations.  Solutions are memoized, and the group-ring solvers for
-    the target differentials are shared across all columns and products.
+    Column j in degree k, psi_k(e_j), is lifted through the exact target on
+    first use and memoized: degree 0 matches augmentations when shift is 0
+    and solves d^T_shift x = eps^S(e_j) . seed otherwise, for a boundary
+    ``seed`` of target degree shift - 1; degree k > 0 solves
+    d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  ``solvers`` (target degree ->
+    ZGSolver) may be one dict shared by lifts into the same target.  A
+    column with no solution raises ResolutionError naming its degree.
     """
 
-    __slots__ = ("source", "target", "_cols", "_aug_solver", "_solvers")
+    __slots__ = ("source", "target", "shift", "seed", "_cols", "_aug_solver",
+                 "_solvers")
 
-    def __init__(self, source: Resolution, target: Resolution):
+    def __init__(self, source: Resolution, target: Resolution, shift: int = 0,
+                 seed: Sequence[GroupRingElement] | None = None,
+                 solvers: dict[int, ZGSolver] | None = None):
         if source.group != target.group:
             raise ResolutionError("comparison lift needs matching groups")
+        if (seed is None) != (shift == 0):
+            raise ValueError("a lift of shift > 0 needs a seed, "
+                             "a lift of shift 0 takes none")
         self.source = source
         self.target = target
+        self.shift = shift
+        self.seed = seed
         self._cols: dict[tuple[int, int], list[GroupRingElement]] = {}
-        self._aug_solver = IntegerSolver([{0: a} for a in target.aug], 1)
-        self._solvers: dict[int, ZGSolver] = {}
+        self._aug_solver = (IntegerSolver([{0: a} for a in target.aug], 1)
+                            if seed is None else None)
+        self._solvers = {} if solvers is None else solvers
 
     def _solver(self, k: int) -> ZGSolver:
         s = self._solvers.get(k)
@@ -107,19 +120,20 @@ class ComparisonLift:
         col = self._cols.get(key)
         if col is not None:
             return col
-        G = self.source.group
-        if k == 0:
+        if k == 0 and self.seed is None:
             z = self._aug_solver.solve([self.source.aug[j]])
             if z is NoSolution:
                 raise ResolutionError(
                     "target augmentation is not onto; invalid resolution")
-            col = [GroupRingElement.basis(G, 0, v) for v in z]
+            col = [GroupRingElement.basis(self.source.group, 0, v) for v in z]
         else:
-            rhs = [GroupRingElement.zero(G)
-                   for _ in range(self.target.rank(k - 1))]
-            for i, val in self.source.differential(k).column(j).items():
-                _add_multiple(rhs, val, self.column(k - 1, i))
-            col = self._solver(k).solve(rhs)
+            if k == 0:
+                rhs = [v.scale(self.source.aug[j]) for v in self.seed]
+            else:
+                rhs = self.target.zero_chain(k + self.shift - 1)
+                for i, val in self.source.differential(k).column(j).items():
+                    _add_multiple(rhs, val, self.column(k - 1, i))
+            col = self._solver(k + self.shift).solve(rhs)
             if col is NoSolution:
                 raise ResolutionError(
                     f"lifting failed at degree {k}: target resolution not exact")
@@ -132,27 +146,21 @@ class ComparisonLift:
         Since psi is a module map, augmentation factors through it; only the
         columns with nonzero down-coordinate contribute.
         """
-        out = [0] * self.target.rank(k)
+        out = [0] * self.target.rank(k + self.shift)
         for j, c in enumerate(down_vec):
             if c:
-                col = self.column(k, j)
-                for i, val in enumerate(col):
-                    a = val.augmentation()
-                    if a:
-                        out[i] += c * a
+                for i, val in enumerate(self.column(k, j)):
+                    out[i] += c * val.augmentation()
         return out
 
     def materialize(self, up_to: int) -> ChainMap:
         """The full chain map through the given degree, checked."""
-        comps = {}
-        for k in range(up_to + 1):
-            m = ZGMatrix(self.source.group, self.target.rank(k),
-                         self.source.rank(k))
-            for j in range(self.source.rank(k)):
-                for i, val in enumerate(self.column(k, j)):
-                    m.set(i, j, val)
-            comps[k] = m
-        cm = ChainMap(self.source, self.target, 0, comps)
+        comps = {k: ZGMatrix(self.source.group,
+                             self.target.rank(k + self.shift),
+                             [dict(enumerate(self.column(k, j)))
+                              for j in range(self.source.rank(k))])
+                 for k in range(up_to + 1)}
+        cm = ChainMap(self.source, self.target, self.shift, comps)
         cm.check()
         return cm
 
@@ -167,8 +175,9 @@ class ProductContext:
     """Shared caches for computing many products over one resolution.
 
     Holds the join P*P (grown lazily to the deepest degree requested), the
-    lazy comparison lift join -> P, and the per-degree solvers for the
-    composition pipeline.  All methods are deterministic.
+    lazy comparison lift join -> P, and the lazy chain self-maps of the
+    composition pipeline, which share one dict of solvers for P's
+    differentials.  All methods are deterministic.
     """
 
     __slots__ = ("P", "max_zrank", "_join", "_lift", "_solvers", "_glifts")
@@ -179,7 +188,7 @@ class ProductContext:
         self._join: JoinResolution | None = None
         self._lift: ComparisonLift | None = None
         self._solvers: dict[int, ZGSolver] = {}
-        self._glifts: dict[tuple, dict[int, list[list[GroupRingElement]]]] = {}
+        self._glifts: dict[tuple, ComparisonLift] = {}
 
     def join_to(self, depth: int) -> JoinResolution:
         if self._join is None or self._join.depth < depth:
@@ -192,12 +201,6 @@ class ProductContext:
             raise ResolutionError("no join built yet: join_to must run first")
         return self._lift
 
-    def solver(self, k: int) -> ZGSolver:
-        s = self._solvers.get(k)
-        if s is None:
-            s = self._solvers[k] = ZGSolver(self.P.differential(k))
-        return s
-
     # -- the two pipelines ------------------------------------------------
 
     def join_product(self, n: int, za: Sequence[int], m: int,
@@ -208,6 +211,8 @@ class ProductContext:
         _require_depth(P, out_deg + 1)
         x = phi_inverse(P, n, za)  # N . y_a, checked invariant cycle
         y = lift_vector(P, m, zb)
+        if not is_cycle(P, m, zb):
+            raise ResolutionError("second factor is not a cycle")
         J = self.join_to(out_deg + 1)
         w = include_cycle_tensor(J, x.vector, n, y, m)
         # the boundary must die after tensoring down (norm against the
@@ -221,47 +226,20 @@ class ProductContext:
             raise InternalCheckError("transported product chain is not a cycle")
         return homology(P, out_deg).classify(t)
 
-    def _g_lift(self, m: int, zb: Sequence[int], up_to: int
-                ) -> dict[int, list[list[GroupRingElement]]]:
+    def _g_lift(self, m: int, zb: Sequence[int]) -> ComparisonLift:
         """Strictly commuting lift of the degree-(m+1) stable map given by zb.
 
-        glift[k][j] is the image of source basis vector e_j of P_k inside
+        column(k, j) is the image of basis vector e_j of P_k inside
         P_{k+m+1}, with d o glift_k = glift_{k-1} o d and the base case
-        d_{m+1} o glift_0 = (1 -> N.y_b) o eps.
+        d_{m+1} o glift_0 = (1 -> N.y_b) o eps.  Cached per (m, zb).
         """
         key = (m, tuple(zb))
-        cache = self._glifts.setdefault(key, {})
-        P = self.P
-        G = P.group
-        s = phi_inverse(P, m, zb).vector
-        for k in range(up_to + 1):
-            if k in cache:
-                continue
-            cols = []
-            if k == 0:
-                solver = self.solver(m + 1)
-                for j in range(P.rank(0)):
-                    rhs = [v.scale(P.aug[j]) for v in s]
-                    x = solver.solve(rhs)
-                    if x is NoSolution:
-                        raise InternalCheckError(
-                            "invariant cycle is not a boundary; resolution not exact")
-                    cols.append(x)
-            else:
-                solver = self.solver(k + m + 1)
-                prev = cache[k - 1]
-                for j in range(P.rank(k)):
-                    rhs = [GroupRingElement.zero(G)
-                           for _ in range(P.rank(k + m))]
-                    for i, val in P.differential(k).column(j).items():
-                        _add_multiple(rhs, val, prev[i])
-                    x = solver.solve(rhs)
-                    if x is NoSolution:
-                        raise InternalCheckError(
-                            f"chain self-map lift failed at degree {k}")
-                    cols.append(x)
-            cache[k] = cols
-        return cache
+        lift = self._glifts.get(key)
+        if lift is None:
+            lift = self._glifts[key] = ComparisonLift(
+                self.P, self.P, m + 1, seed=phi_inverse(self.P, m, zb).vector,
+                solvers=self._solvers)
+        return lift
 
     def composition_product(self, n: int, za: Sequence[int], m: int,
                             zb: Sequence[int]) -> tuple[int, ...]:
@@ -271,11 +249,12 @@ class ProductContext:
         _require_depth(P, out_deg + 1)
         if not is_cycle(P, n, za):
             raise ResolutionError("first factor is not a cycle")
-        glift = self._g_lift(m, zb, n)
+        glift = self._g_lift(m, zb)
         x = phi_inverse(P, n, za).vector  # N . y_a in P_n
-        out = [GroupRingElement.zero(P.group) for _ in range(P.rank(out_deg))]
-        for coeff, col in zip(x, glift[n]):
-            _add_multiple(out, coeff, col)
+        out = P.zero_chain(out_deg)
+        for j, coeff in enumerate(x):
+            if not coeff.is_zero():
+                _add_multiple(out, coeff, glift.column(n, j))
         # the image of an invariant cycle under a chain map is again an
         # invariant cycle; classify through the norm correspondence
         if not vector_is_zero(P.apply_differential(out_deg, out)):
@@ -289,8 +268,6 @@ class ProductContext:
 def _add_multiple(out: list[GroupRingElement], c: GroupRingElement,
                   vec: Sequence[GroupRingElement]) -> None:
     """out[r] += c * vec[r] for every r, c on the left; zero terms skipped."""
-    if c.is_zero():
-        return
     for r, v in enumerate(vec):
         if not v.is_zero():
             out[r] = out[r] + c * v

@@ -43,7 +43,7 @@ from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
 from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
                         kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
-from .zglinalg import ZGMatrix, check_zrank, flatten_vector, unflatten_vector
+from .zglinalg import ZGMatrix, check_zrank, unflatten_vector
 
 
 class Resolution:
@@ -198,7 +198,7 @@ class Resolution:
         for k, rows in enumerate(raw, start=1):
             if len(_list(rows, f"differential {k}")) != ranks[k - 1]:
                 raise SchemaError(f"differential {k} has wrong row count")
-            m = ZGMatrix(group, ranks[k - 1], ranks[k])
+            cols = [{} for _ in range(ranks[k])]
             for i, row in enumerate(rows):
                 if len(_list(row, f"differential {k} row {i}")) != ranks[k]:
                     raise SchemaError(f"differential {k} row {i} has wrong length")
@@ -208,8 +208,8 @@ class Resolution:
                         raise SchemaError(
                             f"{what} has {len(coeffs)} coefficients, "
                             f"expected {group.order}")
-                    m.set(i, j, GroupRingElement(group, coeffs))
-            diffs.append(m)
+                    cols[j][i] = GroupRingElement(group, coeffs)
+            diffs.append(ZGMatrix(group, ranks[k - 1], cols))
         return cls(group, ranks, diffs, aug, label=label)
 
 
@@ -356,11 +356,8 @@ def periodic_cyclic_resolution(m: int, n: int) -> Resolution:
     t_minus_1 = (GroupRingElement.basis(G, 1)
                  - GroupRingElement.one(G))
     norm = GroupRingElement(G, (1,) * m)
-    diffs = []
-    for k in range(1, n + 1):
-        d = ZGMatrix(G, 1, 1)
-        d.set(0, 0, t_minus_1 if k % 2 == 1 else norm)
-        diffs.append(d)
+    diffs = [ZGMatrix(G, 1, [{0: t_minus_1 if k % 2 == 1 else norm}])
+             for k in range(1, n + 1)]
     return Resolution(G, [1] * (n + 1), diffs, [1], label=f"periodic(C{m})")
 
 
@@ -401,8 +398,8 @@ def bar_resolution(group: FiniteGroup, n: int,
 
     diffs = []
     for k in range(1, n + 1):
-        d = ZGMatrix(group, ranks[k - 1], ranks[k])
-        for col, tup in enumerate(tuples(k)):
+        cols = []
+        for tup in tuples(k):
             acc: dict[int, list[int]] = {}
 
             def put(row, g, v):
@@ -419,9 +416,9 @@ def bar_resolution(group: FiniteGroup, n: int,
                     put(tuple_index(tup[:i] + (merged,) + tup[i + 2:]), 0, sign)
                 sign = -sign
             put(tuple_index(tup[:-1]), 0, sign)
-            for row, coeffs in acc.items():
-                d.set(row, col, GroupRingElement(group, coeffs))
-        diffs.append(d)
+            cols.append({row: GroupRingElement(group, coeffs)
+                         for row, coeffs in acc.items()})
+        diffs.append(ZGMatrix(group, ranks[k - 1], cols))
     return Resolution(group, ranks, diffs, [1], label=f"bar({group.label})")
 
 
@@ -447,14 +444,10 @@ def syzygy_resolution(group: FiniteGroup, n: int,
     # kernel of eps on z-coordinates: the augmentation ideal
     z_cols, z_rows = [{0: 1} for _ in range(order)], 1
     for k in range(1, n + 1):
-        gens = _cover_kernel_with_orbits(group, z_cols, z_rows, ranks[k - 1])
-        check_zrank(group, [max(len(gens), 1)], max_zrank,
+        d = _cover_kernel_with_orbits(group, z_cols, z_rows, ranks[k - 1])
+        check_zrank(group, [max(d.ncols, 1)], max_zrank,
                     what=f"computed resolution of {group.label} at degree {k}")
-        d = ZGMatrix(group, ranks[k - 1], len(gens))
-        for j, vec in enumerate(gens):
-            for i, val in enumerate(vec):
-                d.set(i, j, val)
-        ranks.append(len(gens))
+        ranks.append(d.ncols)
         diffs.append(d)
         z_cols, z_rows = d.z_columns(), ranks[k - 1] * order
     return Resolution(group, ranks, diffs, [1],
@@ -462,20 +455,15 @@ def syzygy_resolution(group: FiniteGroup, n: int,
 
 
 def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
-                              nrows: int, rank_above: int
-                              ) -> list[list[GroupRingElement]]:
+                              nrows: int, rank_above: int) -> ZGMatrix:
     """Module generators for the kernel of a Z[G]-map given by its z-expansion.
 
     z_cols are the sparse integer columns of the expansion (rank_above * |G|
-    of them) and nrows its row count.  Returns Z[G]-column vectors (length
-    rank_above) whose orbits span the integer kernel lattice exactly.
+    of them) and nrows its row count.  Returns the next differential: a
+    matrix with rank_above rows whose columns' orbits span the integer
+    kernel lattice exactly.
     """
     order = group.order
-
-    def orbit(vec):
-        return [flatten_vector([a.left_translate(g) for a in vec], group)
-                for g in range(order)]
-
     # ``full`` holds the reduced echelon basis of the kernel lattice.  That
     # basis is unique for the lattice (see IntegerLattice), so it does not
     # depend on the kernel basis that fed it, and it keeps candidate entries
@@ -492,11 +480,13 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     dense = lll_reduce_rows(dense)
     dense.sort(key=lambda v: (max(abs(x) for x in v),
                               sum(1 for x in v if x), v))
-    candidates = [unflatten_vector(flat, group, rank_above) for flat in dense]
-    flat_orbits = [orbit(v) for v in candidates]
-    # orbits[t][0] is candidate t itself: the identity is group element 0
-    orbits = [[{i: x for i, x in enumerate(flat) if x} for flat in rows]
-              for rows in flat_orbits]
+    candidates = ZGMatrix(group, rank_above, [
+        dict(enumerate(unflatten_vector(flat, group, rank_above)))
+        for flat in dense])
+    # column (t, g) of the expansion is g times candidate t, so block t is
+    # the orbit of candidate t; orbits[t][0] is the candidate itself
+    z = candidates.z_columns()
+    orbits = [z[t * order:(t + 1) * order] for t in range(len(dense))]
 
     def add_orbits(lat, idxs):
         for t in idxs:
@@ -504,8 +494,11 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
                 lat.add(vec)
         return lat
 
-    orbit_rank = [_rank_and_minor(IntMatrix(rows))[0] for rows in flat_orbits]
-    order_pref = sorted(range(len(candidates)),
+    width = rank_above * order
+    orbit_rank = [_rank_and_minor(IntMatrix(
+        [[v.get(i, 0) for i in range(width)] for v in orbit]))[0]
+        for orbit in orbits]
+    order_pref = sorted(range(len(orbits)),
                         key=lambda t: (-orbit_rank[t], t))
     chosen: list[int] = []
     lat = IntegerLattice()
@@ -531,7 +524,8 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     if kept.rows != full.rows:
         raise InternalCheckError("reverse-delete dropped part of the kernel "
                                  "lattice")
-    return [candidates[t] for t in sorted(survivors)]
+    return ZGMatrix(group, rank_above,
+                    [candidates.column(t) for t in sorted(survivors)])
 
 
 # -- the join -----------------------------------------------------------------
@@ -615,9 +609,9 @@ def join(P: Resolution, Q: Resolution, n: int,
 
     diffs = []
     for d in range(1, n + 1):
-        m = ZGMatrix(G, ranks[d - 1], ranks[d])
+        cols = []
         tgt = index[d - 1]
-        for col, (k, i, g, j) in enumerate(bases[d]):
+        for k, i, g, j in bases[d]:
             acc: dict[int, list[int]] = {}
 
             def put(key, gelt, v):
@@ -660,9 +654,9 @@ def join(P: Resolution, Q: Resolution, n: int,
                 else:
                     # Q-degree 0: eps of the second factor, into P_{k-1} (x) Z
                     put((d, i, 0, -1), 0, sign * Q.aug[j])
-            for row, coeffs in acc.items():
-                m.set(row, col, GroupRingElement(G, coeffs))
-        diffs.append(m)
+            cols.append({row: GroupRingElement(G, coeffs)
+                         for row, coeffs in acc.items()})
+        diffs.append(ZGMatrix(G, ranks[d - 1], cols))
 
     aug = [Q.aug[j] for j in range(Q.rank(0))] + [P.aug[i] for i in range(P.rank(0))]
     return JoinResolution(P, Q, ranks, diffs, aug, bases, index)

@@ -177,7 +177,9 @@ class _CycleCoordinates:
     form U M V = S diagonalizes im M.  So torsion coordinate p of a cycle c
     is (U (L c)_rows)_p mod d_p.  Its generator is L^-1 U^-1 e_p, which is
     U^-1 e_p on the residual rows: each logged operation adds a multiple of
-    a pivot row, so L fixes every vector that vanishes on them.  The rest of
+    a pivot row, so L fixes every vector that vanishes on them.  U^-1 is
+    never formed: M V = U^-1 S gives U^-1 e_p = M V e_p / d_p, an exact
+    division that is checked.  The rest of
     U (L c)_rows, with L c on the rows that are neither pivot nor residual,
     vanishes on the saturation of im D_{n+1} and is injective on the free
     part of H_n.  Only when H_n has a free summand is it evaluated on a
@@ -195,10 +197,13 @@ class _CycleCoordinates:
         self.torsion = [(p, d) for p, d in enumerate(dec.diagonal) if d > 1]
         self.factors = [d for _, d in self.torsion] + [0] * free
         self.generators = []
-        for p, _ in self.torsion:
+        for p, d in self.torsion:
             y = [0] * res.ranks[n]
-            for i, v in zip(self.rows, dec.Uinv.column(p)):
-                y[i] = v
+            for i, v in zip(self.rows, elim.residual.apply(dec.V.column(p))):
+                if v % d:
+                    raise InternalCheckError(
+                        f"H_{n}: M V e_{p} is not divisible by d_{p} = {d}")
+                y[i] = v // d
             self.generators.append(y)
         self.zero_rows = self.free_U = None
         if free:
@@ -324,9 +329,7 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
     if via_solver:
         G = res.group
         r = res.rank(n)
-        norm_mat = ZGMatrix(G, r, r)
-        for i in range(r):
-            norm_mat.set(i, i, norm_element(G))
+        norm_mat = ZGMatrix(G, r, [{i: norm_element(G)} for i in range(r)])
         y = solve_zg_linear(norm_mat, x.vector)
         if y is NoSolution:
             raise ResolutionError(

@@ -5,7 +5,8 @@ sparse column per index j, a dict from row i to the nonzero GroupRingElement
 coefficient of basis vector e_i in the image of e_j.  ``column(j)`` is a
 read-only view of that dict, found in O(1); ``entries`` is a read-only
 {(i, j): GroupRingElement} mapping built from the same columns on each
-read, not a second store.  Applying the map to a column vector a gives
+read, not a second store.  A matrix is built whole from its columns and
+never changes afterwards.  Applying the map to a column vector a gives
 
     out_i = sum_j a_j * M[i, j]
 
@@ -56,56 +57,55 @@ def check_zrank(group: FiniteGroup, ranks: Iterable[int],
 
 
 class ZGMatrix:
-    """Sparse matrix over ZG of shape (nrows, ncols), stored column by column.
+    """Sparse matrix over ZG of shape (nrows, len(cols)), built whole.
 
-    ``_cols[j]`` maps row i to the nonzero entry M[i, j]; zero entries are
-    never stored.
+    ``cols[j]`` maps row i to the entry M[i, j].  The constructor checks
+    every row index and entry group once, drops zero entries and copies
+    what it keeps into ``_cols``; no method changes a matrix afterwards, so
+    whatever a caller derives from one (a resolution's down matrices, a
+    solver's factorization) never goes stale.
     """
 
     __slots__ = ("group", "nrows", "ncols", "_cols")
 
-    def __init__(self, group: FiniteGroup, nrows: int, ncols: int):
+    def __init__(self, group: FiniteGroup, nrows: int,
+                 cols: Sequence[Mapping[int, GroupRingElement]]):
         self.group = group
         self.nrows = nrows
-        self.ncols = ncols
-        self._cols: list[dict[int, GroupRingElement]] = [
-            {} for _ in range(ncols)]
+        self.ncols = len(cols)
+        self._cols: list[dict[int, GroupRingElement]] = []
+        for j, col in enumerate(cols):
+            kept = {}
+            for i, val in col.items():
+                if not 0 <= i < nrows:
+                    raise ValueError(f"row {i} of column {j} out of range "
+                                     f"for a matrix with {nrows} rows")
+                if val.group is not group:
+                    self._check_group(val.group, f"entry ({i}, {j})")
+                if any(val.c):
+                    kept[i] = val
+            self._cols.append(kept)
 
     @classmethod
     def from_rows(cls, group: FiniteGroup,
                   rows: Sequence[Sequence[GroupRingElement]]) -> "ZGMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        m = cls(group, nrows, ncols)
+        ncols = len(rows[0]) if rows else 0
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError(f"ragged rows: row {i} has length {len(row)}, "
                                  f"expected {ncols}")
-            for j, val in enumerate(row):
-                m.set(i, j, val)
-        return m
-
-    def _check_index(self, i: int, j: int) -> None:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise ValueError(f"index ({i}, {j}) out of range for a "
-                             f"{self.nrows}x{self.ncols} matrix")
+        return cls(group, len(rows), [{i: row[j] for i, row in enumerate(rows)}
+                                      for j in range(ncols)])
 
     def _check_group(self, group: FiniteGroup, what: str) -> None:
         if group is not self.group and group != self.group:
             raise ValueError(f"{what} lives over Z[{group.label}], "
                              f"matrix is over Z[{self.group.label}]")
 
-    def set(self, i: int, j: int, val: GroupRingElement) -> None:
-        """Store M[i, j] = val; a zero val removes the entry."""
-        self._check_index(i, j)
-        self._check_group(val.group, "entry")
-        if val.is_zero():
-            self._cols[j].pop(i, None)
-        else:
-            self._cols[j][i] = val
-
     def get(self, i: int, j: int) -> GroupRingElement:
-        self._check_index(i, j)
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise ValueError(f"index ({i}, {j}) out of range for a "
+                             f"{self.nrows}x{self.ncols} matrix")
         val = self._cols[j].get(i)
         return GroupRingElement.zero(self.group) if val is None else val
 
@@ -157,11 +157,10 @@ class ZGMatrix:
                 f"after {inner.nrows}x{inner.ncols}")
         self._check_group(inner.group, "inner map")
         outer = [self._support_column(j) for j in range(self.ncols)]
-        out = ZGMatrix(self.group, self.nrows, inner.ncols)
-        out._cols = [_combine(self.group, [(n.support(), outer[j])
-                                           for j, n in col.items()])
-                     for col in inner._cols]
-        return out
+        return ZGMatrix(self.group, self.nrows,
+                        [_combine(self.group, [(n.support(), outer[j])
+                                               for j, n in col.items()])
+                         for col in inner._cols])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZGMatrix):

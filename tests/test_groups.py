@@ -175,13 +175,6 @@ def test_augmentation_is_ring_map():
     assert augmentation(a + b) == augmentation(a) + augmentation(b)
 
 
-def test_left_translate_matches_basis_product():
-    g = dihedral(3)
-    a = GroupRingElement(g, [1, 2, 0, -1, 0, 3])
-    for h in range(g.order):
-        assert a.left_translate(h) == GroupRingElement.basis(g, h) * a
-
-
 def test_invariant_iff_norm_multiple():
     g = cyclic(3)
     assert norm_element(g).scale(4).is_invariant()

@@ -52,7 +52,7 @@ def test_smith_transforms_multiply_out():
                        for _ in range(nr)])
         dec = smith_normal_form(a)
         assert dec.U.mul(a).mul(dec.V) == dec.S
-        assert dec.U.mul(dec.Uinv) == IntMatrix.identity(nr)
+        assert abs(det_bareiss(dec.U)) == 1
         assert abs(det_bareiss(dec.V)) == 1
         facs = dec.invariant_factors
         for d, e in zip(facs, facs[1:]):
@@ -132,7 +132,7 @@ def test_modular_factors_match_oracles(rows):
     a = IntMatrix(rows)
     bare = smith_normal_form(a, transforms=False)
     full = smith_normal_form(a)
-    assert bare.U is None and bare.Uinv is None
+    assert bare.U is None
     assert bare.S == full.S
     assert bare.invariant_factors == minor_gcd_invariant_factors(a)
 

@@ -14,10 +14,11 @@ import pytest
 
 from tatejoin import (ChainMap, GroupRingElement, InternalCheckError,
                       ProductContext, ResolutionError, ZGMatrix, bar_resolution,
-                      composition_product, cyclic, from_permutations,
-                      homology, join_product, lift_comparison,
-                      periodic_cyclic_resolution, product_table, quaternion8,
-                      symmetric, syzygy_resolution)
+                      composition_product, cyclic, dihedral,
+                      from_permutations, homology, join_product,
+                      lift_comparison, periodic_cyclic_resolution,
+                      phi_inverse, product_table, quaternion8, symmetric,
+                      syzygy_resolution)
 
 
 def test_cyclic_generator_products_have_maximal_order():
@@ -237,3 +238,32 @@ def test_chain_map_check_catches_broken_commutation():
     cm = ChainMap(per, per, 0, {0: ident, 1: ident, 2: bad})
     with pytest.raises(InternalCheckError):
         cm.check()
+
+
+def test_non_cycle_factor_is_bad_input_in_both_pipelines():
+    res = syzygy_resolution(dihedral(4), 7)
+    za = homology(res, 1).generators[0]
+    e0 = [1] + [0] * (res.ranks[2] - 1)
+    assert any(res.down_boundary(2, e0))
+    ctx = ProductContext(res)
+    with pytest.raises(ResolutionError):
+        ctx.join_product(1, za, 2, e0)
+    with pytest.raises(ResolutionError):
+        ctx.composition_product(1, za, 2, e0)
+
+
+@pytest.mark.parametrize("group, depth", [(symmetric(3), 8), (dihedral(4), 7)],
+                         ids=["S3", "D4"])
+def test_composition_lift_is_a_chain_map(group, depth):
+    res = syzygy_resolution(group, depth)
+    ctx = ProductContext(res)
+    for zb in homology(res, 1).generators:
+        cm = ctx._g_lift(1, zb).materialize(depth - 2)  # runs ChainMap.check()
+        assert cm.shift == 2
+        # base case: d_2 o psi_0 = (1 -> N.y_b) o eps, column by column
+        seed = phi_inverse(res, 1, zb).vector
+        psi0 = cm.components[0]
+        for j in range(res.ranks[0]):
+            col = [psi0.get(i, j) for i in range(res.ranks[2])]
+            assert res.apply_differential(2, col) == \
+                [v.scale(res.aug[j]) for v in seed]

@@ -182,19 +182,22 @@ def test_column_and_apply_match_expansion_over_s3():
                 == dense.apply(flatten_vector(vec, g)))
 
 
-def test_set_after_column_read_and_zero_removes():
+def test_constructor_drops_zeros_and_views_are_read_only():
     g = symmetric(3)
     a = GroupRingElement(g, [1, 0, -2, 0, 0, 5])
-    m = ZGMatrix(g, 3, 2)
-    assert dict(m.column(1)) == {}
-    m.set(2, 1, a)
+    zero = GroupRingElement.zero(g)
+    cols = [{0: zero}, {2: a, 1: zero}]
+    m = ZGMatrix(g, 3, cols)
+    assert (m.nrows, m.ncols) == (3, 2)
+    assert dict(m.column(0)) == {}
     assert dict(m.column(1)) == {2: a}
     assert dict(m.entries) == {(2, 1): a}
-    m.set(2, 1, GroupRingElement.zero(g))
-    assert dict(m.column(1)) == {}
-    assert (2, 1) not in m.entries and len(m.entries) == 0
-    assert m.is_zero()
-    assert m.get(2, 1) == GroupRingElement.zero(g)
+    assert m.get(1, 1) == zero
+    # the matrix keeps its own copy of the columns it was given
+    cols[1][0] = a
+    assert dict(m.column(1)) == {2: a}
+    z = ZGMatrix(g, 3, [{2: zero}, {}])
+    assert z.is_zero() and len(z.entries) == 0
     # both views read the column store and refuse writes
     with pytest.raises(TypeError):
         m.column(0)[0] = a
@@ -206,11 +209,13 @@ def test_shape_and_index_errors_are_named():
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[e, t]])
     with pytest.raises(ValueError):
-        m.set(1, 0, e)
+        ZGMatrix(g, 1, [{1: e}])
     with pytest.raises(ValueError):
-        m.set(0, -1, e)
+        ZGMatrix(g, 1, [{-1: e}])
     with pytest.raises(ValueError):
-        m.set(0, 0, GroupRingElement.one(symmetric(3)))
+        ZGMatrix(g, 1, [{0: GroupRingElement.one(symmetric(3))}])
+    with pytest.raises(ValueError):
+        m.get(0, 2)
     with pytest.raises(ValueError):
         ZGMatrix.from_rows(g, [[e, t], [e]])
     with pytest.raises(ValueError):
