@@ -431,22 +431,31 @@ def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Convolution product: (ab)_h = sum over g*g' = h of a_g b_{g'}."""
     if a.group is not b.group and a.group != b.group:
         raise ValueError("operands live in different group rings")
-    out = [0] * a.group.order
-    _convolve_into(out, a.group.table, a.support(), b.support())
-    return GroupRingElement(a.group, out)
+    acc: dict[int, list[int]] = {}
+    _convolve_into(acc, a.group, a.support(), ((0, b.support()),))
+    return GroupRingElement(a.group, acc[0])
 
 
-def _convolve_into(acc: list[int], table, a_supp, b_supp) -> None:
-    """Add a*b into the coefficient list acc, given the supports of a and b.
+def _convolve_into(acc: dict[int, list[int]], group: FiniteGroup, a_supp,
+                   col) -> None:
+    """Add a*m_i into the coefficient list acc[i] for every (i, m_i) of col.
 
-    A support lists the pairs (g, a_g) with a_g nonzero.  This is the one
-    convolution of the package: ``ring_multiply`` and the Z[G] matrix kernel
-    in ``zglinalg`` both call it.
+    ``col`` pairs each row i with the support of m_i, and a support lists
+    the pairs (g, a_g) with a_g nonzero.  A row missing from acc starts at
+    zero.  Taking a whole column per call keeps the per-entry loop inside
+    the kernel.  This is the one convolution of the package:
+    ``ring_multiply`` calls it with a one-entry column, and the Z[G] matrix
+    kernel in ``zglinalg`` with each column of a map.
     """
-    for g, ag in a_supp:
-        row = table[g]
-        for h, bh in b_supp:
-            acc[row[h]] += ag * bh
+    order, table = group.order, group.table
+    for i, m_supp in col:
+        c = acc.get(i)
+        if c is None:
+            c = acc[i] = [0] * order
+        for g, ag in a_supp:
+            row = table[g]
+            for h, mh in m_supp:
+                c[row[h]] += ag * mh
 
 
 def norm_element(group: FiniteGroup) -> GroupRingElement:

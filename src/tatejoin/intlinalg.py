@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalCheckError
@@ -493,15 +494,22 @@ class IntegerSolver:
 
     A is given by its row count and sparse columns ({row: value} dicts, as
     ``z_columns`` and ``down_matrix`` return them).  solve() returns a
-    particular solution or NoSolution.  Every returned solution is verified
-    by multiplying back; failure to verify is a bug.
+    particular solution or NoSolution.  The dense factorization ``hcols`` /
+    ``vcols`` is what ``kernel_basis`` reads.  A solve reads pivot (r, c)
+    only when the residual at row r is nonzero, and the first such read
+    stores its sparse step: the pivot H[r, c] and the nonzero (index, value)
+    pairs of column c of H and of V.  Later solves walk only those pairs,
+    and a single solve pays only for the pivots it uses.  Every returned
+    solution is verified by multiplying back; failure to verify is a bug.
     """
 
-    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots", "_acols")
+    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots", "_acols",
+                 "_steps")
 
     def __init__(self, cols: Sequence[dict[int, int]], nrows: int):
         ncols = len(cols)
         self.nrows, self.ncols, self._acols = nrows, ncols, cols
+        self._steps = None
         hcols = [[0] * nrows for _ in cols]
         for h, col in zip(hcols, cols):
             for i, v in col.items():
@@ -551,28 +559,31 @@ class IntegerSolver:
         """A particular x with A x = b, or NoSolution."""
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = [None] * len(self.pivots)
         resid = list(b)
-        y: list[tuple[int, int]] = []
-        for r, c in self.pivots:
-            v = resid[r]
-            if v:
-                piv = self.hcols[c][r]
-                if v % piv:
+        x = [0] * self.ncols
+        for k, (r, c) in enumerate(self.pivots):
+            t = resid[r]
+            if t:
+                step = steps[k]
+                if step is None:
+                    hc, vc = self.hcols[c], self.vcols[c]
+                    step = steps[k] = (
+                        hc[r],
+                        [(i, hc[i]) for i in compress(range(self.nrows), hc)],
+                        [(i, vc[i]) for i in compress(range(self.ncols), vc)])
+                piv, hc, vc = step
+                if t % piv:
                     return NoSolution
-                t = v // piv
-                y.append((c, t))
-                hc = self.hcols[c]
-                for i in range(r, self.nrows):
-                    if hc[i]:
-                        resid[i] -= t * hc[i]
+                t //= piv
+                for i, v in hc:
+                    resid[i] -= t * v
+                for i, v in vc:
+                    x[i] += t * v
         if any(resid):
             return NoSolution
-        x = [0] * self.ncols
-        for c, t in y:
-            vc = self.vcols[c]
-            for i in range(self.ncols):
-                if vc[i]:
-                    x[i] += t * vc[i]
         # re-multiply; a wrong particular solution is an internal bug
         ax = [0] * self.nrows
         for j, xv in enumerate(x):

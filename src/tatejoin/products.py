@@ -8,7 +8,10 @@ representatives y_a, y_b, the product is carried by the chain
 whose down-image is a cycle (the boundary's only surviving term is killed by
 the norm against the augmentation ideal).  A degree-0 comparison map from
 the join back to P transports the class, and the answer is classified in
-H_{n+m+1}(P).
+H_{n+m+1}(P).  The join is built, certified and charged to the size budget
+only through degree n+m+1: the chain, its boundary certificate and the
+comparison columns read no higher differential.  P itself must reach
+degree n+m+2, since classifying in degree n+m+1 reads D_{n+m+2}.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -40,24 +43,31 @@ class ChainMap:
     """A degree-shift family of ZGMatrices commuting strictly with differentials.
 
     components[k] maps source degree k to target degree k + shift.  check()
-    verifies the commutation squares and, for shift 0, augmentation
-    compatibility; lift constructors guarantee both.
+    verifies the commutation squares and the base case: for shift 0,
+    augmentation compatibility; for shift > 0, d^T_shift o psi_0 =
+    seed . eps^S, where ``seed`` is the boundary of target degree shift - 1
+    that the lift started from.  Lift constructors guarantee all of them.
     """
 
-    __slots__ = ("source", "target", "shift", "components")
+    __slots__ = ("source", "target", "shift", "components", "seed")
 
     def __init__(self, source: Resolution, target: Resolution, shift: int,
-                 components: dict[int, ZGMatrix]):
+                 components: dict[int, ZGMatrix],
+                 seed: Sequence[GroupRingElement] | None = None):
+        if (seed is None) != (shift == 0):
+            raise ValueError("a chain map of shift > 0 needs a seed, "
+                             "a chain map of shift 0 takes none")
         self.source = source
         self.target = target
         self.shift = shift
         self.components = dict(components)
+        self.seed = seed
 
     def check(self) -> None:
-        """Assert the chain-map identities on every stored degree."""
+        """Raise InternalCheckError unless every stored identity holds."""
         degrees = sorted(self.components)
-        if self.shift == 0 and 0 in self.components:
-            psi0 = self.components[0]
+        psi0 = self.components.get(0)
+        if psi0 is not None and self.seed is None:
             for j in range(psi0.ncols):
                 want = self.source.aug[j]
                 got = sum(self.target.aug[i] * v.augmentation()
@@ -65,6 +75,13 @@ class ChainMap:
                 if got != want:
                     raise InternalCheckError(
                         f"comparison map does not respect augmentations at column {j}")
+        elif psi0 is not None:
+            want = ZGMatrix(self.source.group, self.target.rank(self.shift - 1),
+                            [{i: s.scale(a) for i, s in enumerate(self.seed)}
+                             for a in self.source.aug])
+            if self.target.differential(self.shift).compose(psi0) != want:
+                raise InternalCheckError(
+                    "chain map fails its base case d o psi_0 = seed . eps")
         for k in degrees:
             if k == 0 or k - 1 not in self.components:
                 continue
@@ -160,7 +177,7 @@ class ComparisonLift:
                              [dict(enumerate(self.column(k, j)))
                               for j in range(self.source.rank(k))])
                  for k in range(up_to + 1)}
-        cm = ChainMap(self.source, self.target, self.shift, comps)
+        cm = ChainMap(self.source, self.target, self.shift, comps, self.seed)
         cm.check()
         return cm
 
@@ -174,10 +191,10 @@ def lift_comparison(source: Resolution, target: Resolution,
 class ProductContext:
     """Shared caches for computing many products over one resolution.
 
-    Holds the join P*P (grown lazily to the deepest degree requested), the
-    lazy comparison lift join -> P, and the lazy chain self-maps of the
-    composition pipeline, which share one dict of solvers for P's
-    differentials.  All methods are deterministic.
+    Holds the join P*P (grown lazily to the deepest output degree n+m+1
+    requested), the lazy comparison lift join -> P, and the lazy chain
+    self-maps of the composition pipeline, which share one dict of solvers
+    for P's differentials.  All methods are deterministic.
     """
 
     __slots__ = ("P", "max_zrank", "_join", "_lift", "_solvers", "_glifts")
@@ -213,7 +230,7 @@ class ProductContext:
         y = lift_vector(P, m, zb)
         if not is_cycle(P, m, zb):
             raise ResolutionError("second factor is not a cycle")
-        J = self.join_to(out_deg + 1)
+        J = self.join_to(out_deg)
         w = include_cycle_tensor(J, x.vector, n, y, m)
         # the boundary must die after tensoring down (norm against the
         # augmentation ideal); anything else is a sign bug, not bad input
@@ -247,10 +264,8 @@ class ProductContext:
         P = self.P
         out_deg = n + m + 1
         _require_depth(P, out_deg + 1)
-        if not is_cycle(P, n, za):
-            raise ResolutionError("first factor is not a cycle")
+        x = phi_inverse(P, n, za).vector  # N . y_a, checked invariant cycle
         glift = self._g_lift(m, zb)
-        x = phi_inverse(P, n, za).vector  # N . y_a in P_n
         out = P.zero_chain(out_deg)
         for j, coeff in enumerate(x):
             if not coeff.is_zero():
@@ -333,7 +348,7 @@ def product_table(P: Resolution, pairs: Sequence[tuple[int, int]],
     ctx = ProductContext(P, max_zrank=max_zrank)
     if pairs:
         # size the join once; rebuilding it per pair order would redo lifts
-        ctx.join_to(max(n + m + 2 for n, m in pairs))
+        ctx.join_to(max(n + m + 1 for n, m in pairs))
     entries = []
     for n, m in pairs:
         hn = homology(P, n)

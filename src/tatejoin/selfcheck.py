@@ -113,7 +113,7 @@ def _check_products(rep: ValidationReport, ctx: ProductContext, rng,
         rep.record("products:pipeline_agreement", True,
                    "no feasible bidegrees at this depth; skipped")
         return
-    ctx.join_to(max(n + m + 2 for n, m in pairs))
+    ctx.join_to(max(n + m + 1 for n, m in pairs))
     for n, m in pairs:
         gens_a = homology(res, n).generators
         gens_b = homology(res, m).generators

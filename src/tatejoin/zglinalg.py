@@ -222,17 +222,12 @@ def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
     """The sparse column sum over terms of a * (column of M), a on the left.
 
     Each term pairs the support of a coefficient a with a column of M given
-    as (row, support of the entry) pairs.  Sums accumulate in integer lists;
-    only the nonzero ones become GroupRingElements.
+    as (row, support of the entry) pairs.  Sums accumulate in integer lists,
+    one kernel call per term; only the nonzero ones become GroupRingElements.
     """
-    table, order = group.table, group.order
     acc: dict[int, list[int]] = {}
     for a_supp, col in terms:
-        for i, m_supp in col:
-            c = acc.get(i)
-            if c is None:
-                c = acc[i] = [0] * order
-            _convolve_into(c, table, a_supp, m_supp)
+        _convolve_into(acc, group, a_supp, col)
     return {i: GroupRingElement(group, c) for i, c in acc.items() if any(c)}
 
 

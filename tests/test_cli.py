@@ -176,6 +176,19 @@ def test_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_product_table_budget_counts_the_join_it_reads(capsys):
+    # the 1x1 product reads the join of C4's periodic resolution through
+    # degree 3, expanded size 4 x 14 = 56; degree 4 (4 x 18 = 72) is never
+    # built, so a budget between the two suffices
+    code, out, _ = run(capsys, "product-table", "--group", "cyclic:4",
+                       "--pairs", "1x1", "--max-zrank", "60")
+    assert code == 0
+    assert json.loads(out)["entries"][0]["agree"] is True
+    code, _, err = run(capsys, "product-table", "--group", "cyclic:4",
+                       "--pairs", "1x1", "--max-zrank", "50")
+    assert code == 3 and "join" in err
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("TATEJOIN_MAX_ZRANK", "600")
     code, _, err = run(capsys, "homology", "--group", "q8",

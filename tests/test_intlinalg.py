@@ -255,11 +255,13 @@ def test_solve_random_verified_by_multiplication():
 
 
 def test_solver_check_is_not_an_assert():
-    # a doctored factorization yields a wrong x; the check must raise, not
-    # assert, so python -O cannot switch it off
+    # doctored solve steps yield a wrong x; the check must raise, not
+    # assert, so python -O cannot switch it off.  The first solve stores
+    # the sparse step of each pivot it uses; later solves read it.
     solver = solver_of(IntMatrix([[2, 0], [0, 3]]))
     assert solver.solve([4, 9]) == [2, 3]
-    solver.vcols[0] = [2 * v for v in solver.vcols[0]]
+    piv, hc, vc = solver._steps[0]
+    solver._steps[0] = (piv, hc, [(i, 2 * v) for i, v in vc])
     with pytest.raises(InternalCheckError):
         solver.solve([4, 9])
 

@@ -17,8 +17,8 @@ from tatejoin import (ChainMap, GroupRingElement, InternalCheckError,
                       composition_product, cyclic, dihedral,
                       from_permutations, homology, join_product,
                       lift_comparison, periodic_cyclic_resolution,
-                      phi_inverse, product_table, quaternion8, symmetric,
-                      syzygy_resolution)
+                      phi_inverse, product_table, quaternion8, run_verify,
+                      symmetric, syzygy_resolution)
 
 
 def test_cyclic_generator_products_have_maximal_order():
@@ -267,3 +267,45 @@ def test_composition_lift_is_a_chain_map(group, depth):
             col = [psi0.get(i, j) for i in range(res.ranks[2])]
             assert res.apply_differential(2, col) == \
                 [v.scale(res.aug[j]) for v in seed]
+
+
+def test_doctored_seed_fails_the_base_case():
+    res = periodic_cyclic_resolution(3, 5)
+    zb = homology(res, 1).generators[0]
+    lift = ProductContext(res)._g_lift(1, zb)
+    lift.materialize(2)  # the true seed passes
+    # the degree-0 columns are memoized, so after the seed changes only
+    # the base case d_2 o psi_0 = seed . eps can notice
+    lift.seed = [v.scale(2) for v in lift.seed]
+    with pytest.raises(InternalCheckError, match="base case"):
+        lift.materialize(2)
+    with pytest.raises(ValueError, match="needs a seed"):
+        ChainMap(res, res, 2, {})
+
+
+def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
+    import tatejoin.products as products
+    depths = []
+    real_join = products.join
+
+    def recording_join(P, Q, n, max_zrank=None):
+        depths.append(n)
+        return real_join(P, Q, n, max_zrank=max_zrank)
+
+    monkeypatch.setattr(products, "join", recording_join)
+    res = periodic_cyclic_resolution(3, 6)
+    a = homology(res, 1).generators[0]
+    b = homology(res, 3).generators[0]
+    table = product_table(res, [(1, 1), (3, 1), (1, 3)])
+    assert table.all_agree and depths == [5]
+    join_product(res, 1, a, 3, b)
+    assert depths == [5, 5]
+    ctx = ProductContext(res)
+    ctx.join_product(1, a, 1, a)
+    ctx.join_product(1, a, 3, b)
+    assert depths == [5, 5, 3, 5]
+    # verify checks join ranks to degree 4, then needs no deeper join for
+    # its products, whose output degree is at most depth - 1 = 4
+    del depths[:]
+    assert run_verify(periodic_cyclic_resolution(3, 5), rounds=1).passed
+    assert depths == [4]
