@@ -249,6 +249,9 @@ PINNED_SYZYGY = {
               "bf33f54264f317ec976f5499a2db06388e2ea5fc202067d49ad59dc4d22d13f5"),
     "S3-relabelled": (lambda: from_permutations(3, [[1, 0, 2], [1, 2, 0]]), 10,
                       "4533cc58c73379cce1faa02dc1774ae6f8fb41df3e831ddfa8a0727a4b2904c2"),
+    "C3xC3": (lambda: from_permutations(6, [[1, 2, 0, 3, 4, 5],
+                                            [0, 1, 2, 4, 5, 3]]), 6,
+              "c0e6b6f6a03b85574d1d0ff768b9259b99c510d79fe3fd0cf6dd34a97371026d"),
 }
 
 
