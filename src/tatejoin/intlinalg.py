@@ -621,16 +621,6 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "IntegerLattice":
-        """An independent lattice with the same basis.
-
-        The row dicts are shared: add() and its reduction always replace a
-        row by a new dict and never change one in place.
-        """
-        out = IntegerLattice()
-        out.rows = dict(self.rows)
-        return out
-
     def add(self, vec: dict[int, int]) -> bool:
         """Insert a vector; returns True if the lattice grew (rank or index)."""
         vec = {j: v for j, v in vec.items() if v}
@@ -659,21 +649,25 @@ class IntegerLattice:
 
     def _reduce(self) -> None:
         # keep every entry under a pivot column balanced-reduced mod that
-        # pivot; left unchecked, echelon entry growth is exponential in rank
+        # pivot, else entries grow exponentially; copy a changed row once
         leads = sorted(self.rows)
         for i, ji in enumerate(leads):
             row = self.rows[ji]
             for jm in leads[i + 1:]:
                 v = row.get(jm)
-                if v is not None:
+                if v:
                     p = self.rows[jm][jm]
                     r = v % p
                     if 2 * r > p:
                         r -= p
                     q = (v - r) // p
                     if q:
-                        row = _row_combine(1, row, -q, self.rows[jm])
-            self.rows[ji] = row
+                        if row is self.rows[ji]:
+                            row = dict(row)
+                        for j, w in self.rows[jm].items():
+                            row[j] = row.get(j, 0) - q * w
+            if row is not self.rows[ji]:
+                self.rows[ji] = {j: v for j, v in row.items() if v}
 
     def contains(self, vec: dict[int, int]) -> bool:
         vec = {j: v for j, v in vec.items() if v}
@@ -684,6 +678,19 @@ class IntegerLattice:
                 return False
             vec = _row_combine(1, vec, -(vec[j] // row[j]), row)
         return True
+
+
+def f2_rank(masks: Iterable[int]) -> int:
+    """The F_2 rank of integer rows mod 2, given as bitmasks (bit j: column j)."""
+    basis: dict[int, int] = {}  # XOR basis keyed by top bit
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in basis:
+                basis[top] = m
+                break
+            m ^= basis[top]
+    return len(basis)
 
 
 def _row_combine(s: int, a: dict[int, int], t: int,

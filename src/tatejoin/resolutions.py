@@ -41,7 +41,7 @@ from .errors import (InternalCheckError, ResolutionError, SchemaError,
 from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
                      _read_json, build_group)
 from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
-                        kernel_basis, lll_reduce_rows,
+                        f2_rank, kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
 from .zglinalg import ZGMatrix, check_zrank, unflatten_vector
 
@@ -426,15 +426,15 @@ def syzygy_resolution(group: FiniteGroup, n: int,
                       max_zrank: int | None = None) -> Resolution:
     """A computed low-rank resolution: each differential covers the previous kernel.
 
-    Degree k+1 generators are found by taking an integer kernel basis of the
-    expanded d_k, computing the sublattice each vector's group orbit spans,
-    and greedily accumulating orbits (largest first) until the whole kernel
-    lattice is covered, as equal reduced echelon bases certify; a
-    reverse-delete pass then drops redundant generators.  Covering the full
-    kernel lattice, not merely a finite-index sublattice, is exactly
-    degreewise exactness, so the result passes the same certificate as any
-    other resolution.  Generator counts are not guaranteed minimal, only
-    small.
+    Degree k+1 generators are found by greedily accumulating group orbits
+    of a kernel basis of the expanded d_k (largest first) until they cover
+    the kernel lattice K, as equal reduced echelon bases certify.
+    Reverse-delete keeps a generator when an F_2 rank deficit of the rest
+    proves it needed (K is saturated), drops it only when exact bases show
+    the rest span K, then checks the survivors' basis against K's.  Covering
+    K, not merely a finite-index sublattice, is exactly degreewise
+    exactness, so the result passes the same certificate as any other
+    resolution.  Generator counts are not guaranteed minimal, only small.
     """
     if n < 0:
         raise ResolutionError("depth must be nonnegative")
@@ -461,7 +461,9 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     z_cols are the sparse integer columns of the expansion (rank_above * |G|
     of them) and nrows its row count.  Returns the next differential: a
     matrix with rank_above rows whose columns' orbits span the integer
-    kernel lattice exactly.
+    kernel lattice K exactly.  Certificates: the greedy basis equals K's; a
+    generator is kept on an F_2 rank deficit of the rest (K is saturated, so
+    dim K (x) F_2 = rank K) or unequal exact bases; survivors span K.
     """
     order = group.order
     # ``full`` holds the reduced echelon basis of the kernel lattice.  That
@@ -487,17 +489,10 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     # the orbit of candidate t; orbits[t][0] is the candidate itself
     z = candidates.z_columns()
     orbits = [z[t * order:(t + 1) * order] for t in range(len(dense))]
-
-    def add_orbits(lat, idxs):
-        for t in idxs:
-            for vec in orbits[t]:
-                lat.add(vec)
-        return lat
-
-    width = rank_above * order
-    orbit_rank = [_rank_and_minor(IntMatrix(
-        [[v.get(i, 0) for i in range(width)] for v in orbit]))[0]
-        for orbit in orbits]
+    masks = [[sum(1 << i for i, x in vec.items() if x & 1) for vec in orbit]
+             for orbit in orbits]
+    pivots = sorted(full.rows)
+    orbit_rank = [_orbit_rank(o, m, pivots) for o, m in zip(orbits, masks)]
     order_pref = sorted(range(len(orbits)),
                         key=lambda t: (-orbit_rank[t], t))
     chosen: list[int] = []
@@ -505,27 +500,50 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     for t in order_pref:
         if not lat.contains(orbits[t][0]):
             chosen.append(t)
-            add_orbits(lat, [t])
-    # Orbit vectors never leave the kernel, and equal reduced echelon bases
-    # are equal lattices, so a lattice of orbits covers the kernel exactly
-    # when its rows are full's.  The greedy lattice holds every candidate,
-    # hence the kernel; comparing the bases certifies that.
+            for vec in orbits[t]:
+                lat.add(vec)
+    # orbits stay in K, and equal reduced echelon bases are equal lattices;
+    # the greedy lattice holds every candidate, a basis of K
     if lat.rows != full.rows:
         raise InternalCheckError("orbit cover missed part of the kernel lattice")
-    # reverse-delete: drop any generator whose orbit is redundant.  ``kept``
-    # is the lattice of the generators kept so far, so generator i is tested
-    # by adding only the orbits of the generators after it to a copy.
-    kept = IntegerLattice()
-    survivors = []
+    survivors: list[int] = []
     for i, t in enumerate(chosen):
-        if add_orbits(kept.copy(), chosen[i + 1:]).rows != full.rows:
+        rest = survivors + chosen[i + 1:]
+        if not _spans_kernel(full, orbits, rest,
+                             f2_rank(m for u in rest for m in masks[u])):
             survivors.append(t)
-            add_orbits(kept, [t])
-    if kept.rows != full.rows:
-        raise InternalCheckError("reverse-delete dropped part of the kernel "
-                                 "lattice")
+    if survivors != chosen:
+        lat = IntegerLattice()
+        for vec in (vec for t in survivors for vec in orbits[t]):
+            lat.add(vec)
+        if lat.rows != full.rows:
+            raise InternalCheckError(
+                "reverse-delete dropped part of the kernel lattice")
     return ZGMatrix(group, rank_above,
                     [candidates.column(t) for t in sorted(survivors)])
+
+
+def _orbit_rank(orbit: list[dict[int, int]], masks: list[int],
+                pivots: list[int]) -> int:
+    """An orbit's rank: rank mod 2 <= rank <= min(|G|, rank K) often meet;
+    else Bareiss on K's pivot columns, onto which K's span projects 1-1."""
+    low = f2_rank(masks)
+    if low == min(len(orbit), len(pivots)):
+        return low
+    return _rank_and_minor(IntMatrix(
+        [[v.get(j, 0) for j in pivots] for v in orbit]))[0]
+
+
+def _spans_kernel(full: IntegerLattice, orbits: list[list[dict[int, int]]],
+                  idxs: list[int], rank2: int) -> bool:
+    """Whether the orbits of idxs, of rank rank2 mod 2, span K: never when
+    rank2 < rank K = dim K (x) F_2, else when their echelon bases agree."""
+    if rank2 < full.rank:
+        return False
+    lat = IntegerLattice()
+    for vec in (vec for t in idxs for vec in orbits[t]):
+        lat.add(vec)
+    return lat.rows == full.rows
 
 
 # -- the join -----------------------------------------------------------------

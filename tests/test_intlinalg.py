@@ -342,6 +342,32 @@ def test_lattice_entries_stay_reduced():
     assert max(abs(v) for row in rows for v in row.values()) < 10 ** 6
 
 
+def naive_f2_rank(rows):
+    rows = [r[:] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_f2_rank_matches_gaussian_elimination():
+    # masks as the syzygy cover builds them: bit j is column j
+    rng = random.Random(11)
+    for _ in range(200):
+        ncols = rng.randrange(1, 40)
+        rows = [[int(rng.random() < 0.3) for _ in range(ncols)]
+                for _ in range(rng.randrange(0, 25))]
+        masks = [sum(b << j for j, b in enumerate(r)) for r in rows]
+        assert intlinalg.f2_rank(masks) == naive_f2_rank(rows)
+
+
 def _lattice(vectors):
     lat = IntegerLattice()
     for v in vectors:

@@ -23,7 +23,7 @@ from tatejoin import (GroupRingElement, InternalCheckError,
                       periodic_cyclic_resolution, quaternion8, symmetric,
                       syzygy_resolution, validate_resolution)
 from tatejoin import resolutions
-from tatejoin.intlinalg import IntegerLattice
+from tatejoin.intlinalg import IntegerLattice, IntMatrix, _rank_and_minor
 from tatejoin.tate import down_vector
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
@@ -213,18 +213,77 @@ def test_syzygy_cover_certificate_is_live(monkeypatch):
         syzygy_resolution(symmetric(3), 3)
 
 
+def c3xc3():
+    return from_permutations(6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
+
+
 def test_syzygy_reverse_delete_certificate_is_live(monkeypatch):
-    # a reverse-delete pass that finds every generator redundant keeps
-    # none; the final basis comparison must catch it, as a named error
-    class CoversAll:
-        rows = type("AnyBasis", (), {"__ne__": lambda self, other: False})()
-
-        def add(self, vec):
-            return False
-
-    monkeypatch.setattr(IntegerLattice, "copy", lambda self: CoversAll())
+    # an exact drop test that finds every generator redundant drops one that
+    # C3xC3 needs, where |G| is odd and no F_2 deficit proves it needed; the
+    # survivors' basis comparison must catch it, as a named error
+    monkeypatch.setattr(resolutions, "_spans_kernel",
+                        lambda full, orbits, idxs, f2_rank:
+                        f2_rank >= full.rank)
     with pytest.raises(InternalCheckError, match="reverse-delete"):
-        syzygy_resolution(symmetric(3), 3)
+        syzygy_resolution(c3xc3(), 3)
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral(4), c3xc3])
+def test_syzygy_cover_survives_a_lying_f2_rank(monkeypatch, make):
+    # an F_2 helper that finds every span deficient sends every orbit rank
+    # to Bareiss and makes every generator look needed: nothing is dropped,
+    # and the resolution is still exact, with the same homology
+    want = syzygy_resolution(make(), 5)
+    monkeypatch.setattr(resolutions, "f2_rank", lambda masks: 0)
+    got = syzygy_resolution(make(), 5)
+    assert validate_resolution(got).passed
+    assert all(a >= b for a, b in zip(got.ranks, want.ranks))
+    assert [homology(got, n).invariant_factors for n in range(1, 5)] == \
+        [homology(want, n).invariant_factors for n in range(1, 5)]
+
+
+RESOLVE_GROUPS = {
+    "D4": (lambda: dihedral(4), 7),
+    "S3": (lambda: symmetric(3), 8),
+    "Q8": (quaternion8, 8),
+    "C2^3": (lambda: from_permutations(6, [[1, 0, 2, 3, 4, 5],
+                                           [0, 1, 3, 2, 4, 5],
+                                           [0, 1, 2, 3, 5, 4]]), 4),
+    "S4": (lambda: symmetric(4), 5),
+}
+
+
+@pytest.mark.parametrize("name", RESOLVE_GROUPS)
+def test_syzygy_f2_shortcuts_agree_with_exact_oracles(monkeypatch, name):
+    # every orbit rank the cover takes (from F_2 bounds or pivot columns)
+    # equals full-width Bareiss, and every generator an F_2 deficit keeps is
+    # also needed by an exact lattice built here
+    ranks, deficits = [], []
+    orbit_rank, spans_kernel = resolutions._orbit_rank, resolutions._spans_kernel
+
+    def recorded_rank(orbit, masks, pivots):
+        ranks.append((orbit, orbit_rank(orbit, masks, pivots)))
+        return ranks[-1][1]
+
+    def recorded_spans(full, orbits, idxs, f2_rank):
+        if f2_rank < full.rank:
+            deficits.append((full, [orbits[t] for t in idxs]))
+        return spans_kernel(full, orbits, idxs, f2_rank)
+
+    monkeypatch.setattr(resolutions, "_orbit_rank", recorded_rank)
+    monkeypatch.setattr(resolutions, "_spans_kernel", recorded_spans)
+    make, depth = RESOLVE_GROUPS[name]
+    syzygy_resolution(make(), depth)
+    assert ranks and deficits
+    for orbit, rank in ranks:
+        width = 1 + max(j for vec in orbit for j in vec)
+        dense = [[vec.get(j, 0) for j in range(width)] for vec in orbit]
+        assert rank == _rank_and_minor(IntMatrix(dense))[0]
+    for full, orbits in deficits:
+        lat = IntegerLattice()
+        for vec in (vec for orbit in orbits for vec in orbit):
+            lat.add(vec)
+        assert lat.rows != full.rows
 
 
 # sha256 of json.dumps(to_json(), sort_keys=True).  A change of any of these
@@ -249,8 +308,7 @@ PINNED_SYZYGY = {
               "bf33f54264f317ec976f5499a2db06388e2ea5fc202067d49ad59dc4d22d13f5"),
     "S3-relabelled": (lambda: from_permutations(3, [[1, 0, 2], [1, 2, 0]]), 10,
                       "4533cc58c73379cce1faa02dc1774ae6f8fb41df3e831ddfa8a0727a4b2904c2"),
-    "C3xC3": (lambda: from_permutations(6, [[1, 2, 0, 3, 4, 5],
-                                            [0, 1, 2, 4, 5, 3]]), 6,
+    "C3xC3": (c3xc3, 6,
               "c0e6b6f6a03b85574d1d0ff768b9259b99c510d79fe3fd0cf6dd34a97371026d"),
 }
 
