@@ -681,7 +681,7 @@ class IntegerLattice:
 
 
 def f2_rank(masks: Iterable[int]) -> int:
-    """The F_2 rank of integer rows mod 2, given as bitmasks (bit j: column j)."""
+    """The F_2 rank of integer rows mod 2, as bitmasks (bit j: column j)."""
     basis: dict[int, int] = {}  # XOR basis keyed by top bit
     for m in masks:
         while m:

@@ -222,8 +222,7 @@ def test_syzygy_reverse_delete_certificate_is_live(monkeypatch):
     # C3xC3 needs, where |G| is odd and no F_2 deficit proves it needed; the
     # survivors' basis comparison must catch it, as a named error
     monkeypatch.setattr(resolutions, "_spans_kernel",
-                        lambda full, orbits, idxs, f2_rank:
-                        f2_rank >= full.rank)
+                        lambda full, orbits, idxs, rank2: rank2 >= full.rank)
     with pytest.raises(InternalCheckError, match="reverse-delete"):
         syzygy_resolution(c3xc3(), 3)
 
@@ -259,16 +258,17 @@ def test_syzygy_f2_shortcuts_agree_with_exact_oracles(monkeypatch, name):
     # equals full-width Bareiss, and every generator an F_2 deficit keeps is
     # also needed by an exact lattice built here
     ranks, deficits = [], []
-    orbit_rank, spans_kernel = resolutions._orbit_rank, resolutions._spans_kernel
+    orbit_rank = resolutions._orbit_rank
+    spans_kernel = resolutions._spans_kernel
 
     def recorded_rank(orbit, masks, pivots):
         ranks.append((orbit, orbit_rank(orbit, masks, pivots)))
         return ranks[-1][1]
 
-    def recorded_spans(full, orbits, idxs, f2_rank):
-        if f2_rank < full.rank:
+    def recorded_spans(full, orbits, idxs, rank2):
+        if rank2 < full.rank:
             deficits.append((full, [orbits[t] for t in idxs]))
-        return spans_kernel(full, orbits, idxs, f2_rank)
+        return spans_kernel(full, orbits, idxs, rank2)
 
     monkeypatch.setattr(resolutions, "_orbit_rank", recorded_rank)
     monkeypatch.setattr(resolutions, "_spans_kernel", recorded_spans)
