@@ -8,10 +8,17 @@ representatives y_a, y_b, the product is carried by the chain
 whose down-image is a cycle (the boundary's only surviving term is killed by
 the norm against the augmentation ideal).  A degree-0 comparison map from
 the join back to P transports the class, and the answer is classified in
-H_{n+m+1}(P).  The join is built, certified and charged to the size budget
-only through degree n+m+1: the chain, its boundary certificate and the
-comparison columns read no higher differential.  P itself must reach
-degree n+m+2, since classifying in degree n+m+1 reads D_{n+m+2}.
+H_{n+m+1}(P).  P itself must reach degree n+m+2, since classifying in
+degree n+m+1 reads D_{n+m+2}.
+
+The product reads only the join of the n- and m-skeleta, P_{<=n} * P_{<=m}
+through degree n+m+1, which is built, certified and charged to the size
+budget in place of the whole P*P.  It is a free resolution through that
+degree (see ``resolutions``), so a comparison map from it exists, and it is
+a subcomplex of P*P on the same basis tuples that holds the product chain.
+The boundary certificate and every comparison column the product reads stay
+inside it, so the lifted columns and the classes are those of the whole
+join.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -191,27 +198,50 @@ def lift_comparison(source: Resolution, target: Resolution,
 class ProductContext:
     """Shared caches for computing many products over one resolution.
 
-    Holds the join P*P (grown lazily to the deepest output degree n+m+1
-    requested), the lazy comparison lift join -> P, and the lazy chain
+    Holds one join P_{<=N} * P_{<=M} through degree D, grown lazily to the
+    componentwise maximum (N, M, D) of what the products ask for; a union of
+    boxes is not the join of two resolutions, so the box is the bounding
+    one.  Also holds the lazy comparison lift join -> P, and the lazy chain
     self-maps of the composition pipeline, which share one dict of solvers
     for P's differentials.  All methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_join", "_lift", "_solvers", "_glifts")
+    __slots__ = ("P", "max_zrank", "_box", "_join", "_lift", "_solvers",
+                 "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
         self.max_zrank = max_zrank
+        self._box: tuple[int, int, int] | None = None
         self._join: JoinResolution | None = None
         self._lift: ComparisonLift | None = None
         self._solvers: dict[int, ZGSolver] = {}
         self._glifts: dict[tuple, ComparisonLift] = {}
 
-    def join_to(self, depth: int) -> JoinResolution:
-        if self._join is None or self._join.depth < depth:
-            self._join = join(self.P, self.P, depth, max_zrank=self.max_zrank)
+    def join_to(self, n: int, m: int | None = None,
+                degree: int | None = None) -> JoinResolution:
+        """The join of P_{<=n} with P_{<=m} through ``degree``, or a larger one.
+
+        m defaults to n and degree to n + m + 1, the output degree of a
+        product of bidegree (n, m).  The join is rebuilt, and its lift
+        started afresh, only when the box (n, m, degree) grows it.
+        """
+        m = n if m is None else m
+        want = (n, m, n + m + 1 if degree is None else degree)
+        box = want if self._box is None else tuple(map(max, self._box, want))
+        if box != self._box:
+            N, M, D = box
+            Pn = self.P.truncated(N)
+            Pm = Pn if M == N else self.P.truncated(M)
+            self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
             self._lift = ComparisonLift(self._join, self.P)
+            self._box = box
         return self._join
+
+    def join_for(self, pairs: Sequence[tuple[int, int]]) -> JoinResolution:
+        """The one join that the products of all the given bidegrees read."""
+        return self.join_to(max(n for n, _ in pairs), max(m for _, m in pairs),
+                            max(n + m + 1 for n, m in pairs))
 
     def lift(self) -> ComparisonLift:
         if self._lift is None:
@@ -230,7 +260,7 @@ class ProductContext:
         y = lift_vector(P, m, zb)
         if not is_cycle(P, m, zb):
             raise ResolutionError("second factor is not a cycle")
-        J = self.join_to(out_deg)
+        J = self.join_to(n, m)
         w = include_cycle_tensor(J, x.vector, n, y, m)
         # the boundary must die after tensoring down (norm against the
         # augmentation ideal); anything else is a sign bug, not bad input
@@ -348,7 +378,7 @@ def product_table(P: Resolution, pairs: Sequence[tuple[int, int]],
     ctx = ProductContext(P, max_zrank=max_zrank)
     if pairs:
         # size the join once; rebuilding it per pair order would redo lifts
-        ctx.join_to(max(n + m + 1 for n, m in pairs))
+        ctx.join_for(pairs)
     entries = []
     for n, m in pairs:
         hn = homology(P, n)

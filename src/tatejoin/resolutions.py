@@ -27,6 +27,14 @@ rank(P_{k-1}) * |G| * rank(Q_{d-k}).  The boundary follows the suspension
 sign rule: on x (x) s it is dx (x) s + (-1)^{|x|+1} x (x) ds, where |x| is
 the P-degree, the Z factor sits in degree -1, and the boundary out of degree
 0 is the augmentation.
+
+A summand exists only where both of its factor degrees are within depth, so
+the join of a depth-p P with a depth-q Q is the join of the p- and
+q-skeleta.  As augmented complexes, P has homology only in degree p and
+Q only in degree q, so by Kuenneth their join is exact below degree p+q+1
+(as Milnor's join of a (p-1)- with a (q-1)-connected space is
+(p+q)-connected): it is a free resolution through degree p+q+1, the deepest
+degree ``join`` builds.
 """
 
 from __future__ import annotations
@@ -59,13 +67,7 @@ class Resolution:
     def __init__(self, group: FiniteGroup, ranks: Sequence[int],
                  diffs: Sequence[ZGMatrix], augmentation: Sequence[int],
                  label: str = "res"):
-        self.group = group
-        self.ranks = tuple(int(r) for r in ranks)
-        self.diffs = tuple(diffs)
-        self.aug = tuple(int(a) for a in augmentation)
-        self.label = label
-        self._down: dict[int, list[dict[int, int]]] = {}
-        self._hcache: dict = {}  # homology-side caches, see tate module
+        self._fill(group, ranks, diffs, augmentation, label)
         if not self.ranks or any(r < 0 for r in self.ranks):
             raise ResolutionError("ranks must be a nonempty list of nonnegative integers")
         if len(self.diffs) != len(self.ranks) - 1:
@@ -85,6 +87,15 @@ class Resolution:
             if not ok:
                 raise ResolutionError(detail)
 
+    def _fill(self, group, ranks, diffs, augmentation, label) -> None:
+        self.group = group
+        self.ranks = tuple(int(r) for r in ranks)
+        self.diffs = tuple(diffs)
+        self.aug = tuple(int(a) for a in augmentation)
+        self.label = label
+        self._down: dict[int, list[dict[int, int]]] = {}
+        self._hcache: dict = {}  # homology-side caches, see tate module
+
     @property
     def depth(self) -> int:
         return len(self.ranks) - 1
@@ -98,6 +109,20 @@ class Resolution:
         if not 1 <= k <= self.depth:
             raise ResolutionError(f"no differential at degree {k} (depth {self.depth})")
         return self.diffs[k - 1]
+
+    def truncated(self, k: int) -> "Resolution":
+        """The k-skeleton: degrees 0..k, sharing this resolution's maps.
+
+        Those maps are immutable and passed this resolution's constructor
+        checks, so the view does not run them again.
+        """
+        if k == self.depth:
+            return self
+        self.rank(k)  # a named error outside 0..depth
+        view = Resolution.__new__(Resolution)
+        view._fill(self.group, self.ranks[:k + 1], self.diffs[:k], self.aug,
+                   f"{self.label}<={k}")
+        return view
 
     def apply_differential(self, k: int, vec: Sequence[GroupRingElement]
                            ) -> list[GroupRingElement]:
@@ -553,27 +578,29 @@ def _spans_kernel(full: IntegerLattice, orbits: list[list[dict[int, int]]],
 # factors use placeholder index -1 and identity g: (0, -1, 0, j) is the
 # basis of Z (x) Q_d, and (d+1, i, 0, -1) the basis of P_d (x) Z.
 
+def _rank_within(R: Resolution, k: int) -> int:
+    """rank R_k, or 0 beyond R's depth, where a truncated factor has none."""
+    return R.ranks[k] if k <= R.depth else 0
+
+
 def _join_basis(P: Resolution, Q: Resolution, d: int) -> list[tuple]:
     order = P.group.order
-    basis = []
-    for j in range(Q.rank(d)):
-        basis.append((0, -1, 0, j))
+    basis = [(0, -1, 0, j) for j in range(_rank_within(Q, d))]
     for k in range(1, d + 1):
-        for i in range(P.rank(k - 1)):
+        for i in range(_rank_within(P, k - 1)):
             for g in range(order):
-                for j in range(Q.rank(d - k)):
+                for j in range(_rank_within(Q, d - k)):
                     basis.append((k, i, g, j))
-    for i in range(P.rank(d)):
-        basis.append((d + 1, i, 0, -1))
+    basis += [(d + 1, i, 0, -1) for i in range(_rank_within(P, d))]
     return basis
 
 
 def join_rank(P: Resolution, Q: Resolution, d: int) -> int:
     """rank (P*Q)_d = sum over summands, |G| wide except at the two Z ends."""
     order = P.group.order
-    total = Q.rank(d) + P.rank(d)
+    total = _rank_within(Q, d) + _rank_within(P, d)
     for k in range(1, d + 1):
-        total += P.rank(k - 1) * order * Q.rank(d - k)
+        total += _rank_within(P, k - 1) * order * _rank_within(Q, d - k)
     return total
 
 
@@ -601,16 +628,18 @@ def join(P: Resolution, Q: Resolution, n: int,
          max_zrank: int | None = None) -> JoinResolution:
     """The join resolution P*Q through degree n.
 
-    Requires P and Q to be resolutions of the same group, both of depth at
-    least n.  The suspension sign convention and the untwisting convention
-    are fixed here once; the constructor's d o d = 0 check guards both.
+    Requires P and Q to be resolutions of the same group with
+    n <= depth P + depth Q + 1, the degree below which the join is exact;
+    a summand beyond either factor's depth is left out.  The suspension
+    sign convention and the untwisting convention are fixed here once; the
+    constructor's d o d = 0 check guards both.
     """
     if P.group != Q.group:
         raise ResolutionError("join factors must resolve the same group")
-    if P.depth < n or Q.depth < n:
+    if n > P.depth + Q.depth + 1:
         raise ResolutionError(
-            f"join to degree {n} needs both factors to depth {n} "
-            f"(have {P.depth} and {Q.depth})")
+            f"join to degree {n} needs factor depths summing to at least "
+            f"{n - 1} (have {P.depth} and {Q.depth})")
     G = P.group
     order = G.order
     inv = G.inverse

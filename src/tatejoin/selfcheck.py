@@ -33,15 +33,16 @@ def _check_group_laws(rep: ValidationReport, group) -> None:
 
 
 def _check_join_ranks(rep: ValidationReport, ctx: ProductContext,
-                      depth: int) -> None:
-    if depth < 1:
-        rep.record("join:ranks", True, "depth too small; skipped")
+                      pairs: Sequence[tuple[int, int]]) -> None:
+    if not pairs:
+        rep.record("join:ranks", True,
+                   "no feasible bidegrees at this depth; skipped")
         return
-    J = ctx.join_to(depth)
+    J = ctx.join_for(pairs)
     ok = True
-    detail = f"degrees 0..{J.depth}"
+    detail = f"degrees 0..{J.depth} of P<={J.P.depth} * P<={J.Q.depth}"
     for d in range(J.depth + 1):
-        want = join_rank(ctx.P, ctx.P, d)
+        want = join_rank(J.P, J.Q, d)
         if J.ranks[d] != want or len(J.bases[d]) != want:
             ok = False
             detail = (f"degree {d}: built rank {J.ranks[d]}, basis "
@@ -105,15 +106,15 @@ def _add_classes(factors: Sequence[int], u: Sequence[int],
     return tuple(out)
 
 
-def _check_products(rep: ValidationReport, ctx: ProductContext, rng,
+def _check_products(rep: ValidationReport, ctx: ProductContext,
+                    pairs: Sequence[tuple[int, int]], rng,
                     rounds: int) -> None:
     res = ctx.P
-    pairs = _feasible_pairs(res.depth)
     if not pairs:
         rep.record("products:pipeline_agreement", True,
                    "no feasible bidegrees at this depth; skipped")
         return
-    ctx.join_to(max(n + m + 1 for n, m in pairs))
+    ctx.join_for(pairs)
     for n, m in pairs:
         gens_a = homology(res, n).generators
         gens_b = homology(res, m).generators
@@ -198,8 +199,9 @@ def run_verify(res: Resolution, seed: int = 0, rounds: int = 5,
     for c in inner.checks:
         rep.record(f"resolution:{c['name']}", c["passed"], c["detail"])
     ctx = ProductContext(res, max_zrank=max_zrank)
-    _check_join_ranks(rep, ctx, min(res.depth, 4))
+    pairs = _feasible_pairs(res.depth)
+    _check_join_ranks(rep, ctx, pairs)
     _check_phi(rep, res, rng, rounds)
     _check_tate_degrees(rep, res)
-    _check_products(rep, ctx, rng, rounds)
+    _check_products(rep, ctx, pairs, rng, rounds)
     return rep

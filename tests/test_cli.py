@@ -177,15 +177,15 @@ def test_budget_exit_3(capsys):
 
 
 def test_product_table_budget_counts_the_join_it_reads(capsys):
-    # the 1x1 product reads the join of C4's periodic resolution through
-    # degree 3, expanded size 4 x 14 = 56; degree 4 (4 x 18 = 72) is never
-    # built, so a budget between the two suffices
+    # the 1x1 product reads the join of the 1-skeleta of C4's periodic
+    # resolution through degree 3, ranks (2, 6, 8, 4), so its largest
+    # expanded size is 4 x 8 = 32: that budget suffices, one less does not
     code, out, _ = run(capsys, "product-table", "--group", "cyclic:4",
-                       "--pairs", "1x1", "--max-zrank", "60")
+                       "--pairs", "1x1", "--max-zrank", "32")
     assert code == 0
     assert json.loads(out)["entries"][0]["agree"] is True
     code, _, err = run(capsys, "product-table", "--group", "cyclic:4",
-                       "--pairs", "1x1", "--max-zrank", "50")
+                       "--pairs", "1x1", "--max-zrank", "31")
     assert code == 3 and "join" in err
 
 

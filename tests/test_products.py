@@ -12,13 +12,15 @@ import random
 
 import pytest
 
-from tatejoin import (ChainMap, GroupRingElement, InternalCheckError,
-                      ProductContext, ResolutionError, ZGMatrix, bar_resolution,
-                      composition_product, cyclic, dihedral,
-                      from_permutations, homology, join_product,
-                      lift_comparison, periodic_cyclic_resolution,
+from tatejoin import (ChainMap, ComparisonLift, GroupRingElement,
+                      InternalCheckError, ProductContext, ResolutionError,
+                      ZGMatrix, bar_resolution, composition_product, cyclic,
+                      dihedral, from_permutations, homology,
+                      include_cycle_tensor, join, join_product,
+                      lift_comparison, lift_vector, periodic_cyclic_resolution,
                       phi_inverse, product_table, quaternion8, run_verify,
                       symmetric, syzygy_resolution)
+from tatejoin.tate import down_vector
 
 
 def test_cyclic_generator_products_have_maximal_order():
@@ -309,3 +311,49 @@ def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
     del depths[:]
     assert run_verify(periodic_cyclic_resolution(3, 5), rounds=1).passed
     assert depths == [4]
+
+
+def _full_join_product(P, n, za, m, zb):
+    """Test oracle: the join pipeline through the whole join P*P."""
+    d = n + m + 1
+    J = join(P, P, d)
+    w = include_cycle_tensor(J, phi_inverse(P, n, za).vector, n,
+                             lift_vector(P, m, zb), m)
+    t = ComparisonLift(J, P).transport_down(d, down_vector(w))
+    return homology(P, d).classify(t)
+
+
+@pytest.mark.parametrize("build, n, m", [
+    (lambda: syzygy_resolution(dihedral(4), 9), 3, 3),
+    (lambda: syzygy_resolution(symmetric(3), 10), 1, 7),
+])
+def test_box_join_products_match_the_full_join(build, n, m):
+    P = build()
+    ctx = ProductContext(P)
+    pairs = [(za, zb) for za in homology(P, n).generators
+             for zb in homology(P, m).generators]
+    assert pairs
+    for za, zb in pairs:
+        assert ctx.join_product(n, za, m, zb) == \
+            _full_join_product(P, n, za, m, zb)
+
+
+def test_product_context_grows_its_box_componentwise(monkeypatch):
+    import tatejoin.products as products
+    calls = []
+    real_join = products.join
+
+    def recording_join(P, Q, n, max_zrank=None):
+        calls.append((P.depth, Q.depth, n))
+        return real_join(P, Q, n, max_zrank=max_zrank)
+
+    monkeypatch.setattr(products, "join", recording_join)
+    res = periodic_cyclic_resolution(3, 8)
+    ctx = ProductContext(res)
+    for n, m in ((1, 1), (1, 3), (3, 1), (1, 1), (3, 3)):
+        a = homology(res, n).generators[0]
+        b = homology(res, m).generators[0]
+        assert ctx.join_product(n, a, m, b) == \
+            ctx.composition_product(n, a, m, b)
+    # (1, 1) lies inside the box already built; (3, 3) grows the degree
+    assert calls == [(1, 1, 3), (1, 3, 5), (3, 3, 5), (3, 3, 7)]

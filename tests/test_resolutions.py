@@ -348,9 +348,41 @@ def test_join_basis_count_is_checked(monkeypatch):
 
 
 def test_join_requires_depth():
+    # depth-2 factors: their join is exact below degree 2 + 2 + 1 = 5, so
+    # it is a resolution through degree 5 and no further
     p = periodic_cyclic_resolution(2, 2)
+    rep = validate_resolution(join(p, p, 5))
+    assert rep.passed, rep.first_failure
     with pytest.raises(ResolutionError):
-        join(p, p, 3)
+        join(p, p, 6)
+
+
+@pytest.mark.parametrize("name, build, n, m", [
+    ("C4", lambda: periodic_cyclic_resolution(4, 3), 1, 3),
+    ("S3/5", lambda: syzygy_resolution(symmetric(3), 5), 2, 1),
+    ("D4/4", lambda: syzygy_resolution(dihedral(4), 4), 1, 2),
+    ("Q8", lambda: load_resolution(os.path.join(FIXTURES, "q8_periodic.json")),
+     2, 2),
+])
+def test_box_join_is_a_resolution(name, build, n, m):
+    # the join of the n- and m-skeleta is exact below degree n+m+1
+    res = build()
+    Pn, Pm = res.truncated(n), res.truncated(m)
+    assert (Pn.depth, Pm.depth) == (n, m)
+    assert Pn.diffs == res.diffs[:n] and Pm.aug == res.aug
+    J = join(Pn, Pm, n + m + 1)
+    for d in range(J.depth + 1):
+        assert J.ranks[d] == join_rank(Pn, Pm, d) == len(J.bases[d])
+    rep = validate_resolution(J)
+    assert rep.passed, (name, rep.first_failure)
+
+
+def test_truncation_outside_depth_is_refused():
+    res = periodic_cyclic_resolution(2, 3)
+    assert res.truncated(3) is res
+    for k in (-1, 4):
+        with pytest.raises(ResolutionError, match="outside"):
+            res.truncated(k)
 
 
 def test_join_budget():

@@ -3,6 +3,7 @@
 from tatejoin import (GroupRingElement, Resolution, ZGMatrix, cyclic,
                       norm_element, periodic_cyclic_resolution, run_verify,
                       syzygy_resolution, symmetric)
+from tatejoin import selfcheck
 
 
 def test_verify_passes_periodic_cyclic():
@@ -47,3 +48,17 @@ def test_verify_handles_shallow_resolution():
     rep = run_verify(periodic_cyclic_resolution(5, 2), seed=0)
     assert rep.passed, rep.first_failure
     assert any("skipped" in c["detail"] for c in rep.checks)
+
+
+def test_verify_checks_the_join_it_builds(monkeypatch):
+    # pairs up to 1x3 and 3x1 at depth 6: the bounding box of the 3-skeleta
+    # through output degree 5
+    res = periodic_cyclic_resolution(3, 6)
+    rep = run_verify(res, rounds=1)
+    line = next(c for c in rep.checks if c["name"] == "join:ranks")
+    assert line["passed"] and line["detail"] == "degrees 0..5 of P<=3 * P<=3"
+    real = selfcheck.join_rank
+    monkeypatch.setattr(selfcheck, "join_rank",
+                        lambda P, Q, d: real(P, Q, d) + (d == 4))
+    rep = run_verify(res, rounds=1)
+    assert not rep.passed and "degree 4" in rep.first_failure
