@@ -585,13 +585,16 @@ def _rank_within(R: Resolution, k: int) -> int:
 
 def _join_basis(P: Resolution, Q: Resolution, d: int) -> list[tuple]:
     order = P.group.order
-    basis = [(0, -1, 0, j) for j in range(_rank_within(Q, d))]
+    basis = []
+    for j in range(_rank_within(Q, d)):
+        basis.append((0, -1, 0, j))
     for k in range(1, d + 1):
         for i in range(_rank_within(P, k - 1)):
             for g in range(order):
                 for j in range(_rank_within(Q, d - k)):
                     basis.append((k, i, g, j))
-    basis += [(d + 1, i, 0, -1) for i in range(_rank_within(P, d))]
+    for i in range(_rank_within(P, d)):
+        basis.append((d + 1, i, 0, -1))
     return basis
 
 
