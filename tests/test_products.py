@@ -8,6 +8,8 @@ are for cyclic groups, where the product of generators is a generator of the
 output degree.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -357,3 +359,33 @@ def test_product_context_grows_its_box_componentwise(monkeypatch):
             ctx.composition_product(n, a, m, b)
     # (1, 1) lies inside the box already built; (3, 3) grows the degree
     assert calls == [(1, 1, 3), (1, 3, 5), (3, 3, 5), (3, 3, 7)]
+
+
+# The digests pin the lifted columns themselves, not only the classes they
+# give: a change of either is a change of the chain maps, to be announced.
+def _chain_map_digest(cm):
+    """sha256 of every component's entries, column by column, row-sorted."""
+    comps = {str(k): [mat.nrows, [[[i, list(v.c)] for i, v in
+                                   sorted(mat.column(j).items())]
+                                  for j in range(mat.ncols)]]
+             for k, mat in cm.components.items()}
+    text = json.dumps(comps, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_lifted_comparison_columns_are_byte_identical():
+    s3 = symmetric(3)
+    cm = lift_comparison(bar_resolution(s3, 4), syzygy_resolution(s3, 6), 4)
+    assert _chain_map_digest(cm) == \
+        "e11aae2141f89a0038101826d5d708c1c5ab4cae6e8ead11ee11c40bf15041c5"
+
+
+def test_lifted_self_map_columns_are_byte_identical():
+    res = syzygy_resolution(dihedral(4), 7)
+    ctx = ProductContext(res)
+    got = [_chain_map_digest(ctx._g_lift(1, zb).materialize(4))
+           for zb in homology(res, 1).generators]
+    assert got == [
+        "0246daaaaa783a6051717b0d9b11fe22306d6ecb30b21e90355a7b26c7c8d5a0",
+        "9f5a424e3511890e12fc91df1ba81f21ae685b10f7545e5e5f3e35323bed080c",
+    ]
