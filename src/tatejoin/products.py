@@ -31,11 +31,16 @@ Both pipelines lift into P with one lazy lifter, ``ComparisonLift``: shift
 0 for the join's comparison map, shift m+1 seeded by N.y_b for the self-map.
 Each lift has its own solvers, so the pipelines share no intermediate data,
 and a product lifts only the columns reachable from its input's support.
+A lifted column is a sparse Z[G] column, {row: nonzero entry}, and each
+right-hand side is one call of the convolution kernel behind
+``ZGMatrix.apply``.  The composition pipeline's last step, the self-map
+evaluated on N.y_a, stays on ring elements (``_add_multiple``), so the
+cross-check ends on arithmetic independent of that kernel.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError
 from .groups import GroupRingElement
@@ -43,7 +48,7 @@ from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, ZGSolver, vector_is_zero
+from .zglinalg import ZGMatrix, ZGSolver, _combine, vector_is_zero
 
 
 class ChainMap:
@@ -105,12 +110,16 @@ class ComparisonLift:
     """Lazy chain map of degree ``shift`` from one resolution into another.
 
     Column j in degree k, psi_k(e_j), is lifted through the exact target on
-    first use and memoized: degree 0 matches augmentations when shift is 0
-    and solves d^T_shift x = eps^S(e_j) . seed otherwise, for a boundary
-    ``seed`` of target degree shift - 1; degree k > 0 solves
-    d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  ``solvers`` (target degree ->
-    ZGSolver) may be one dict shared by lifts into the same target.  A
-    column with no solution raises ResolutionError naming its degree.
+    first use and memoized as a sparse column {row: nonzero entry}: degree
+    0 matches augmentations when shift is 0 and solves
+    d^T_shift x = eps^S(e_j) . seed otherwise, for a boundary ``seed`` of
+    target degree shift - 1; degree k > 0 solves
+    d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  That right-hand side is one
+    ``_combine`` call: the entries of d^S_k e_j are the coefficients, on
+    the left, of the memoized columns psi_{k-1}(e_i).  ``solvers`` (target
+    degree -> ZGSolver) may be one dict shared by lifts into the same
+    target.  A column with no solution raises ResolutionError naming its
+    degree.
     """
 
     __slots__ = ("source", "target", "shift", "seed", "_cols", "_aug_solver",
@@ -128,7 +137,7 @@ class ComparisonLift:
         self.target = target
         self.shift = shift
         self.seed = seed
-        self._cols: dict[tuple[int, int], list[GroupRingElement]] = {}
+        self._cols: dict[tuple[int, int], dict[int, GroupRingElement]] = {}
         self._aug_solver = (IntegerSolver([{0: a} for a in target.aug], 1)
                             if seed is None else None)
         self._solvers = {} if solvers is None else solvers
@@ -139,24 +148,31 @@ class ComparisonLift:
             s = self._solvers[k] = ZGSolver(self.target.differential(k))
         return s
 
-    def column(self, k: int, j: int) -> list[GroupRingElement]:
+    def column(self, k: int, j: int) -> dict[int, GroupRingElement]:
+        """psi_k(e_j) as {row: nonzero entry}; callers must not change it."""
         key = (k, j)
         col = self._cols.get(key)
         if col is not None:
             return col
+        group = self.source.group
         if k == 0 and self.seed is None:
             z = self._aug_solver.solve([self.source.aug[j]])
             if z is NoSolution:
                 raise ResolutionError(
                     "target augmentation is not onto; invalid resolution")
-            col = [GroupRingElement.basis(self.source.group, 0, v) for v in z]
+            col = {i: GroupRingElement.basis(group, 0, v)
+                   for i, v in enumerate(z) if v}
         else:
             if k == 0:
-                rhs = [v.scale(self.source.aug[j]) for v in self.seed]
+                a = self.source.aug[j]
+                rhs = {i: v.scale(a) for i, v in enumerate(self.seed)}
             else:
-                rhs = self.target.zero_chain(k + self.shift - 1)
+                terms = []
                 for i, val in self.source.differential(k).column(j).items():
-                    _add_multiple(rhs, val, self.column(k - 1, i))
+                    prev = self.column(k - 1, i)
+                    terms.append((val.support(), [(r, v.support())
+                                                  for r, v in prev.items()]))
+                rhs = _combine(group, terms)
             col = self._solver(k + self.shift).solve(rhs)
             if col is NoSolution:
                 raise ResolutionError(
@@ -173,7 +189,7 @@ class ComparisonLift:
         out = [0] * self.target.rank(k + self.shift)
         for j, c in enumerate(down_vec):
             if c:
-                for i, val in enumerate(self.column(k, j)):
+                for i, val in self.column(k, j).items():
                     out[i] += c * val.augmentation()
         return out
 
@@ -181,7 +197,7 @@ class ComparisonLift:
         """The full chain map through the given degree, checked."""
         comps = {k: ZGMatrix(self.source.group,
                              self.target.rank(k + self.shift),
-                             [dict(enumerate(self.column(k, j)))
+                             [self.column(k, j)
                               for j in range(self.source.rank(k))])
                  for k in range(up_to + 1)}
         cm = ChainMap(self.source, self.target, self.shift, comps, self.seed)
@@ -223,8 +239,11 @@ class ProductContext:
         """The join of P_{<=n} with P_{<=m} through ``degree``, or a larger one.
 
         m defaults to n and degree to n + m + 1, the output degree of a
-        product of bidegree (n, m).  The join is rebuilt, and its lift
-        started afresh, only when the box (n, m, degree) grows it.
+        product of bidegree (n, m).  The join is rebuilt only when the box
+        (n, m, degree) grows it.  The old join is then a subcomplex of the
+        new one on the same basis tuples, so its lifted columns are the
+        same P-chains: the new lift keeps them, re-keyed from each old
+        basis tuple to its new index, and keeps the solvers too.
         """
         m = n if m is None else m
         want = (n, m, n + m + 1 if degree is None else degree)
@@ -233,8 +252,16 @@ class ProductContext:
             N, M, D = box
             Pn = self.P.truncated(N)
             Pm = Pn if M == N else self.P.truncated(M)
-            self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
-            self._lift = ComparisonLift(self._join, self.P)
+            old, old_lift = self._join, self._lift
+            J = self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
+            if old_lift is None:
+                self._lift = ComparisonLift(J, self.P)
+            else:
+                self._lift = ComparisonLift(J, self.P,
+                                            solvers=old_lift._solvers)
+                self._lift._cols.update(
+                    ((k, J.index[k][old.bases[k][j]]), col)
+                    for (k, j), col in old_lift._cols.items())
             self._box = box
         return self._join
 
@@ -256,6 +283,7 @@ class ProductContext:
         P = self.P
         out_deg = n + m + 1
         _require_depth(P, out_deg + 1)
+        _require_lengths(P, n, za, m, zb)
         x = phi_inverse(P, n, za)  # N . y_a, checked invariant cycle
         y = lift_vector(P, m, zb)
         if not is_cycle(P, m, zb):
@@ -294,6 +322,7 @@ class ProductContext:
         P = self.P
         out_deg = n + m + 1
         _require_depth(P, out_deg + 1)
+        _require_lengths(P, n, za, m, zb)
         x = phi_inverse(P, n, za).vector  # N . y_a, checked invariant cycle
         glift = self._g_lift(m, zb)
         out = P.zero_chain(out_deg)
@@ -311,17 +340,30 @@ class ProductContext:
 
 
 def _add_multiple(out: list[GroupRingElement], c: GroupRingElement,
-                  vec: Sequence[GroupRingElement]) -> None:
-    """out[r] += c * vec[r] for every r, c on the left; zero terms skipped."""
-    for r, v in enumerate(vec):
-        if not v.is_zero():
-            out[r] = out[r] + c * v
+                  vec: Mapping[int, GroupRingElement]) -> None:
+    """out[r] += c * vec[r] for every row r of a sparse column, c on the left.
+
+    One ``ring_multiply`` per entry, not the ``_combine`` kernel the lifts
+    use: the composition pipeline evaluates its self-map on N.y_a here, so
+    its last step checks the lifted columns with independent arithmetic.
+    """
+    for r, v in vec.items():
+        out[r] = out[r] + c * v
 
 
 def _require_depth(P: Resolution, need: int) -> None:
     if P.depth < need:
         raise ResolutionError(
             f"product needs the resolution to degree {need}, depth is {P.depth}")
+
+
+def _require_lengths(P: Resolution, n: int, za: Sequence[int], m: int,
+                     zb: Sequence[int]) -> None:
+    for what, k, z in (("first", n, za), ("second", m, zb)):
+        if len(z) != P.rank(k):
+            raise ResolutionError(
+                f"{what} factor has length {len(z)}, but degree {k} has "
+                f"rank {P.rank(k)}")
 
 
 def join_product(P: Resolution, n: int, za: Sequence[int], m: int,

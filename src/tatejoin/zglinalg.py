@@ -259,13 +259,18 @@ class ZGSolver:
 
     The integer solver is built lazily on first use and kept, so lifting many
     chains through the same differential costs one Hermite factorization.
+    Right-hand sides and solutions are sparse columns, {row: nonzero
+    GroupRingElement}, the form ``ZGMatrix.column`` holds: only the nonzero
+    rows of b are flattened, and only the nonzero rows of x become ring
+    elements.
     """
 
-    __slots__ = ("matrix", "_solver")
+    __slots__ = ("matrix", "_solver", "_supp_cols")
 
     def __init__(self, matrix: ZGMatrix):
         self.matrix = matrix
         self._solver: IntegerSolver | None = None
+        self._supp_cols: dict[int, list[tuple[int, tuple]]] = {}
 
     def _ensure(self) -> IntegerSolver:
         if self._solver is None:
@@ -274,26 +279,56 @@ class ZGSolver:
                                          m.nrows * m.group.order)
         return self._solver
 
-    def solve(self, b: Sequence[GroupRingElement]):
-        """A ZG-solution of M x = b, or NoSolution.
+    def _support_column(self, j: int) -> list[tuple[int, tuple]]:
+        col = self._supp_cols.get(j)
+        if col is None:
+            col = self._supp_cols[j] = self.matrix._support_column(j)
+        return col
+
+    def solve(self, b: Mapping[int, GroupRingElement]):
+        """A sparse ZG-solution {row: entry} of M x = b, or NoSolution.
 
         Solving the plain integer system suffices: the expansion of a
         ZG-column basis vector (j, g) is g times the basis chain e_j, so any
-        integer solution reassembles into ring coefficients verbatim.
+        integer solution reassembles into ring coefficients verbatim.  The
+        solution is checked in Z[G], M x = b through ``_combine``, against
+        the nonzero entries of b; a row of b outside M is a ValueError.
         """
-        if len(b) != self.matrix.nrows:
-            raise ValueError(f"right-hand side of length {len(b)} for a "
-                             f"matrix with {self.matrix.nrows} rows")
-        solver = self._ensure()
-        flat = solver.solve(flatten_vector(b, self.matrix.group))
-        if flat is NoSolution:
+        m = self.matrix
+        group, order = m.group, m.group.order
+        flat = [0] * (m.nrows * order)
+        want = {}
+        for i, a in b.items():
+            if not 0 <= i < m.nrows:
+                raise ValueError(f"right-hand side row {i} out of range for "
+                                 f"a matrix with {m.nrows} rows")
+            m._check_group(a.group, f"right-hand side entry {i}")
+            if any(a.c):
+                flat[i * order:(i + 1) * order] = a.c
+                want[i] = a
+        z = self._ensure().solve(flat)
+        if z is NoSolution:
             return NoSolution
-        x = unflatten_vector(flat, self.matrix.group, self.matrix.ncols)
-        if self.matrix.apply(x) != list(b):
+        x = {}
+        for j in range(m.ncols):
+            c = z[j * order:(j + 1) * order]
+            if any(c):
+                x[j] = GroupRingElement(group, c)
+        got = _combine(group, [(v.support(), self._support_column(j))
+                               for j, v in x.items()])
+        if got != want:
             raise InternalCheckError("ZG solver self-check failed: M x != b")
         return x
 
 
 def solve_zg_linear(matrix: ZGMatrix, b: Sequence[GroupRingElement]):
-    """One-shot M x = b over ZG.  Returns a vector of ring elements or NoSolution."""
-    return ZGSolver(matrix).solve(b)
+    """One-shot M x = b over ZG for a dense b.  Returns a dense vector of
+    ring elements, or NoSolution."""
+    if len(b) != matrix.nrows:
+        raise ValueError(f"right-hand side of length {len(b)} for a "
+                         f"matrix with {matrix.nrows} rows")
+    x = ZGSolver(matrix).solve(dict(enumerate(b)))
+    if x is NoSolution:
+        return NoSolution
+    zero = GroupRingElement.zero(matrix.group)
+    return [x.get(j, zero) for j in range(matrix.ncols)]

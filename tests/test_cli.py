@@ -7,6 +7,8 @@ the fixture fallback for file resolutions.
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -401,3 +403,15 @@ def test_corrupted_resolution_file_exit_2(capsys, tmp_path, name, content,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["homology", "--group", "cyclic:3", "--degrees", "1..3"]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "tatejoin", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

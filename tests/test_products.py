@@ -389,3 +389,46 @@ def test_lifted_self_map_columns_are_byte_identical():
         "0246daaaaa783a6051717b0d9b11fe22306d6ecb30b21e90355a7b26c7c8d5a0",
         "9f5a424e3511890e12fc91df1ba81f21ae685b10f7545e5e5f3e35323bed080c",
     ]
+
+
+def test_growing_join_keeps_its_lifted_columns(monkeypatch):
+    res = syzygy_resolution(dihedral(4), 9)
+    pairs = [(1, 1), (3, 3), (2, 5)]
+    lifted = []
+    real_column = ComparisonLift.column
+
+    def counting_column(self, k, j):
+        if (k, j) not in self._cols:
+            lifted.append((k, j))
+        return real_column(self, k, j)
+
+    monkeypatch.setattr(ComparisonLift, "column", counting_column)
+
+    def products_of(ctx):
+        return [ctx.join_product(n, za, m, zb) for n, m in pairs
+                for za in homology(res, n).generators
+                for zb in homology(res, m).generators]
+
+    grown = ProductContext(res)
+    grown_classes = products_of(grown)  # the box grows twice
+    grown_count = len(lifted)
+    del lifted[:]
+    sized = ProductContext(res)
+    sized.join_for(pairs)
+    assert products_of(sized) == grown_classes
+    assert grown_count == len(lifted) > 0
+    assert grown.lift()._cols == sized.lift()._cols
+
+
+@pytest.mark.parametrize("pipeline", ["join_product", "composition_product"])
+@pytest.mark.parametrize("factor, delta", [("first", -1), ("first", 1),
+                                           ("second", -1), ("second", 1)])
+def test_wrong_length_factor_is_a_named_error(pipeline, factor, delta):
+    res = syzygy_resolution(dihedral(4), 8)
+    gens = homology(res, 3).generators
+    factors = {"first": list(gens[0]), "second": list(gens[-1])}
+    z = factors[factor]
+    factors[factor] = z[:delta] if delta < 0 else z + [0] * delta
+    ctx = ProductContext(res)
+    with pytest.raises(ResolutionError, match=f"{factor} factor .* degree 3"):
+        getattr(ctx, pipeline)(3, factors["first"], 3, factors["second"])

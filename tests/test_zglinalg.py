@@ -25,6 +25,11 @@ def c2_elems():
     return g, e, t
 
 
+def dense(x, m):
+    """A sparse solution {row: entry} as a full column vector for m."""
+    return [x.get(j, GroupRingElement.zero(m.group)) for j in range(m.ncols)]
+
+
 def test_z_expansion_t_minus_1():
     # right multiplication by (t - 1) on basis {e, t}: e -> t - e, t -> e - t
     g, e, t = c2_elems()
@@ -75,16 +80,16 @@ def test_solver_norm_equation():
     # [N] x = [e + t] has solution x = [e] (among others); verify by product
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
-    x = ZGSolver(m).solve([e + t])
+    x = ZGSolver(m).solve({0: e + t})
     assert x is not NoSolution
-    assert m.apply(x) == [e + t]
+    assert m.apply(dense(x, m)) == [e + t]
 
 
 def test_solver_no_solution():
     # nothing times N hits e: augmentations of N-multiples are even
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
-    assert ZGSolver(m).solve([e]) is NoSolution
+    assert ZGSolver(m).solve({0: e}) is NoSolution
     assert solve_zg_linear(m, [e]) is NoSolution
 
 
@@ -93,9 +98,9 @@ def test_solver_two_by_two():
     m = ZGMatrix.from_rows(g, [[t, e - t], [GroupRingElement.zero(g), e + t]])
     b = [t + e.scale(2), (e + t).scale(2)]
     x = m.apply([e + t, e.scale(2)])
-    got = ZGSolver(m).solve(x)
+    got = ZGSolver(m).solve(dict(enumerate(x)))
     assert got is not NoSolution
-    assert m.apply(got) == x
+    assert m.apply(dense(got, m)) == x
     del b
 
 
@@ -223,7 +228,7 @@ def test_shape_and_index_errors_are_named():
     with pytest.raises(ValueError):
         unflatten_vector([1, 0, 1], g, 2)
     with pytest.raises(ValueError):
-        ZGSolver(m).solve([e, t])
+        ZGSolver(m).solve({0: e, 1: t})
     # operands from another group ring of the same order must not be
     # multiplied through this group's table
     s3 = symmetric(3)
@@ -254,4 +259,22 @@ def test_zg_solver_check_is_not_an_assert(monkeypatch):
 
     monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", off_by_one)
     with pytest.raises(InternalCheckError):
-        ZGSolver(m).solve([e + t])
+        ZGSolver(m).solve({0: e + t})
+
+
+def test_solver_takes_and_returns_sparse_columns():
+    # b = M x for x = (0, 2e), so one solution has a zero first row; an
+    # explicit zero entry in b is the same column as leaving it out
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[t, e - t], [GroupRingElement.zero(g), e + t]])
+    b = m.apply([GroupRingElement.zero(g), e.scale(2)])
+    sparse_b = {i: v for i, v in enumerate(b) if not v.is_zero()}
+    x = ZGSolver(m).solve(dict(enumerate(b)))
+    assert x == ZGSolver(m).solve(sparse_b)
+    assert all(not v.is_zero() for v in x.values())
+    assert m.apply(dense(x, m)) == b
+    assert ZGSolver(m).solve({}) == {}
+    # the one-shot wrapper keeps dense vectors on both sides
+    assert solve_zg_linear(m, b) == dense(x, m)
+    with pytest.raises(ValueError):
+        solve_zg_linear(m, b[:1])
