@@ -265,12 +265,11 @@ class ZGSolver:
     elements.
     """
 
-    __slots__ = ("matrix", "_solver", "_supp_cols")
+    __slots__ = ("matrix", "_solver")
 
     def __init__(self, matrix: ZGMatrix):
         self.matrix = matrix
         self._solver: IntegerSolver | None = None
-        self._supp_cols: dict[int, list[tuple[int, tuple]]] = {}
 
     def _ensure(self) -> IntegerSolver:
         if self._solver is None:
@@ -278,12 +277,6 @@ class ZGSolver:
             self._solver = IntegerSolver(m.z_columns(),
                                          m.nrows * m.group.order)
         return self._solver
-
-    def _support_column(self, j: int) -> list[tuple[int, tuple]]:
-        col = self._supp_cols.get(j)
-        if col is None:
-            col = self._supp_cols[j] = self.matrix._support_column(j)
-        return col
 
     def solve(self, b: Mapping[int, GroupRingElement]):
         """A sparse ZG-solution {row: entry} of M x = b, or NoSolution.
@@ -314,7 +307,7 @@ class ZGSolver:
             c = z[j * order:(j + 1) * order]
             if any(c):
                 x[j] = GroupRingElement(group, c)
-        got = _combine(group, [(v.support(), self._support_column(j))
+        got = _combine(group, [(v.support(), m._support_column(j))
                                for j, v in x.items()])
         if got != want:
             raise InternalCheckError("ZG solver self-check failed: M x != b")
@@ -322,8 +315,7 @@ class ZGSolver:
 
 
 def solve_zg_linear(matrix: ZGMatrix, b: Sequence[GroupRingElement]):
-    """One-shot M x = b over ZG for a dense b.  Returns a dense vector of
-    ring elements, or NoSolution."""
+    """One-shot M x = b over ZG for a dense b: a dense x, or NoSolution."""
     if len(b) != matrix.nrows:
         raise ValueError(f"right-hand side of length {len(b)} for a "
                          f"matrix with {matrix.nrows} rows")
