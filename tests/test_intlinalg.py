@@ -6,14 +6,17 @@ used as the oracle for the Smith form; it shares no code with the
 elimination.  Frozen small examples were worked by hand.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import det_bareiss, minor_gcd_invariant_factors
-from tatejoin import (IntMatrix, InternalCheckError, NoSolution, kernel_basis,
-                      smith_normal_form, sparse_invariant_factors)
+from tatejoin import (IntMatrix, InternalCheckError, NoSolution, bar_resolution,
+                      cyclic, dihedral, kernel_basis, smith_normal_form,
+                      sparse_invariant_factors, symmetric, syzygy_resolution)
 from tatejoin import intlinalg
 from tatejoin.intlinalg import (IntegerLattice, IntegerSolver,
                                 _modular_diagonal, _sparse_eliminate,
@@ -518,3 +521,56 @@ def test_lll_output_is_reduced_on_random_inputs():
 def test_lll_rejects_dependent_rows(rows):
     with pytest.raises(InternalCheckError, match="LLL"):
         lll_reduce_rows(rows)
+
+
+# -- pinned outputs ------------------------------------------------------------
+# sha256 of json.dumps of the engines' full output.  The Smith transforms and
+# the unit-pivot op log are choices (generators are read off them), so a
+# change of either is a change of the generators, to be announced.
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _pinned_smith_inputs():
+    rng = random.Random(1414)
+    for _ in range(200):
+        nr, nc = rng.randrange(1, 11), rng.randrange(1, 11)
+        density = rng.choice((0.3, 0.6, 1.0))
+        yield IntMatrix([[rng.randrange(-5, 6) if rng.random() < density
+                          else 0 for _ in range(nc)] for _ in range(nr)])
+
+
+def test_smith_forms_are_byte_identical():
+    full, bare = [], []
+    for a in _pinned_smith_inputs():
+        dec = smith_normal_form(a)
+        full.append([dec.S.data, dec.U.data, dec.V.data])
+        bare.append(smith_normal_form(a, transforms=False).S.data)
+    assert _sha(full) == \
+        "b17be8bff9386dda1d091ae30fc79865119f390fdb58802c154aaed874f57fc1"
+    assert _sha(bare) == \
+        "fb931e647165a8c70f4cbadf3cb9755900d17b942bd6ac44aaff3b89837b069b"
+
+
+def _elimination_record(cols):
+    e = _sparse_eliminate(cols)
+    return [e.pivots, e.ops, e.rows, e.residual.data]
+
+
+def test_sparse_eliminations_are_byte_identical():
+    bar = bar_resolution(cyclic(5), 6)
+    assert _sha([_elimination_record(bar.down_matrix(k))
+                 for k in range(1, 7)]) == \
+        "8311f0ad696eb9b6d5edf70a8f9f8d3227aa9793364b5bb22ab992fc19e404fb"
+    pinned = (
+        (syzygy_resolution(dihedral(4), 9),
+         "28d2a2afa314219b58b110120f4995af13925709e0b67fd728faf0838cdbadd9"),
+        (syzygy_resolution(symmetric(3), 10),
+         "aa6966823f789aa6e88a0babb467fb9d389aa601bbf85ed343ac804db35415b4"))
+    for res, digest in pinned:
+        ks = range(1, res.depth + 1)
+        got = [_elimination_record(res.down_matrix(k)) for k in ks]
+        got += [_elimination_record(res.differential(k).z_columns())
+                for k in ks]
+        assert _sha(got) == digest
