@@ -15,7 +15,7 @@ from .groups import (FiniteGroup, GroupRingElement, augmentation, build_group,
 from .intlinalg import (IntMatrix, NoSolution, SmithDecomposition,
                         kernel_basis, smith_normal_form,
                         sparse_invariant_factors)
-from .zglinalg import ZGMatrix, ZGSolver, solve_zg_linear
+from .zglinalg import ZGMatrix, ZGSolver
 from .resolutions import (JoinResolution, Resolution, ValidationReport,
                           bar_resolution, include_cycle_tensor, join,
                           join_rank, load_resolution,
@@ -39,7 +39,7 @@ __all__ = [
     "norm_element", "augmentation",
     "IntMatrix", "SmithDecomposition", "smith_normal_form", "kernel_basis",
     "NoSolution", "sparse_invariant_factors",
-    "ZGMatrix", "ZGSolver", "solve_zg_linear",
+    "ZGMatrix", "ZGSolver",
     "Resolution", "JoinResolution", "ValidationReport", "load_resolution",
     "validate_resolution", "periodic_cyclic_resolution", "bar_resolution",
     "syzygy_resolution", "join", "join_rank", "include_cycle_tensor",

@@ -26,7 +26,8 @@ from .errors import (InternalCheckError, SchemaError, SizeBudgetError,
 from .groups import FiniteGroup, build_group
 from .products import product_table
 from .resolutions import (Resolution, bar_resolution, load_resolution,
-                          periodic_cyclic_resolution, syzygy_resolution)
+                          periodic_cyclic_resolution, syzygy_resolution,
+                          write_atomically)
 from .selfcheck import run_verify
 from .tate import homology, tate_group
 
@@ -38,24 +39,30 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_degrees(text: str) -> list[int]:
-    """Comma-separated degrees; each token is N or an inclusive range A..B."""
+def _parse_degrees(text: str, budget: int) -> list[int]:
+    """Comma-separated degrees; each token is N or an inclusive range A..B.
+
+    A degree of absolute value >= budget needs depth + 1 > budget, so it is
+    refused before any range is expanded.
+    """
     out: list[int] = []
     for tok in text.split(","):
         tok = tok.strip()
         try:
-            if ".." in tok:
-                lo, _, hi = tok.partition("..")
-                a, b = int(lo), int(hi)
-                if b < a:
-                    raise SchemaError(f"empty degree range {tok!r}")
-                out.extend(range(a, b + 1))
-            else:
-                out.append(int(tok))
+            lo, dots, hi = tok.partition("..")
+            a = int(lo)
+            b = int(hi) if dots else a
         except ValueError:
             raise SchemaError(f"bad degree token {tok!r}") from None
-    if not out:
-        raise SchemaError("no degrees requested")
+        if b < a:
+            raise SchemaError(f"empty degree range {tok!r}")
+        worst = max(abs(a), abs(b))
+        if worst >= budget:
+            raise SizeBudgetError(
+                f"degree token {tok!r} needs depth >= {worst}, so integer "
+                f"rank >= {worst + 1}, budget is {budget}",
+                needed=worst + 1, budget=budget)
+        out.extend(range(a, b + 1))
     return out
 
 
@@ -74,8 +81,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         if pair[0] < 1 or pair[1] < 1:
             raise SchemaError(f"pair degrees must be >= 1, got {tok!r}")
         out.append(pair)
-    if not out:
-        raise SchemaError("no pairs requested")
     return out
 
 
@@ -106,7 +111,16 @@ def build_resolution(group: FiniteGroup, group_spec: str, choice: str,
     ``auto`` picks the rank-1 periodic resolution for cyclic:N / trivial
     specs and the computed kernel-cover resolution otherwise.  A file
     resolution must already be deep enough; files are never extended.
+    Building P_0..P_depth takes at least one pass over the |G| group
+    elements per degree, so |G| * (depth + 1) is charged against the budget
+    before anything is built: the budget bounds depth as well as rank.
     """
+    needed = group.order * (depth + 1)
+    if needed > max_zrank:
+        raise SizeBudgetError(
+            f"depth {depth} needs integer rank {needed} "
+            f"(|{group.label}| = {group.order} x {depth + 1} degrees), "
+            f"budget is {max_zrank}", needed=needed, budget=max_zrank)
     name, _, arg = choice.partition(":")
     name = name.strip().lower()
     if name == "auto":
@@ -139,10 +153,7 @@ def build_resolution(group: FiniteGroup, group_spec: str, choice: str,
 
 def _emit(args, text: str) -> None:
     if args.output:
-        tmp = args.output + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, args.output)
+        write_atomically(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -184,7 +195,7 @@ def _emit_degrees(args, degrees: list[int], farthest: int, need: int,
 
 
 def cmd_homology(args) -> int:
-    degrees = _parse_degrees(args.degrees)
+    degrees = _parse_degrees(args.degrees, args.max_zrank)
     if min(degrees) < 0:
         raise SchemaError("homology degrees must be >= 0 (use the tate "
                           "command for negative degrees)")
@@ -193,7 +204,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_tate(args) -> int:
-    degrees = _parse_degrees(args.degrees)
+    degrees = _parse_degrees(args.degrees, args.max_zrank)
     if max(degrees) > -1:
         raise SchemaError("tate degrees must be <= -1 (degrees >= 0 are out "
                           "of scope)")
@@ -254,10 +265,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--depth", type=int, default=None,
                      help="resolution depth (default: minimum the command needs)")
     sub.add_argument("--max-zrank", type=int, default=None,
-                     help="size budget: largest expanded integer column count "
+                     help="size budget: largest expanded integer column count, "
+                          "also charged |G|*(depth+1) for the resolution's depth "
                           f"(default {DEFAULT_MAX_ZRANK}, env {ENV_MAX_ZRANK})")
     sub.add_argument("--output", default=None,
-                     help="output file (atomic write; default stdout)")
+                     help="output file (atomic write: a failure leaves neither "
+                          "it nor a .tmp file behind; default stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="csv is available for product-table only")
 

@@ -106,20 +106,6 @@ class IntMatrix:
         return [sum(a * v for a, v in zip(row, vec) if a and v) or 0
                 for row in self.data]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = IntMatrix.zeros(self.nrows, other.ncols)
-        for i, row in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return out
-
 
 class SmithDecomposition:
     """U * A * V = S with U, V unimodular and S = diag(d_1, ..., d_r, 0, ...), d_i | d_{i+1}.
@@ -232,68 +218,47 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
         S = [row[:] for row in A.data]
         U = IntMatrix.identity(nrows).data
         V = IntMatrix.identity(ncols).data
+        row_side, col_side = (S, U), (S, V)
     else:
         rank, modulus = _rank_and_minor(A)
         S = [[_balanced(v, modulus) for v in row] for row in A.data]
+        row_side = col_side = (S,)
 
-    # Row op r_i -= q*r_k mirrors in U.
-    def row_sub(i: int, k: int, q: int) -> None:
+    # Row operations act on S and U, column operations on S and V; only S
+    # is reduced mod D, and only without transforms.
+    def row_sub(i: int, k: int, q: int) -> None:  # r_i -= q*r_k
         if not q:
             return
-        Si, Sk = S[i], S[k]
-        for j in range(ncols):
-            if Sk[j]:
-                Si[j] -= q * Sk[j]
+        for M in row_side:
+            Mi = M[i]
+            for j, v in enumerate(M[k]):
+                if v:
+                    Mi[j] -= q * v
         if modulus:
-            Si[:] = [_balanced(v, modulus) for v in Si]
-        if not transforms:
-            return
-        Ui, Uk = U[i], U[k]
-        for j in range(nrows):
-            if Uk[j]:
-                Ui[j] -= q * Uk[j]
+            S[i] = [_balanced(v, modulus) for v in S[i]]
 
     def row_swap(i: int, k: int) -> None:
-        if i == k:
-            return
-        S[i], S[k] = S[k], S[i]
-        if not transforms:
-            return
-        U[i], U[k] = U[k], U[i]
+        for M in row_side:
+            M[i], M[k] = M[k], M[i]
 
     def row_negate(i: int) -> None:
-        S[i] = [-v for v in S[i]]
-        if not transforms:
-            return
-        U[i] = [-v for v in U[i]]
+        for M in row_side:
+            M[i] = [-v for v in M[i]]
 
-    def col_sub(j: int, k: int, q: int) -> None:
+    def col_sub(j: int, k: int, q: int) -> None:  # c_j -= q*c_k
         if not q:
             return
-        for r in range(nrows):
-            Sr = S[r]
-            if Sr[k]:
-                Sr[j] -= q * Sr[k]
-                if modulus:
-                    Sr[j] = _balanced(Sr[j], modulus)
-        if not transforms:
-            return
-        for r in range(ncols):
-            Vr = V[r]
-            if Vr[k]:
-                Vr[j] -= q * Vr[k]
+        for M in col_side:
+            for r in M:
+                if r[k]:
+                    r[j] -= q * r[k]
+                    if modulus:
+                        r[j] = _balanced(r[j], modulus)
 
     def col_swap(j: int, k: int) -> None:
-        if j == k:
-            return
-        for r in range(nrows):
-            Sr = S[r]
-            Sr[j], Sr[k] = Sr[k], Sr[j]
-        if not transforms:
-            return
-        for r in range(ncols):
-            Vr = V[r]
-            Vr[j], Vr[k] = Vr[k], Vr[j]
+        for M in col_side:
+            for r in M:
+                r[j], r[k] = r[k], r[j]
 
     n = min(nrows, ncols)
     k = 0
@@ -322,11 +287,8 @@ def smith_normal_form(A: IntMatrix, transforms: bool = True
                     if S[k][j]:
                         col_swap(j, k)
                         progressed = True
-            if progressed:
-                continue
-            if any(S[i][k] for i in range(k + 1, nrows)):
-                continue  # column was disturbed by col ops; clear again
-            break
+            if not progressed:
+                break
         if S[k][k] < 0:
             row_negate(k)
         # pivot must divide every remaining entry for the divisibility chain
@@ -472,12 +434,7 @@ def kernel_basis(cols: Sequence[dict[int, int]],
 class NoSolutionType:
     """Sentinel for an inconsistent integer linear system (a value, not an exception)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "NoSolution"
@@ -754,7 +711,6 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     heapq.heapify(heap)
     pivots: list[int] = []
     ops: list[tuple[int, int, int]] = []
-    stuck: list[int] = []
 
     while heap:
         ln, i = heapq.heappop(heap)
@@ -769,8 +725,7 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
                 if best is None or key < best[0]:
                     best = (key, j, v)
         if best is None:
-            stuck.append(i)
-            continue
+            continue  # no unit; popped again only once the row changes
         _, j, v = best
         # clear column j with row i, then drop both (the implicit column
         # operations touch nothing else because column j is now singleton)
@@ -801,10 +756,6 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
         holders[j] = []
         del rows[i]
         pivots.append(i)
-        for s in stuck:
-            if s in rows:
-                heapq.heappush(heap, (len(rows[s]), s))
-        stuck.clear()
     # the surviving rows on the columns they still touch, one column per
     # +/- pair: fill-in makes many residual columns equal up to sign
     distinct: dict[tuple[int, ...], None] = {}

@@ -39,19 +39,32 @@ degree ``join`` builds.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 from typing import Sequence
 
-from .errors import (InternalCheckError, ResolutionError, SchemaError,
-                     SizeBudgetError)
+from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
                      _read_json, build_group)
 from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
                         f2_rank, kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
 from .zglinalg import ZGMatrix, check_zrank, unflatten_vector
+
+
+def write_atomically(path: str, text: str) -> None:
+    """Write text to path through path.tmp; a failure leaves no .tmp behind."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # tmp may be absent or a directory
+            os.unlink(tmp)
+        raise
 
 
 class Resolution:
@@ -128,13 +141,6 @@ class Resolution:
                            ) -> list[GroupRingElement]:
         return self.differential(k).apply(vec)
 
-    def augment(self, vec: Sequence[GroupRingElement]) -> int:
-        """eps applied to an element of P_0."""
-        if len(vec) != self.ranks[0]:
-            raise ResolutionError(f"chain has length {len(vec)}, "
-                                  f"rank in degree 0 is {self.ranks[0]}")
-        return sum(a * v.augmentation() for a, v in zip(self.aug, vec))
-
     def zero_chain(self, k: int) -> list[GroupRingElement]:
         return [GroupRingElement.zero(self.group) for _ in range(self.rank(k))]
 
@@ -198,11 +204,8 @@ class Resolution:
         }
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_atomically(path, json.dumps(self.to_json(), sort_keys=True,
+                                          separators=(",", ":")) + "\n")
 
     @classmethod
     def from_json(cls, obj: dict, label: str = "loaded") -> "Resolution":

@@ -33,7 +33,7 @@ from .intlinalg import (IntMatrix, NoSolution, _sparse_eliminate,
                         kernel_basis, smith_normal_form,
                         sparse_invariant_factors)
 from .resolutions import Resolution
-from .zglinalg import ZGMatrix, solve_zg_linear
+from .zglinalg import ZGMatrix, ZGSolver
 
 
 def down_vector(vec: Sequence[GroupRingElement]) -> list[int]:
@@ -277,19 +277,18 @@ class InvariantCycle:
     __slots__ = ("resolution", "degree", "vector")
 
     def __init__(self, resolution: Resolution, degree: int,
-                 vector: Sequence[GroupRingElement], check: bool = True):
+                 vector: Sequence[GroupRingElement]):
         self.resolution = resolution
         self.degree = degree
         self.vector = list(vector)
         if len(self.vector) != resolution.rank(degree):
             raise ResolutionError("invariant cycle has the wrong rank")
-        if check:
-            if not all(a.is_invariant() for a in self.vector):
-                raise ResolutionError("vector is not G-invariant")
-            if degree >= 1:
-                img = resolution.apply_differential(degree, self.vector)
-                if not all(a.is_zero() for a in img):
-                    raise ResolutionError("vector is not a cycle")
+        if not all(a.is_invariant() for a in self.vector):
+            raise ResolutionError("vector is not G-invariant")
+        if degree >= 1:
+            img = resolution.apply_differential(degree, self.vector)
+            if not all(a.is_zero() for a in img):
+                raise ResolutionError("vector is not a cycle")
 
     def __repr__(self) -> str:
         return (f"InvariantCycle(deg={self.degree}, "
@@ -330,11 +329,11 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
         G = res.group
         r = res.rank(n)
         norm_mat = ZGMatrix(G, r, [{i: norm_element(G)} for i in range(r)])
-        y = solve_zg_linear(norm_mat, x.vector)
+        y = ZGSolver(norm_mat).solve(dict(enumerate(x.vector)))
         if y is NoSolution:
             raise ResolutionError(
                 "norm equation unsolvable; input is not an invariant of a free module")
-        down = down_vector(y)
+        down = [y[i].augmentation() if i in y else 0 for i in range(r)]
     else:
         down = [a.c[0] for a in x.vector]
     h = homology(res, n)

@@ -21,11 +21,12 @@ nonzero coefficients of the input column, convolves coefficient supports
 ((g, v) pairs) through the group table into plain integer lists, and builds
 a GroupRingElement only for a nonzero result entry.
 
-``z_expansion`` forgets the module structure: each ZG-rank counts |G| integer
-dimensions, ordered basis (i, u) for e_i, group element u, giving an integer
-matrix with entry M[i, j] evaluated at g^{-1} u in block ((i, u), (j, g)).
-The expansion is functorial, so kernels, ranks and Smith forms of the integer
-matrix answer questions about the ZG-map.
+``z_columns`` forgets the module structure: each ZG-rank counts |G| integer
+dimensions, flattened as (i, u) -> i * |G| + u for e_i and group element u,
+and the integer matrix has the coefficient of g^{-1} u in M[i, j] in block
+((i, u), (j, g)).  The expansion is functorial, so kernels, ranks and
+solutions of the integer system answer questions about the ZG-map.  The
+dense oracle that checks it is ``z_expansion`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, SizeBudgetError
 from .groups import FiniteGroup, GroupRingElement, _convolve_into
-from .intlinalg import IntegerSolver, IntMatrix, NoSolution
+from .intlinalg import IntegerSolver, NoSolution
 
 
 def check_zrank(group: FiniteGroup, ranks: Iterable[int],
@@ -174,33 +175,8 @@ class ZGMatrix:
 
     # -- integer realization --------------------------------------------
 
-    def z_expansion(self) -> IntMatrix:
-        """Dense integer matrix of the underlying Z-linear map.
-
-        Row index (i, u) flattens to i * |G| + u, column index (j, g) to
-        j * |G| + g.  Block entry: coefficient of g^{-1} u in M[i, j].
-        Computed entry by entry from the group table, not from ``z_columns``,
-        so each serves as a check on the other.
-        """
-        order = self.group.order
-        table = self.group.table
-        out = IntMatrix.zeros(self.nrows * order, self.ncols * order)
-        data = out.data
-        for j, col in enumerate(self._cols):
-            base_j = j * order
-            for i, val in col.items():
-                c = val.c
-                base_i = i * order
-                for g in range(order):
-                    row_of = table[g]  # u = g * h has coefficient c[h]
-                    for h in range(order):
-                        v = c[h]
-                        if v:
-                            data[base_i + row_of[h]][base_j + g] += v
-        return out
-
     def z_columns(self) -> list[dict[int, int]]:
-        """Sparse columns of the z-expansion, same index flattening.
+        """Sparse integer columns of the expansion, (j, g) -> j * |G| + g.
 
         Column (j, g) is g times column j: entry M[i, j] puts its coefficient
         of h on row (i, g h).  Distinct (i, h) land on distinct rows, so no
@@ -229,15 +205,6 @@ def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
     for a_supp, col in terms:
         _convolve_into(acc, group, a_supp, col)
     return {i: GroupRingElement(group, c) for i, c in acc.items() if any(c)}
-
-
-def flatten_vector(vec: Sequence[GroupRingElement], group: FiniteGroup
-                   ) -> list[int]:
-    """ZG column vector -> integer column in (i, u) order."""
-    out: list[int] = []
-    for a in vec:
-        out.extend(a.c)
-    return out
 
 
 def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
@@ -313,14 +280,3 @@ class ZGSolver:
             raise InternalCheckError("ZG solver self-check failed: M x != b")
         return x
 
-
-def solve_zg_linear(matrix: ZGMatrix, b: Sequence[GroupRingElement]):
-    """One-shot M x = b over ZG for a dense b: a dense x, or NoSolution."""
-    if len(b) != matrix.nrows:
-        raise ValueError(f"right-hand side of length {len(b)} for a "
-                         f"matrix with {matrix.nrows} rows")
-    x = ZGSolver(matrix).solve(dict(enumerate(b)))
-    if x is NoSolution:
-        return NoSolution
-    zero = GroupRingElement.zero(matrix.group)
-    return [x.get(j, zero) for j in range(matrix.ncols)]

@@ -1,15 +1,48 @@
-"""Independent oracles for the integer linear algebra, for tests only.
+"""Independent oracles for the exact linear algebra, for tests only.
 
-Neither function shares code with ``tatejoin.intlinalg``: the determinant
-is its own fraction-free elimination, and the invariant factors come from
-the minor-gcd characterization (d_1 * ... * d_k = gcd of all k x k
-minors), so an engine bug cannot cancel out against its oracle.
+None of these functions shares code with ``tatejoin.intlinalg`` or
+``tatejoin.zglinalg``: the determinant is its own fraction-free elimination,
+the invariant factors come from the minor-gcd characterization
+(d_1 * ... * d_k = gcd of all k x k minors), the dense product multiplies
+entry by entry, and the z-expansion is built from the group table rather
+than from ``ZGMatrix.z_columns``, so an engine bug cannot cancel out against
+its oracle.
 """
 
 import math
 from itertools import combinations
 
 from tatejoin import IntMatrix
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The dense product a * b."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    return IntMatrix([[sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b.data)] or [0] * b.ncols
+                      for row in a.data], ncols=b.ncols)
+
+
+def z_expansion(m) -> IntMatrix:
+    """Dense integer matrix of the Z-linear map underlying a ZGMatrix.
+
+    Row index (i, u) flattens to i * |G| + u, column index (j, g) to
+    j * |G| + g.  Block entry: coefficient of g^{-1} u in M[i, j], read
+    entry by entry from the group table.
+    """
+    order, table = m.group.order, m.group.table
+    data = [[0] * (m.ncols * order) for _ in range(m.nrows * order)]
+    for (i, j), val in m.entries.items():
+        for g in range(order):
+            for h, v in enumerate(val.c):  # u = g * h has coefficient c[h]
+                data[i * order + table[g][h]][j * order + g] += v
+    return IntMatrix(data, ncols=m.ncols * order)
+
+
+def flatten_vector(vec) -> list[int]:
+    """A Z[G] column vector as an integer column in (i, u) order."""
+    return [v for a in vec for v in a.c]
 
 
 def det_bareiss(A: IntMatrix) -> int:

@@ -232,6 +232,32 @@ def test_budget_flag_overrides_variable(capsys, monkeypatch):
     assert code == 0 and factors_of(out) == [[2]]
 
 
+def test_budget_bounds_depth(capsys):
+    # degree 40 needs depth 41: |C3| x 42 degrees = 126 integer dimensions
+    code, out, err = run(capsys, "homology", "--group", "cyclic:3",
+                         "--degrees", "40", "--max-zrank", "100")
+    assert code == 3 and out == ""
+    assert "depth 41" in err and "126" in err
+    code, out, _ = run(capsys, "homology", "--group", "cyclic:3",
+                       "--degrees", "40", "--max-zrank", "126")
+    assert code == 0 and factors_of(out) == [[]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--group", "cyclic:3", "--degrees", "99999999999"],
+    ["homology", "--group", "cyclic:3", "--degrees", "1..99999999999"],
+    ["tate", "--group", "q8", "--degrees", "-99999999"],
+    ["verify", "--group", "cyclic:3", "--depth", "100000"],
+])
+def test_huge_depth_exit_3_before_any_work(capsys, argv):
+    # refused before a degree range is expanded or a resolution is built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "budget is 50000" in err
+    assert time.perf_counter() - t0 < 2
+
+
 def test_bad_degree_and_pair_tokens(capsys):
     assert run(capsys, "homology", "--group", "cyclic:2",
                "--degrees", "5..2")[0] == 2
@@ -298,6 +324,15 @@ def test_output_is_atomic_no_partial_file(capsys, tmp_path):
     assert code == 3
     assert not os.path.exists(target)
     assert not os.path.exists(target + ".tmp")
+
+
+def test_failed_output_write_leaves_no_temporary_file(capsys, tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    code, _, err = run(capsys, "homology", "--group", "cyclic:3",
+                       "--degrees", "1", "--output", str(target))
+    assert code == 2 and "error" in err
+    assert not os.path.exists(str(target) + ".tmp")
 
 
 def test_group_file_input(capsys, tmp_path):

@@ -10,12 +10,11 @@ import random
 import pytest
 
 import tatejoin.intlinalg
+from oracles import flatten_vector, matmul, z_expansion
 from tatejoin import (GroupRingElement, InternalCheckError, SizeBudgetError,
-                      ZGMatrix, ZGSolver, cyclic, norm_element,
-                      solve_zg_linear, symmetric)
+                      ZGMatrix, ZGSolver, cyclic, norm_element, symmetric)
 from tatejoin.intlinalg import NoSolution
-from tatejoin.zglinalg import (check_zrank, flatten_vector, unflatten_vector,
-                               vector_is_zero)
+from tatejoin.zglinalg import check_zrank, unflatten_vector, vector_is_zero
 
 
 def c2_elems():
@@ -34,7 +33,7 @@ def test_z_expansion_t_minus_1():
     # right multiplication by (t - 1) on basis {e, t}: e -> t - e, t -> e - t
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[t - e]])
-    assert m.z_expansion().data == [[-1, 1], [1, -1]]
+    assert z_expansion(m).data == [[-1, 1], [1, -1]]
 
 
 def test_z_expansion_norm_functoriality():
@@ -44,15 +43,15 @@ def test_z_expansion_norm_functoriality():
     b = ZGMatrix.from_rows(g, [[norm_element(g)]])
     prod = a.compose(b)
     assert prod.is_zero()
-    ea, eb = a.z_expansion(), b.z_expansion()
-    assert all(v == 0 for row in ea.mul(eb).data for v in row)
+    ea, eb = z_expansion(a), z_expansion(b)
+    assert all(v == 0 for row in matmul(ea, eb).data for v in row)
 
 
 def test_z_columns_match_expansion():
     g = symmetric(3)
     a = GroupRingElement(g, [1, -2, 0, 0, 3, 0])
     m = ZGMatrix.from_rows(g, [[a, a * a], [GroupRingElement.zero(g), a]])
-    dense = m.z_expansion()
+    dense = z_expansion(m)
     sparse = m.z_columns()
     assert len(sparse) == dense.ncols
     for j, col in enumerate(sparse):
@@ -64,16 +63,16 @@ def test_apply_matches_expansion():
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[t - e, norm_element(g)], [e, t]])
     vec = [e + t, t.scale(3)]
-    flat_in = flatten_vector(vec, g)
+    flat_in = flatten_vector(vec)
     out = m.apply(vec)
-    assert flatten_vector(out, g) == m.z_expansion().apply(flat_in)
+    assert flatten_vector(out) == z_expansion(m).apply(flat_in)
 
 
 def test_flatten_round_trip():
     g = symmetric(3)
     vec = [GroupRingElement(g, [1, 0, -2, 0, 0, 5]),
            GroupRingElement.zero(g)]
-    assert unflatten_vector(flatten_vector(vec, g), g, 2) == vec
+    assert unflatten_vector(flatten_vector(vec), g, 2) == vec
 
 
 def test_solver_norm_equation():
@@ -90,7 +89,6 @@ def test_solver_no_solution():
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
     assert ZGSolver(m).solve({0: e}) is NoSolution
-    assert solve_zg_linear(m, [e]) is NoSolution
 
 
 def test_solver_two_by_two():
@@ -154,8 +152,8 @@ def test_compose_order_matches_expansion_over_s3():
         b = s3_matrix(rng, shape[1], shape[2])
         prod = a.compose(b)
         assert (prod.nrows, prod.ncols) == (shape[0], shape[2])
-        assert (prod.z_expansion().data
-                == a.z_expansion().mul(b.z_expansion()).data)
+        assert (z_expansion(prod).data
+                == matmul(z_expansion(a), z_expansion(b)).data)
         for i in range(shape[0]):
             for k in range(shape[2]):
                 want = GroupRingElement.zero(a.group)
@@ -169,7 +167,7 @@ def test_column_and_apply_match_expansion_over_s3():
     g = symmetric(3)
     for nrows, ncols in [(2, 3), (4, 1), (3, 5)]:
         m = s3_matrix(rng, nrows, ncols)
-        dense = m.z_expansion()
+        dense = z_expansion(m)
         for j in range(ncols):
             col = m.column(j)
             # column (j, identity) of the expansion holds column j verbatim
@@ -183,8 +181,8 @@ def test_column_and_apply_match_expansion_over_s3():
         vec = s3_matrix(rng, ncols, 1)
         vec = [vec.get(j, 0) for j in range(ncols)]
         out = m.apply(vec)
-        assert (flatten_vector(out, g)
-                == dense.apply(flatten_vector(vec, g)))
+        assert (flatten_vector(out)
+                == dense.apply(flatten_vector(vec)))
 
 
 def test_constructor_drops_zeros_and_views_are_read_only():
@@ -274,7 +272,3 @@ def test_solver_takes_and_returns_sparse_columns():
     assert all(not v.is_zero() for v in x.values())
     assert m.apply(dense(x, m)) == b
     assert ZGSolver(m).solve({}) == {}
-    # the one-shot wrapper keeps dense vectors on both sides
-    assert solve_zg_linear(m, b) == dense(x, m)
-    with pytest.raises(ValueError):
-        solve_zg_linear(m, b[:1])
