@@ -249,8 +249,9 @@ def test_budget_bounds_depth(capsys):
     ["tate", "--group", "q8", "--degrees", "-99999999"],
     ["verify", "--group", "cyclic:3", "--depth", "100000"],
 ])
-def test_huge_depth_exit_3_before_any_work(capsys, argv):
+def test_huge_depth_exit_3_before_any_work(capsys, monkeypatch, argv):
     # refused before a degree range is expanded or a resolution is built
+    monkeypatch.delenv("TATEJOIN_MAX_ZRANK", raising=False)
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
