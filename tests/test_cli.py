@@ -5,6 +5,7 @@ Covers the documented command examples, the exit-code contract (0 ok,
 the fixture fallback for file resolutions.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -451,3 +452,40 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+# sha256 of main()'s stdout.  verify prints its JSON report there and
+# product-table its table, so these pin every check line and every class
+# byte for byte.
+PINNED_STDOUT = [
+    (("verify", "--group", "cyclic:3", "--depth", "7"),
+     "fbb0f3e7b235e99df3cf94b538fe992956e3f03eb7dc6e82120b129c10924958"),
+    (("verify", "--group", "sym:3", "--depth", "7"),
+     "e53bef8d8d09a455d2db977b0e28655eddb717b0cca1b121717255b9188ed8c5"),
+    (("verify", "--group", "dihedral:4", "--depth", "7"),
+     "2348137a63619b83db38c1ca1a3724b6097ed34bbf446c3454cfc5a3665068de"),
+    (("verify", "--group", "q8", "--depth", "7"),
+     "b7502209219ba6c7bd5bc6058bde4702babe2aed692826c5f063258cd1087ae5"),
+    (("verify", "--group", "q8", "--resolution", "file:q8_periodic.json",
+      "--depth", "9"),
+     "6f186f7070e5e7ffda61e84c6386422420bd3bff319cb0eb8b00cc97db99f91b"),
+    (("product-table", "--group", "cyclic:3", "--pairs", "1x1,1x3,3x3"),
+     "be1cd5e2515e35cc4c20b6f836090dc492b5a326aaecca40dc21016ce40dcdf7"),
+    (("product-table", "--group", "q8", "--resolution",
+      "file:q8_periodic.json", "--pairs", "3x3", "--format", "csv"),
+     "b8497125142662d7e64085d4e38cc46ff01f054e5a4890a0100dc81d381debd2"),
+    (("product-table", "--group", "dihedral:4", "--depth", "9",
+      "--pairs", "3x3,2x5"),
+     "a162d4e8b1fe1222c6a4f3dd8ad80224facab6aca2849be45786528d635f2cd6"),
+    (("product-table", "--group", "sym:3", "--depth", "10",
+      "--pairs", "3x3,3x5,1x7"),
+     "47538d30739c6e54fed16f9d8f16e61a8ca2538cd97fc0498169f4291a8da03a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
