@@ -34,8 +34,9 @@ and a product lifts only the columns reachable from its input's support.
 A lifted column is a sparse Z[G] column, {row: nonzero entry}, and each
 right-hand side is one call of the convolution kernel behind
 ``ZGMatrix.apply``.  The composition pipeline's last step, the self-map
-evaluated on N.y_a, stays on ring elements (``_add_multiple``), so the
-cross-check ends on arithmetic independent of that kernel.
+evaluated on N.y_a, stays on ring elements (``_add_multiple``), but
+``ring_multiply`` runs the same kernel: what is independent between the
+pipelines is the chain each one builds, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -275,6 +276,30 @@ class ProductContext:
             raise ResolutionError("no join built yet: join_to must run first")
         return self._lift
 
+    def table(self, pairs: Sequence[tuple[int, int]]) -> list[dict]:
+        """Products of all homology generators for each (n, m) in pairs.
+
+        Every entry is computed by both pipelines; the agree flag records
+        exact equality of the classified outputs.
+        """
+        if pairs:
+            # size the join once; rebuilding it per pair order would redo lifts
+            self.join_for(pairs)
+        entries = []
+        for n, m in pairs:
+            hn = homology(self.P, n)
+            hm = homology(self.P, m)
+            for a_idx, za in enumerate(hn.generators):
+                for b_idx, zb in enumerate(hm.generators):
+                    jc = self.join_product(n, za, m, zb)
+                    cc = self.composition_product(n, za, m, zb)
+                    entries.append({
+                        "n": n, "m": m, "a": a_idx, "b": b_idx,
+                        "join": list(jc), "composition": list(cc),
+                        "agree": jc == cc,
+                    })
+        return entries
+
     # -- the two pipelines ------------------------------------------------
 
     def join_product(self, n: int, za: Sequence[int], m: int,
@@ -343,9 +368,9 @@ def _add_multiple(out: list[GroupRingElement], c: GroupRingElement,
                   vec: Mapping[int, GroupRingElement]) -> None:
     """out[r] += c * vec[r] for every row r of a sparse column, c on the left.
 
-    One ``ring_multiply`` per entry, not the ``_combine`` kernel the lifts
-    use: the composition pipeline evaluates its self-map on N.y_a here, so
-    its last step checks the lifted columns with independent arithmetic.
+    One ``ring_multiply`` per entry: the composition pipeline evaluates its
+    self-map on N.y_a here.  ``ring_multiply`` calls the convolution kernel
+    behind ``_combine``, so this step shares arithmetic with the lifts.
     """
     for r, v in vec.items():
         out[r] = out[r] + c * v
@@ -412,26 +437,6 @@ class ProductTable:
 
 def product_table(P: Resolution, pairs: Sequence[tuple[int, int]],
                   max_zrank: int | None = None) -> ProductTable:
-    """Products of all homology generators for each (n, m) in pairs.
-
-    Every entry is computed by both pipelines; the agree flag records exact
-    equality of the classified outputs.
-    """
-    ctx = ProductContext(P, max_zrank=max_zrank)
-    if pairs:
-        # size the join once; rebuilding it per pair order would redo lifts
-        ctx.join_for(pairs)
-    entries = []
-    for n, m in pairs:
-        hn = homology(P, n)
-        hm = homology(P, m)
-        for a_idx, za in enumerate(hn.generators):
-            for b_idx, zb in enumerate(hm.generators):
-                jc = ctx.join_product(n, za, m, zb)
-                cc = ctx.composition_product(n, za, m, zb)
-                entries.append({
-                    "n": n, "m": m, "a": a_idx, "b": b_idx,
-                    "join": list(jc), "composition": list(cc),
-                    "agree": jc == cc,
-                })
-    return ProductTable(P.group.label, P.label, entries)
+    """``ProductContext.table`` under the group and resolution labels."""
+    return ProductTable(P.group.label, P.label,
+                        ProductContext(P, max_zrank=max_zrank).table(pairs))

@@ -26,6 +26,7 @@ from tatejoin import (GroupRingElement, InternalCheckError,
 from tatejoin import resolutions
 from tatejoin.intlinalg import IntegerLattice, IntMatrix, _rank_and_minor
 from tatejoin.tate import down_vector
+from tatejoin.zglinalg import ZGMatrix
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                         "tatejoin", "fixtures")
@@ -87,6 +88,33 @@ def test_constructor_rejects_broken_complex():
     with pytest.raises(ResolutionError) as err:
         Resolution(g, [1, 1, 1], [d1, d1], [1])
     assert "degree 2" in str(err.value)
+
+
+def test_constructor_rejects_augmentation_not_killing_d1():
+    # d_1 = [e] on C2: eps o d_1 sends the basis vector to 1, not 0
+    g = cyclic(2)
+    d1 = ZGMatrix.from_rows(g, [[GroupRingElement.basis(g, 0)]])
+    with pytest.raises(ResolutionError, match=r"augmentation does not kill "
+                                              r"differential 1 \(column 0\)"):
+        Resolution(g, [1, 1], [d1], [1])
+
+
+def test_validate_reads_the_constructor_certificates(monkeypatch):
+    # d o d = 0 was proved when the resolution was built; validation lists
+    # it without composing a single pair of differentials again
+    res = syzygy_resolution(symmetric(3), 5)
+
+    def no_compose(self, other):
+        pytest.fail("validate_resolution composed differentials")
+
+    monkeypatch.setattr(ZGMatrix, "compose", no_compose)
+    rep = validate_resolution(res)
+    assert rep.passed, rep.first_failure
+    assert [c["name"] for c in rep.checks] == [
+        "eps o d_1 = 0", "d_1 o d_2 = 0", "d_2 o d_3 = 0", "d_3 o d_4 = 0",
+        "d_4 o d_5 = 0", "augmentation onto Z", "exact at degree 0",
+        "exact at degree 1", "exact at degree 2", "exact at degree 3",
+        "exact at degree 4"]
 
 
 def test_validate_flags_inexactness_with_degree():

@@ -1,9 +1,13 @@
 """The verify battery: passes on healthy input, fails on sabotage."""
 
-from tatejoin import (GroupRingElement, Resolution, ZGMatrix, cyclic,
+import pytest
+
+from tatejoin import (FiniteGroup, GroupRingElement, Resolution,
+                      SizeBudgetError, ZGMatrix, bar_resolution, cyclic,
                       norm_element, periodic_cyclic_resolution, run_verify,
                       syzygy_resolution, symmetric)
 from tatejoin import selfcheck
+from tatejoin.products import ProductContext
 
 
 def test_verify_passes_periodic_cyclic():
@@ -62,3 +66,41 @@ def test_verify_checks_the_join_it_builds(monkeypatch):
                         lambda P, Q, d: real(P, Q, d) + (d == 4))
     rep = run_verify(res, rounds=1)
     assert not rep.passed and "degree 4" in rep.first_failure
+
+
+def test_verify_charges_validation_to_the_budget():
+    res = bar_resolution(cyclic(3), 3)
+    with pytest.raises(SizeBudgetError, match="resolution validation"):
+        run_verify(res, max_zrank=5)
+
+
+def test_verify_reads_the_group_constructor_certificates(monkeypatch):
+    # the FiniteGroup constructor ran Light's test; verify lists the laws
+    # without running it again
+    res = periodic_cyclic_resolution(3, 6)
+
+    def no_test(self):
+        pytest.fail("verify re-ran the associativity test")
+
+    monkeypatch.setattr(FiniteGroup, "associativity_failure", no_test)
+    rep = run_verify(res, rounds=1)
+    assert rep.passed, rep.first_failure
+    assert [c for c in rep.checks if c["name"].startswith("group:")] == [
+        {"name": "group:identity", "passed": True, "detail": "order 3"},
+        {"name": "group:inverses", "passed": True, "detail": ""},
+        {"name": "group:associativity", "passed": True,
+         "detail": "Light's test on a generating set"}]
+
+
+def test_verify_flags_pipeline_disagreement(monkeypatch):
+    real = ProductContext.composition_product
+
+    def shifted(self, n, za, m, zb):
+        return tuple(v + 1 for v in real(self, n, za, m, zb))
+
+    monkeypatch.setattr(ProductContext, "composition_product", shifted)
+    rep = run_verify(periodic_cyclic_resolution(3, 6), rounds=1)
+    bad = next(c for c in rep.checks if not c["passed"])
+    assert bad == {"name": "products:pipeline_agreement[1x1]",
+                   "passed": False,
+                   "detail": "join (1,) != composition (2,)"}
