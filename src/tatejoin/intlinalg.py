@@ -20,9 +20,11 @@ One engine per job:
   by ``_rank_and_minor``, the package's one fraction-free Bareiss pass, so
   no entry ever exceeds D (Kannan and Bachem 1979; Cohen, GTM 138,
   section 2.4).
-* ``IntegerSolver`` factors a matrix once (column Hermite form) and answers
-  many A x = b queries; a particular solution is produced by back
-  substitution, with no size minimization, so results are deterministic.
+* ``IntegerSolver`` factors sparse columns once (column Hermite form, kept
+  sparse) and answers many A x = b queries on sparse vectors; a particular
+  solution comes from back substitution, with no size minimization, so
+  results are deterministic.  It and ``IntegerLattice`` change sparse
+  vectors by one in-place operation, ``_sub_multiple``.
 
 The minor-gcd oracle that cross-checks these engines lives with the tests
 (``tests/oracles.py``) and shares no code with them.
@@ -37,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalCheckError
@@ -412,8 +413,8 @@ def lll_reduce_rows(rows: list[list[int]]) -> list[list[int]]:
 
 
 def kernel_basis(cols: Sequence[dict[int, int]],
-                 nrows: int) -> list[list[int]]:
-    """A basis of the integer kernel {x : A x = 0}.
+                 nrows: int) -> list[dict[int, int]]:
+    """A basis of the integer kernel {x : A x = 0}, as sorted sparse vectors.
 
     A is given as for ``IntegerSolver``.  Read off the column Hermite form
     A*V = [H|0]: the transform columns over the zero block are a kernel
@@ -422,13 +423,9 @@ def kernel_basis(cols: Sequence[dict[int, int]],
     """
     solver = IntegerSolver(cols, nrows)
     rank = len(solver.pivots)
-    out = []
-    for j in range(rank, solver.ncols):
-        if any(solver.hcols[j]):
-            raise InternalCheckError(
-                f"kernel basis: nonpivot column {j} not cleared")
-        out.append(solver.vcols[j][:])
-    return out
+    if any(solver.hcols[rank:]):
+        raise InternalCheckError("kernel basis: a nonpivot column is not cleared")
+    return [dict(sorted(v.items())) for v in solver.vcols[rank:]]
 
 
 class NoSolutionType:
@@ -450,54 +447,44 @@ class IntegerSolver:
     """Factor A once (column Hermite form A*V = H), then solve A x = b repeatedly.
 
     A is given by its row count and sparse columns ({row: value} dicts, as
-    ``z_columns`` and ``down_matrix`` return them).  solve() returns a
-    particular solution or NoSolution.  The dense factorization ``hcols`` /
-    ``vcols`` is what ``kernel_basis`` reads.  A solve reads pivot (r, c)
-    only when the residual at row r is nonzero, and the first such read
-    stores its sparse step: the pivot H[r, c] and the nonzero (index, value)
-    pairs of column c of H and of V.  Later solves walk only those pairs,
-    and a single solve pays only for the pivots it uses.  Every returned
-    solution is verified by multiplying back; failure to verify is a bug.
+    ``z_columns`` and ``down_matrix`` return them), kept unchanged for the
+    multiply-back check.  ``hcols`` / ``vcols`` hold H and V in the same
+    form, with no stored zeros; ``kernel_basis`` reads them, and a solve
+    walks pivot column c only when the residual at its pivot row is
+    nonzero.  solve() maps a sparse b to a sparse particular solution or
+    NoSolution.  Every returned solution is verified by multiplying back;
+    failure to verify is a bug.
     """
 
-    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots", "_acols",
-                 "_steps")
+    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots", "_acols")
 
     def __init__(self, cols: Sequence[dict[int, int]], nrows: int):
         ncols = len(cols)
         self.nrows, self.ncols, self._acols = nrows, ncols, cols
-        self._steps = None
-        hcols = [[0] * nrows for _ in cols]
-        for h, col in zip(hcols, cols):
-            for i, v in col.items():
-                h[i] = v
-        vcols = [[1 if i == j else 0 for i in range(ncols)]
-                 for j in range(ncols)]
+        self.hcols = hcols = [{i: v for i, v in col.items() if v}
+                              for col in cols]
+        self.vcols = vcols = [{j: 1} for j in range(ncols)]
         self.pivots: list[tuple[int, int]] = []
         c = 0
         for r in range(nrows):
             if c >= ncols:
                 break
-            live = [j for j in range(c, ncols) if hcols[j][r]]
+            # columns c.. are zero above row r: their entries are rows >= r
+            live = [j for j in range(c, ncols) if r in hcols[j]]
             if not live:
                 continue
             # gcd-combine live columns into a single pivot at column c
             while len(live) > 1:
                 live.sort(key=lambda j: (abs(hcols[j][r]), j))
                 j0 = live[0]
+                h0, v0 = hcols[j0], vcols[j0]
                 nxt = []
                 for j in live[1:]:
-                    q = hcols[j][r] // hcols[j0][r]
+                    q = hcols[j][r] // h0[r]
                     if q:
-                        hj, h0 = hcols[j], hcols[j0]
-                        for i in range(r, nrows):
-                            if h0[i]:
-                                hj[i] -= q * h0[i]
-                        vj, v0 = vcols[j], vcols[j0]
-                        for i in range(ncols):
-                            if v0[i]:
-                                vj[i] -= q * v0[i]
-                    if hcols[j][r]:
+                        _sub_multiple(hcols[j], q, h0)
+                        _sub_multiple(vcols[j], q, v0)
+                    if r in hcols[j]:
                         nxt.append(j)
                 live = [j0] + nxt
             j0 = live[0]
@@ -505,51 +492,45 @@ class IntegerSolver:
                 hcols[j0], hcols[c] = hcols[c], hcols[j0]
                 vcols[j0], vcols[c] = vcols[c], vcols[j0]
             if hcols[c][r] < 0:
-                hcols[c] = [-v for v in hcols[c]]
-                vcols[c] = [-v for v in vcols[c]]
+                hcols[c] = {i: -v for i, v in hcols[c].items()}
+                vcols[c] = {i: -v for i, v in vcols[c].items()}
             self.pivots.append((r, c))
             c += 1
-        self.hcols = hcols
-        self.vcols = vcols
 
-    def solve(self, b: Sequence[int]):
-        """A particular x with A x = b, or NoSolution."""
-        if len(b) != self.nrows:
-            raise ValueError("right-hand side has wrong length")
-        steps = self._steps
-        if steps is None:
-            steps = self._steps = [None] * len(self.pivots)
-        resid = list(b)
+    def solve(self, b: dict[int, int]):
+        """x with A x = b as {column: nonzero}, or NoSolution; b is {row: value}."""
+        nrows, hcols, vcols = self.nrows, self.hcols, self.vcols
+        resid = [0] * nrows
+        for i, v in b.items():
+            if not 0 <= i < nrows:
+                raise ValueError(f"right-hand side row {i} out of range for "
+                                 f"a matrix with {nrows} rows")
+            resid[i] = v
+        want = resid[:]
         x = [0] * self.ncols
-        for k, (r, c) in enumerate(self.pivots):
+        for r, c in self.pivots:
             t = resid[r]
             if t:
-                step = steps[k]
-                if step is None:
-                    hc, vc = self.hcols[c], self.vcols[c]
-                    step = steps[k] = (
-                        hc[r],
-                        [(i, hc[i]) for i in compress(range(self.nrows), hc)],
-                        [(i, vc[i]) for i in compress(range(self.ncols), vc)])
-                piv, hc, vc = step
-                if t % piv:
+                hc = hcols[c]
+                if t % hc[r]:
                     return NoSolution
-                t //= piv
-                for i, v in hc:
+                t //= hc[r]
+                for i, v in hc.items():
                     resid[i] -= t * v
-                for i, v in vc:
+                for i, v in vcols[c].items():
                     x[i] += t * v
         if any(resid):
             return NoSolution
         # re-multiply; a wrong particular solution is an internal bug
-        ax = [0] * self.nrows
+        out, ax = {}, [0] * nrows
         for j, xv in enumerate(x):
             if xv:
+                out[j] = xv
                 for i, a in self._acols[j].items():
                     ax[i] += a * xv
-        if ax != list(b):
+        if ax != want:
             raise InternalCheckError("integer solver self-check failed: A x != b")
-        return x
+        return out
 
 
 # -- sparse elimination ------------------------------------------------------
@@ -593,11 +574,11 @@ class IntegerLattice:
                 break
             a, b = row[j], vec[j]
             if b % a == 0:
-                vec = _row_combine(1, vec, -(b // a), row)
+                _sub_multiple(vec, b // a, row)
             else:
                 g, x, y = xgcd(a, b)
                 # new pivot row with leading entry g; nonpivot combination continues
-                self.rows[j] = _row_combine(x, row, y, vec)
+                self.rows[j] = _row_combine(y, vec, x, row)
                 vec = _row_combine(a // g, vec, -(b // g), row)
                 changed = True
         if changed:
@@ -606,7 +587,8 @@ class IntegerLattice:
 
     def _reduce(self) -> None:
         # keep every entry under a pivot column balanced-reduced mod that
-        # pivot, else entries grow exponentially; copy a changed row once
+        # pivot, else entries grow exponentially; add stores copies, so
+        # the rows are the lattice's own and change in place
         leads = sorted(self.rows)
         for i, ji in enumerate(leads):
             row = self.rows[ji]
@@ -619,12 +601,7 @@ class IntegerLattice:
                         r -= p
                     q = (v - r) // p
                     if q:
-                        if row is self.rows[ji]:
-                            row = dict(row)
-                        for j, w in self.rows[jm].items():
-                            row[j] = row.get(j, 0) - q * w
-            if row is not self.rows[ji]:
-                self.rows[ji] = {j: v for j, v in row.items() if v}
+                        _sub_multiple(row, q, self.rows[jm])
 
     def contains(self, vec: dict[int, int]) -> bool:
         vec = {j: v for j, v in vec.items() if v}
@@ -633,7 +610,7 @@ class IntegerLattice:
             row = self.rows.get(j)
             if row is None or vec[j] % row[j]:
                 return False
-            vec = _row_combine(1, vec, -(vec[j] // row[j]), row)
+            _sub_multiple(vec, vec[j] // row[j], row)
         return True
 
 
@@ -652,11 +629,20 @@ def f2_rank(masks: Iterable[int]) -> int:
 
 def _row_combine(s: int, a: dict[int, int], t: int,
                  b: dict[int, int]) -> dict[int, int]:
-    """s*a + t*b for sparse rows, zeros dropped; s = 1 only copies a."""
-    out = dict(a) if s == 1 else {j: s * v for j, v in a.items()}
+    """s*a + t*b for sparse rows and s != 0, as a new row; zeros dropped."""
+    out = {j: s * v for j, v in a.items()}
+    _sub_multiple(out, -t, b)
+    return out
+
+
+def _sub_multiple(a: dict[int, int], q: int, b: dict[int, int]) -> None:
+    """a -= q*b in place for sparse vectors; entries that reach 0 are dropped."""
     for j, v in b.items():
-        out[j] = out.get(j, 0) + t * v
-    return {j: v for j, v in out.items() if v}
+        w = a.get(j, 0) - q * v
+        if w:
+            a[j] = w
+        else:
+            a.pop(j, None)
 
 
 class Elimination(NamedTuple):

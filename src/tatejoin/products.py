@@ -157,12 +157,12 @@ class ComparisonLift:
             return col
         group = self.source.group
         if k == 0 and self.seed is None:
-            z = self._aug_solver.solve([self.source.aug[j]])
+            z = self._aug_solver.solve({0: self.source.aug[j]})
             if z is NoSolution:
                 raise ResolutionError(
                     "target augmentation is not onto; invalid resolution")
             col = {i: GroupRingElement.basis(group, 0, v)
-                   for i, v in enumerate(z) if v}
+                   for i, v in z.items()}
         else:
             if k == 0:
                 a = self.source.aug[j]

@@ -494,7 +494,7 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     # its basis would add nothing.
     full = IntegerLattice()
     for v in kernel_basis(z_cols, nrows):
-        full.add({i: x for i, x in enumerate(v) if x})
+        full.add(v)
     dense = [[full.rows[j].get(i, 0) for i in range(len(z_cols))]
              for j in sorted(full.rows)]
     # Echelon reduction alone cannot bound entries away from the pivot

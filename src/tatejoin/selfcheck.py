@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .errors import SizeBudgetError
 from .products import ProductContext
 from .resolutions import ValidationReport, Resolution, join_rank, validate_resolution
 from .tate import (homology, is_stably_zero, phi, phi_inverse, random_cycle,
@@ -86,9 +87,19 @@ def _check_tate_degrees(rep: ValidationReport, res: Resolution) -> None:
                detail or f"degrees -2..-{res.depth}")
 
 
-def _feasible_pairs(depth: int) -> list[tuple[int, int]]:
-    return [(n, m) for n in range(1, depth) for m in range(1, depth)
-            if n + m + 2 <= depth]
+def _feasible_pairs(res: Resolution, max_zrank: int | None
+                    ) -> list[tuple[int, int]]:
+    """The bidegrees n, m >= 1 with n + m + 2 <= d, (d - 3)(d - 2)/2 at
+    depth d >= 3; |G| per bidegree is charged to the budget before listing."""
+    d, group = res.depth, res.group
+    count = (d - 3) * (d - 2) // 2 if d >= 3 else 0
+    needed = group.order * count
+    if max_zrank is not None and needed > max_zrank:
+        raise SizeBudgetError(
+            f"verify at depth {d} checks {count} bidegrees and needs {needed} "
+            f"(|{group.label}| = {group.order} x {count}), budget is "
+            f"{max_zrank}", needed=needed, budget=max_zrank)
+    return [(n, m) for n in range(1, d) for m in range(1, d - n - 1)]
 
 
 def _add_classes(factors: Sequence[int], u: Sequence[int],
@@ -174,7 +185,9 @@ def run_verify(res: Resolution, seed: int = 0, rounds: int = 5,
 
     Returns a report with one named check per line; report.passed is the
     overall verdict.  Deterministic for a fixed (resolution, seed, rounds).
+    Before any work, |G| per bidegree checked is charged to max_zrank.
     """
+    pairs = _feasible_pairs(res, max_zrank)
     rng = random.Random(seed)
     rep = ValidationReport()
     _check_group_laws(rep, res.group)
@@ -182,7 +195,6 @@ def run_verify(res: Resolution, seed: int = 0, rounds: int = 5,
     for c in inner.checks:
         rep.record(f"resolution:{c['name']}", c["passed"], c["detail"])
     ctx = ProductContext(res, max_zrank=max_zrank)
-    pairs = _feasible_pairs(res.depth)
     _check_join_ranks(rep, ctx, pairs)
     _check_phi(rep, res, rng, rounds)
     _check_tate_degrees(rep, res)

@@ -10,9 +10,9 @@ invariant factors of D_{n+1}, because the kernel of D_n is a saturated
 sublattice, and the free rank is rank ker D_n - rank D_{n+1}.  Classifying
 cycles and exhibiting generators replays the row operations of the
 elimination of D_{n+1} and takes a transform-tracked Smith form of its
-small residual alone; a kernel basis of D_n, the only dense copy of a down
-map, is computed only when H_n has a free summand.  That data is built
-lazily, only when someone asks, and must reproduce the factors.
+small residual alone, dense by design; a kernel basis of D_n is computed
+only when H_n has a free summand.  That data is built lazily, only when
+someone asks, and must reproduce the factors.
 
 The degree-(-n-1) groups of the Tate theory are reached through the norm
 correspondence: an invariant chain of P_n is exactly a norm N.y, and the
@@ -216,8 +216,9 @@ class _CycleCoordinates:
     def _add_free_generators(self, res: Resolution, n: int,
                              free: int) -> None:
         # D_0 maps to the zero module: r_0 empty columns over no rows
-        kernel = (kernel_basis(res.down_matrix(n), res.ranks[n - 1]) if n
+        sparse = (kernel_basis(res.down_matrix(n), res.ranks[n - 1]) if n
                   else kernel_basis([{}] * res.ranks[0], 0))
+        kernel = [[k.get(i, 0) for i in range(res.ranks[n])] for k in sparse]
         values = [self._coords(k)[1] for k in kernel]
         fdec = smith_normal_form(IntMatrix([list(r) for r in zip(*values)],
                                            ncols=len(kernel)))

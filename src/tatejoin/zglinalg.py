@@ -227,9 +227,9 @@ class ZGSolver:
     The integer solver is built lazily on first use and kept, so lifting many
     chains through the same differential costs one Hermite factorization.
     Right-hand sides and solutions are sparse columns, {row: nonzero
-    GroupRingElement}, the form ``ZGMatrix.column`` holds: only the nonzero
-    rows of b are flattened, and only the nonzero rows of x become ring
-    elements.
+    GroupRingElement}, the form ``ZGMatrix.column`` holds, and cross to the
+    integer solver as sparse vectors: b through its entries' supports, x
+    regrouped by row, with no dense vector of length rank * |G|.
     """
 
     __slots__ = ("matrix", "_solver")
@@ -256,24 +256,23 @@ class ZGSolver:
         """
         m = self.matrix
         group, order = m.group, m.group.order
-        flat = [0] * (m.nrows * order)
-        want = {}
+        flat, want = {}, {}
         for i, a in b.items():
             if not 0 <= i < m.nrows:
                 raise ValueError(f"right-hand side row {i} out of range for "
                                  f"a matrix with {m.nrows} rows")
             m._check_group(a.group, f"right-hand side entry {i}")
-            if any(a.c):
-                flat[i * order:(i + 1) * order] = a.c
+            if a.support():
+                flat.update((i * order + g, v) for g, v in a.support())
                 want[i] = a
         z = self._ensure().solve(flat)
         if z is NoSolution:
             return NoSolution
-        x = {}
-        for j in range(m.ncols):
-            c = z[j * order:(j + 1) * order]
-            if any(c):
-                x[j] = GroupRingElement(group, c)
+        coeffs: dict[int, list[int]] = {}
+        for k, v in z.items():  # ascending k, so rows come out in order
+            j, g = divmod(k, order)
+            coeffs.setdefault(j, [0] * order)[g] = v
+        x = {j: GroupRingElement(group, c) for j, c in coeffs.items()}
         got = _combine(group, [(v.support(), m._support_column(j))
                                for j, v in x.items()])
         if got != want:

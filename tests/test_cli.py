@@ -260,6 +260,21 @@ def test_huge_depth_exit_3_before_any_work(capsys, monkeypatch, argv):
     assert time.perf_counter() - t0 < 2
 
 
+def test_verify_charges_its_bidegrees_to_the_budget(capsys, monkeypatch):
+    # depth 200 has 197 * 198 / 2 = 19503 bidegrees: 3 x 19503 = 58509
+    # exceeds the default budget; depth 100 needs 3 x 4753 = 14259
+    monkeypatch.delenv("TATEJOIN_MAX_ZRANK", raising=False)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--group", "cyclic:3",
+                         "--depth", "200")
+    assert time.perf_counter() - t0 < 2
+    assert code == 3 and out == ""
+    assert "19503 bidegrees" in err and "58509" in err
+    code, _, err = run(capsys, "verify", "--group", "cyclic:3",
+                       "--depth", "100", "--max-zrank", "14258")
+    assert code == 3 and "4753 bidegrees" in err
+
+
 def test_bad_degree_and_pair_tokens(capsys):
     assert run(capsys, "homology", "--group", "cyclic:2",
                "--degrees", "5..2")[0] == 2

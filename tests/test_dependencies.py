@@ -1,11 +1,14 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, with every check live.
 
 A CLI homology run on the computed resolution of S4 to depth 5 (a syzygy
 build, LLL included) happens in a fresh interpreter in which importing
 sympy fails, and ``pyproject.toml`` declares no runtime
-dependency.
+dependency.  No ``assert`` statement appears in the package, so
+``python -O`` cannot switch a certificate off.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -42,3 +45,16 @@ def test_no_runtime_dependency_declared():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_no_assert_statements_in_the_package():
+    src = os.path.dirname(tatejoin.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.relpath(path, src)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert len(glob.glob(os.path.join(src, "*.py"))) > 5
+    assert found == [], f"assert statements in the package: {found}"

@@ -6,6 +6,7 @@ used as the oracle for the Smith form; it shares no code with the
 elimination.  Frozen small examples were worked by hand.
 """
 
+import copy
 import hashlib
 import json
 import random
@@ -31,6 +32,20 @@ def columns(a):
 
 def solver_of(a):
     return IntegerSolver(columns(a), a.nrows)
+
+
+def dense(x, n):
+    """A sparse {index: value} vector as a dense list of length n."""
+    return [x.get(i, 0) for i in range(n)]
+
+
+def apply_sparse(cols, x, nrows):
+    """A x for sparse columns and a sparse x, as a dense list."""
+    out = [0] * nrows
+    for j, xv in x.items():
+        for i, a in cols[j].items():
+            out[i] += a * xv
+    return out
 
 
 def test_xgcd_identity():
@@ -228,17 +243,17 @@ def test_invariant_factor_engines_agree_fuzz():
 
 def test_solve_single_diophantine():
     a = IntMatrix([[2, 3]])
-    x = solver_of(a).solve([1])
-    assert a.apply(x) == [1]
+    x = solver_of(a).solve({0: 1})
+    assert a.apply(dense(x, a.ncols)) == [1]
 
 
 def test_solve_consistency_and_no_solution():
     a = IntMatrix([[2, 0], [0, 2]])
-    assert a.apply(solver_of(a).solve([4, -6])) == [4, -6]
-    assert solver_of(a).solve([1, 0]) is NoSolution
+    assert a.apply(dense(solver_of(a).solve({0: 4, 1: -6}), 2)) == [4, -6]
+    assert solver_of(a).solve({0: 1}) is NoSolution
     # inconsistent overdetermined system
     b = IntMatrix([[1], [1]])
-    assert solver_of(b).solve([1, 2]) is NoSolution
+    assert solver_of(b).solve({0: 1, 1: 2}) is NoSolution
 
 
 def test_solve_random_verified_by_multiplication():
@@ -250,23 +265,21 @@ def test_solve_random_verified_by_multiplication():
         a = IntMatrix([[rng.randrange(-5, 6) for _ in range(nc)]
                        for _ in range(nr)])
         target = [rng.randrange(-8, 9) for _ in range(nr)]
-        x = solver_of(a).solve(target)
+        x = solver_of(a).solve(dict(enumerate(target)))
         if x is not NoSolution:
-            assert a.apply(x) == target
+            assert a.apply(dense(x, nc)) == target
             hits += 1
     assert hits > 10  # the sweep actually exercised the solver
 
 
 def test_solver_check_is_not_an_assert():
-    # doctored solve steps yield a wrong x; the check must raise, not
-    # assert, so python -O cannot switch it off.  The first solve stores
-    # the sparse step of each pivot it uses; later solves read it.
+    # a doctored transform column yields a wrong x; the check must raise,
+    # not assert, so python -O cannot switch it off
     solver = solver_of(IntMatrix([[2, 0], [0, 3]]))
-    assert solver.solve([4, 9]) == [2, 3]
-    piv, hc, vc = solver._steps[0]
-    solver._steps[0] = (piv, hc, [(i, 2 * v) for i, v in vc])
+    assert solver.solve({0: 4, 1: 9}) == {0: 2, 1: 3}
+    solver.vcols[0] = {i: 2 * v for i, v in solver.vcols[0].items()}
     with pytest.raises(InternalCheckError):
-        solver.solve([4, 9])
+        solver.solve({0: 4, 1: 9})
 
 
 def test_kernel_basis_check_is_not_an_assert(monkeypatch):
@@ -274,10 +287,10 @@ def test_kernel_basis_check_is_not_an_assert(monkeypatch):
     class Doctored(IntegerSolver):
         def __init__(self, cols, nrows):
             super().__init__(cols, nrows)
-            self.hcols[-1] = [1] * self.nrows
+            self.hcols[-1] = {i: 1 for i in range(self.nrows)}
 
     a = [{0: 1}, {0: 1}]
-    assert kernel_basis(a, 1) in ([[1, -1]], [[-1, 1]])
+    assert kernel_basis(a, 1) in ([{0: 1, 1: -1}], [{0: -1, 1: 1}])
     monkeypatch.setattr("tatejoin.intlinalg.IntegerSolver", Doctored)
     with pytest.raises(InternalCheckError, match="nonpivot"):
         kernel_basis(a, 1)
@@ -290,7 +303,7 @@ def test_kernel_basis_spans_and_is_independent():
         nc = rng.randrange(1, 6)
         a = IntMatrix([[rng.randrange(-4, 5) for _ in range(nc)]
                        for _ in range(nr)])
-        basis = kernel_basis(columns(a), nr)
+        basis = [dense(v, nc) for v in kernel_basis(columns(a), nr)]
         for v in basis:
             assert a.apply(v) == [0] * nr
         rank = len(smith_normal_form(a).invariant_factors)
@@ -306,14 +319,61 @@ def test_kernel_basis_of_injective_map_is_empty():
 
 def test_kernel_basis_of_zero_rows_is_the_identity():
     # D_0 of a down complex: columns with no rows to land in
-    assert kernel_basis([{}, {}], 0) == [[1, 0], [0, 1]]
+    assert kernel_basis([{}, {}], 0) == [{0: 1}, {1: 1}]
 
 
 def test_solver_takes_sparse_columns_with_stored_zeros():
     # {0: a} for every augmentation entry, a = 0 included
     solver = IntegerSolver([{0: 0}, {0: 2}, {0: 3}], 1)
-    x = solver.solve([1])
-    assert 2 * x[1] + 3 * x[2] == 1
+    x = solver.solve({0: 1})
+    assert 2 * x.get(1, 0) + 3 * x.get(2, 0) == 1
+
+
+def test_solver_stores_only_nonzero_entries():
+    # the norm matrix that phi(via_solver=True) factors on bar(C5) in
+    # degree 3: integer rank 320, 896 nonzeros in H and V together
+    from tatejoin import norm_element
+    from tatejoin.zglinalg import ZGMatrix
+    g = cyclic(5)
+    r = bar_resolution(g, 4).rank(3)
+    norm = ZGMatrix(g, r, [{i: norm_element(g)} for i in range(r)])
+    solver = IntegerSolver(norm.z_columns(), r * g.order)
+    stored = [v for col in solver.hcols + solver.vcols for v in col.values()]
+    assert len(stored) <= 896 and all(stored)
+
+
+def test_engines_leave_their_arguments_unchanged():
+    # the factorization and the lattice change sparse vectors in place;
+    # that must never reach a caller's dicts
+    rng = random.Random(5)
+    for _ in range(40):
+        nr, nc = rng.randrange(1, 5), rng.randrange(1, 6)
+        cols = [{i: rng.randrange(-4, 5) for i in range(nr)
+                 if rng.random() < 0.7} for _ in range(nc)]
+        b = {i: rng.randrange(-6, 7) for i in range(nr)}
+        vec = {j: rng.randrange(-5, 6) for j in range(nc)}
+        want = copy.deepcopy((cols, b, vec))
+        x = IntegerSolver(cols, nr).solve(b)
+        if x is not NoSolution:
+            assert apply_sparse(cols, x, nr) == dense(b, nr)
+        for v in kernel_basis(cols, nr):
+            assert apply_sparse(cols, v, nr) == [0] * nr
+        lat = IntegerLattice()
+        for col in cols:
+            lat.add(col)
+        lat.add(vec)
+        lat.contains(vec)
+        lat.contains(b)
+        assert (cols, b, vec) == want
+
+
+def test_solve_ignores_zeros_and_names_a_row_out_of_range():
+    solver = solver_of(IntMatrix([[2, 0], [0, 3]]))
+    assert solver.solve({0: 4, 1: 0}) == solver.solve({0: 4}) == {0: 2}
+    assert solver.solve({0: 0}) == {}
+    for row in (2, -1):
+        with pytest.raises(ValueError, match=f"row {row} out of range"):
+            solver.solve({0: 4, row: 1})
 
 
 # -- integer lattices ---------------------------------------------------------
@@ -428,7 +488,7 @@ def test_lll_preserves_lattice_and_shrinks():
     assert abs(det_bareiss(IntMatrix(red))) == abs(det_bareiss(IntMatrix(rows)))
     solver = solver_of(IntMatrix([list(c) for c in zip(*red)]))
     for v in rows:
-        assert solver.solve(v) is not NoSolution
+        assert solver.solve(dict(enumerate(v))) is not NoSolution
 
 
 def test_lll_rounds_ties_up():

@@ -218,13 +218,15 @@ def test_syzygy_cover_ignores_the_kernel_basis_given(monkeypatch):
 
     def recombined(cols, nrows):
         basis = real(cols, nrows)
-        out = [v[:] for v in basis]
+        out = [dict(v) for v in basis]
         rng = random.Random(len(out))
         for _ in range(3 * len(out)):
             if len(out) > 1:
                 i, j = rng.sample(range(len(out)), 2)
                 c = rng.choice([-2, -1, 1, 2])
-                out[i] = [a + c * b for a, b in zip(out[i], out[j])]
+                out[i] = {k: out[i].get(k, 0) + c * out[j].get(k, 0)
+                          for k in out[i].keys() | out[j].keys()}
+                out[i] = {k: v for k, v in out[i].items() if v}
         out.reverse()
         changed.append(out != basis)
         return out

@@ -253,7 +253,7 @@ def test_zg_solver_check_is_not_an_assert(monkeypatch):
 
     def off_by_one(self, b):
         x = real(self, b)
-        return x if x is NoSolution else [x[0] + 1] + x[1:]
+        return x if x is NoSolution else {**x, 0: x.get(0, 0) + 1}
 
     monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", off_by_one)
     with pytest.raises(InternalCheckError):
