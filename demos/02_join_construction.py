@@ -4,14 +4,16 @@ The join P*Q is the suspended tensor product: in degree d it collects
 P_{k-1} (x) Q_{d-k} over all k, with the degree -1 slot standing in for a
 bare copy of the other factor.  Its basis elements are tagged tuples
 (k, i, g, j): position k, basis index i of P_{k-1}, a group element g
-twisting the right factor, and basis index j of Q_{d-k}.
+twisting the right factor, and basis index j of Q_{d-k}.  A chain is a
+dict {basis index: nonzero group ring element}, one entry per basis
+vector it touches.
 
 Run:  python3 demos/02_join_construction.py
 """
 
-from tatejoin import (GroupRingElement, include_cycle_tensor, join,
-                      join_rank, norm_element, periodic_cyclic_resolution,
-                      validate_resolution)
+from tatejoin import (GroupRingElement, down_vector, include_cycle_tensor,
+                      join, join_rank, norm_element,
+                      periodic_cyclic_resolution, validate_resolution)
 
 
 def main():
@@ -43,17 +45,14 @@ def main():
     print()
     print("a cycle of P_1 tensored with a chain of P_1 includes into")
     print("join degree 3; the inclusion untwists the left coordinates:")
-    x = [norm_element(res.group)]  # the invariant cycle N.e
-    y = [GroupRingElement.basis(res.group, 0)]
+    x = {0: norm_element(res.group)}  # the invariant cycle N.e
+    y = {0: GroupRingElement.basis(res.group, 0)}
     vec = include_cycle_tensor(J, x, 1, y, 1)
-    for tag, coeff in zip(J.bases[3], vec):
-        if not coeff.is_zero():
-            print(f"  {tag}: {coeff}")
+    for pos in sorted(vec):
+        print(f"  {J.bases[3][pos]}: {vec[pos]}")
     img = J.apply_differential(3, vec)
-    down = [a.augmentation() for a in img]
-    print(f"  boundary is nonzero in the chain complex: "
-          f"{any(not a.is_zero() for a in img)}")
-    print(f"  but dies after tensoring down: {not any(down)}")
+    print(f"  boundary is nonzero in the chain complex: {bool(img)}")
+    print(f"  but dies after tensoring down: {not down_vector(img)}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ def main():
     z = h3.generators[-1]
     print(f"take the last generator of {h3}")
     x = phi_inverse(res, 3, z)
-    print(f"its invariant-cycle avatar has coordinates {x.vector}")
+    print(f"its invariant-cycle avatar has nonzero coordinates {x.vector}")
     print(f"classifying the avatar recovers the class: "
           f"{phi(x)} == {h3.classify(z)}")
     print(f"the slow group-ring-solver path agrees: "

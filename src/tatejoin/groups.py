@@ -135,6 +135,7 @@ class FiniteGroup:
             raise SchemaError("group 'label' must be a string")
         if "table" in obj:
             table = _list(obj["table"], "group 'table'")
+            _check_order(len(table), "group 'table'")
             for a, row in enumerate(table):
                 _int_list(row, f"group table row {a}")
             label = obj.get("label", "G")
@@ -148,8 +149,9 @@ class FiniteGroup:
             degree = obj.get("degree")
             if degree is None:
                 raise SchemaError("permutation group JSON needs a 'degree'")
-            if not _is_int(degree):
-                raise SchemaError("permutation group 'degree' must be an integer")
+            if not _is_int(degree) or degree < 0:
+                raise SchemaError("permutation group 'degree' must be an "
+                                  "integer >= 0")
             gens = _list(obj["generators"], "permutation group 'generators'")
             for t, g in enumerate(gens):
                 _int_list(g, f"generator {t}")
@@ -270,9 +272,11 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
     gens = []
     for g in generators:
         g = tuple(g)
-        if sorted(g) != list(range(degree)):
+        if len(g) != degree or sorted(g) != list(range(degree)):
             raise GroupError(f"{list(g)} is not a permutation of 0..{degree - 1}")
         gens.append(g)
+    if not gens:  # nothing of size degree is built for the trivial group
+        return FiniteGroup([[0]], label=label)
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}

@@ -31,7 +31,8 @@ Both pipelines lift into P with one lazy lifter, ``ComparisonLift``: shift
 0 for the join's comparison map, shift m+1 seeded by N.y_b for the self-map.
 Each lift has its own solvers, so the pipelines share no intermediate data,
 and a product lifts only the columns reachable from its input's support.
-A lifted column is a sparse Z[G] column, {row: nonzero entry}, and each
+Every chain here, the seed, the lifted columns and the product chains, is
+a Z[G] chain {index: nonzero element} (see ``zglinalg``), and each
 right-hand side is one call of the convolution kernel behind
 ``ZGMatrix.apply``.  The composition pipeline's last step, the self-map
 evaluated on N.y_a, stays on ring elements (``_add_multiple``), but
@@ -49,7 +50,7 @@ from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, ZGSolver, _combine, vector_is_zero
+from .zglinalg import ZGMatrix, ZGSolver, _combine
 
 
 class ChainMap:
@@ -58,15 +59,15 @@ class ChainMap:
     components[k] maps source degree k to target degree k + shift.  check()
     verifies the commutation squares and the base case: for shift 0,
     augmentation compatibility; for shift > 0, d^T_shift o psi_0 =
-    seed . eps^S, where ``seed`` is the boundary of target degree shift - 1
-    that the lift started from.  Lift constructors guarantee all of them.
+    seed . eps^S, where ``seed`` is the boundary (a chain) of target degree
+    shift - 1 that the lift started from.  Lift constructors guarantee them.
     """
 
     __slots__ = ("source", "target", "shift", "components", "seed")
 
     def __init__(self, source: Resolution, target: Resolution, shift: int,
                  components: dict[int, ZGMatrix],
-                 seed: Sequence[GroupRingElement] | None = None):
+                 seed: Mapping[int, GroupRingElement] | None = None):
         if (seed is None) != (shift == 0):
             raise ValueError("a chain map of shift > 0 needs a seed, "
                              "a chain map of shift 0 takes none")
@@ -90,7 +91,7 @@ class ChainMap:
                         f"comparison map does not respect augmentations at column {j}")
         elif psi0 is not None:
             want = ZGMatrix(self.source.group, self.target.rank(self.shift - 1),
-                            [{i: s.scale(a) for i, s in enumerate(self.seed)}
+                            [{i: s.scale(a) for i, s in self.seed.items()}
                              for a in self.source.aug])
             if self.target.differential(self.shift).compose(psi0) != want:
                 raise InternalCheckError(
@@ -113,8 +114,8 @@ class ComparisonLift:
     Column j in degree k, psi_k(e_j), is lifted through the exact target on
     first use and memoized as a sparse column {row: nonzero entry}: degree
     0 matches augmentations when shift is 0 and solves
-    d^T_shift x = eps^S(e_j) . seed otherwise, for a boundary ``seed`` of
-    target degree shift - 1; degree k > 0 solves
+    d^T_shift x = eps^S(e_j) . seed otherwise, for a boundary ``seed``, a
+    chain of target degree shift - 1; degree k > 0 solves
     d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  That right-hand side is one
     ``_combine`` call: the entries of d^S_k e_j are the coefficients, on
     the left, of the memoized columns psi_{k-1}(e_i).  ``solvers`` (target
@@ -127,7 +128,7 @@ class ComparisonLift:
                  "_solvers")
 
     def __init__(self, source: Resolution, target: Resolution, shift: int = 0,
-                 seed: Sequence[GroupRingElement] | None = None,
+                 seed: Mapping[int, GroupRingElement] | None = None,
                  solvers: dict[int, ZGSolver] | None = None):
         if source.group != target.group:
             raise ResolutionError("comparison lift needs matching groups")
@@ -166,7 +167,7 @@ class ComparisonLift:
         else:
             if k == 0:
                 a = self.source.aug[j]
-                rhs = {i: v.scale(a) for i, v in enumerate(self.seed)}
+                rhs = {i: v.scale(a) for i, v in self.seed.items()}
             else:
                 terms = []
                 for i, val in self.source.differential(k).column(j).items():
@@ -181,17 +182,16 @@ class ComparisonLift:
         self._cols[key] = col
         return col
 
-    def transport_down(self, k: int, down_vec: Sequence[int]) -> list[int]:
+    def transport_down(self, k: int, down_vec: Mapping[int, int]) -> list[int]:
         """Down-image of psi applied to a chain whose down-image is down_vec.
 
-        Since psi is a module map, augmentation factors through it; only the
-        columns with nonzero down-coordinate contribute.
+        down_vec is sparse, as ``down_vector`` returns it.  Since psi is a
+        module map, augmentation factors through it.
         """
         out = [0] * self.target.rank(k + self.shift)
-        for j, c in enumerate(down_vec):
-            if c:
-                for i, val in self.column(k, j).items():
-                    out[i] += c * val.augmentation()
+        for j, c in down_vec.items():
+            for i, val in self.column(k, j).items():
+                out[i] += c * val.augmentation()
         return out
 
     def materialize(self, up_to: int) -> ChainMap:
@@ -317,8 +317,7 @@ class ProductContext:
         w = include_cycle_tensor(J, x.vector, n, y, m)
         # the boundary must die after tensoring down (norm against the
         # augmentation ideal); anything else is a sign bug, not bad input
-        bdry = down_vector(J.apply_differential(out_deg, w))
-        if any(bdry):
+        if down_vector(J.apply_differential(out_deg, w)):
             raise InternalCheckError(
                 "down-image of the product chain's boundary is nonzero")
         t = self.lift().transport_down(out_deg, down_vector(w))
@@ -350,30 +349,32 @@ class ProductContext:
         _require_lengths(P, n, za, m, zb)
         x = phi_inverse(P, n, za).vector  # N . y_a, checked invariant cycle
         glift = self._g_lift(m, zb)
-        out = P.zero_chain(out_deg)
-        for j, coeff in enumerate(x):
-            if not coeff.is_zero():
-                _add_multiple(out, coeff, glift.column(n, j))
+        out: dict[int, GroupRingElement] = {}
+        for j, coeff in x.items():
+            _add_multiple(out, coeff, glift.column(n, j))
         # the image of an invariant cycle under a chain map is again an
         # invariant cycle; classify through the norm correspondence
-        if not vector_is_zero(P.apply_differential(out_deg, out)):
+        if P.apply_differential(out_deg, out):
             raise InternalCheckError("composed chain is not a cycle")
-        if not all(a.is_invariant() for a in out):
-            raise InternalCheckError("composed chain lost invariance")
-        down = [a.c[0] for a in out]
+        down = [0] * P.rank(out_deg)
+        for r, a in out.items():
+            if not a.is_invariant():
+                raise InternalCheckError("composed chain lost invariance")
+            down[r] = a.c[0]
         return homology(P, out_deg).classify(down)
 
 
-def _add_multiple(out: list[GroupRingElement], c: GroupRingElement,
+def _add_multiple(out: dict[int, GroupRingElement], c: GroupRingElement,
                   vec: Mapping[int, GroupRingElement]) -> None:
-    """out[r] += c * vec[r] for every row r of a sparse column, c on the left.
+    """out += c * vec for chains, c on the left.
 
     One ``ring_multiply`` per entry: the composition pipeline evaluates its
     self-map on N.y_a here.  ``ring_multiply`` calls the convolution kernel
     behind ``_combine``, so this step shares arithmetic with the lifts.
     """
     for r, v in vec.items():
-        out[r] = out[r] + c * v
+        p = c * v
+        out[r] = out[r] + p if r in out else p
 
 
 def _require_depth(P: Resolution, need: int) -> None:

@@ -43,7 +43,8 @@ import contextlib
 import json
 import math
 import os
-from typing import Sequence
+from collections import defaultdict
+from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
@@ -145,12 +146,9 @@ class Resolution:
                    f"{self.label}<={k}")
         return view
 
-    def apply_differential(self, k: int, vec: Sequence[GroupRingElement]
-                           ) -> list[GroupRingElement]:
+    def apply_differential(self, k: int, vec: Mapping[int, GroupRingElement]
+                           ) -> dict[int, GroupRingElement]:
         return self.differential(k).apply(vec)
-
-    def zero_chain(self, k: int) -> list[GroupRingElement]:
-        return [GroupRingElement.zero(self.group) for _ in range(self.rank(k))]
 
     def down_matrix(self, k: int) -> list[dict[int, int]]:
         """D_k, the differential d_k of the tensored-down complex P (x)_{Z[G]} Z.
@@ -230,14 +228,21 @@ class Resolution:
         raw = _list(obj["differentials"], "resolution 'differentials'")
         if len(raw) != len(ranks) - 1:
             raise SchemaError("differential count does not match ranks")
-        diffs = []
+        # shapes first, so the file's own lists bound each rank before
+        # anything of that size is built
         for k, rows in enumerate(raw, start=1):
             if len(_list(rows, f"differential {k}")) != ranks[k - 1]:
                 raise SchemaError(f"differential {k} has wrong row count")
-            cols = [{} for _ in range(ranks[k])]
             for i, row in enumerate(rows):
                 if len(_list(row, f"differential {k} row {i}")) != ranks[k]:
                     raise SchemaError(f"differential {k} row {i} has wrong length")
+            if not rows and ranks[k] and k == len(raw):
+                raise SchemaError(f"differential {k} has no rows to bound "
+                                  f"its rank {ranks[k]}")
+        diffs = []
+        for k, rows in enumerate(raw, start=1):
+            cols = [{} for _ in range(ranks[k])]
+            for i, row in enumerate(rows):
                 for j, coeffs in enumerate(row):
                     what = f"differential {k} entry ({i},{j})"
                     if len(_int_list(coeffs, what)) != group.order:
@@ -420,22 +425,15 @@ def bar_resolution(group: FiniteGroup, n: int,
     for k in range(1, n + 1):
         cols = []
         for tup in tuples(k):
-            acc: dict[int, list[int]] = {}
-
-            def put(row, g, v):
-                c = acc.get(row)
-                if c is None:
-                    c = acc[row] = [0] * w
-                c[g] += v
-
-            put(tuple_index(tup[1:]), tup[0], 1)
+            acc = defaultdict(lambda: [0] * w)  # row -> coefficient list
+            acc[tuple_index(tup[1:])][tup[0]] += 1
             sign = -1
             for i in range(k - 1):
                 merged = group.table[tup[i]][tup[i + 1]]
                 if merged != 0:
-                    put(tuple_index(tup[:i] + (merged,) + tup[i + 2:]), 0, sign)
+                    acc[tuple_index(tup[:i] + (merged,) + tup[i + 2:])][0] += sign
                 sign = -sign
-            put(tuple_index(tup[:-1]), 0, sign)
+            acc[tuple_index(tup[:-1])][0] += sign
             cols.append({row: GroupRingElement(group, coeffs)
                          for row, coeffs in acc.items()})
         diffs.append(ZGMatrix(group, ranks[k - 1], cols))
@@ -503,8 +501,7 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     dense.sort(key=lambda v: (max(abs(x) for x in v),
                               sum(1 for x in v if x), v))
     candidates = ZGMatrix(group, rank_above, [
-        dict(enumerate(unflatten_vector(flat, group, rank_above)))
-        for flat in dense])
+        unflatten_vector(flat, group, rank_above) for flat in dense])
     # column (t, g) of the expansion is g times candidate t, so block t is
     # the orbit of candidate t; orbits[t][0] is the candidate itself
     z = candidates.z_columns()
@@ -657,27 +654,19 @@ def join(P: Resolution, Q: Resolution, n: int,
         cols = []
         tgt = index[d - 1]
         for k, i, g, j in bases[d]:
-            acc: dict[int, list[int]] = {}
-
-            def put(key, gelt, v):
-                row = tgt[key]
-                c = acc.get(row)
-                if c is None:
-                    c = acc[row] = [0] * order
-                c[gelt] += v
-
+            acc = defaultdict(lambda: [0] * order)  # row -> coefficient list
             if k == 0:
                 # bottom summand Z (x) Q_d: the Q differential verbatim
                 dq = Q.differential(d)
                 for jp, val in dq.column(j).items():
                     for v, beta in val.support():
-                        put((0, -1, 0, jp), v, beta)
+                        acc[tgt[0, -1, 0, jp]][v] += beta
             elif k == d + 1:
                 # top summand P_d (x) Z: the P differential verbatim
                 dp = P.differential(d)
                 for ip, val in dp.column(i).items():
                     for u, alpha in val.support():
-                        put((d, ip, 0, -1), u, alpha)
+                        acc[tgt[d, ip, 0, -1]][u] += alpha
             else:
                 # middle summand P_{k-1} (x) Q_{d-k}, basis e_i (x) g.f_j
                 if k >= 2:
@@ -685,20 +674,20 @@ def join(P: Resolution, Q: Resolution, n: int,
                     for ip, val in dp.column(i).items():
                         for u, alpha in val.support():
                             # u.e_ip (x) g.f_j = u.(e_ip (x) u^{-1}g.f_j)
-                            put((k - 1, ip, table[inv[u]][g], j), u, alpha)
+                            acc[tgt[k - 1, ip, table[inv[u]][g], j]][u] += alpha
                 else:
                     # P-degree 0: boundary into the Z factor via eps
-                    put((0, -1, 0, j), g, P.aug[i])
+                    acc[tgt[0, -1, 0, j]][g] += P.aug[i]
                 sign = -1 if k % 2 else 1  # suspension sign (-1)^k
                 if d - k >= 1:
                     dq = Q.differential(d - k)
                     for jp, val in dq.column(j).items():
                         for v, beta in val.support():
                             # e_i (x) g.(v.f_jp) stays in summand k
-                            put((k, i, table[g][v], jp), 0, sign * beta)
+                            acc[tgt[k, i, table[g][v], jp]][0] += sign * beta
                 else:
                     # Q-degree 0: eps of the second factor, into P_{k-1} (x) Z
-                    put((d, i, 0, -1), 0, sign * Q.aug[j])
+                    acc[tgt[d, i, 0, -1]][0] += sign * Q.aug[j]
             cols.append({row: GroupRingElement(G, coeffs)
                          for row, coeffs in acc.items()})
         diffs.append(ZGMatrix(G, ranks[d - 1], cols))
@@ -707,37 +696,34 @@ def join(P: Resolution, Q: Resolution, n: int,
     return JoinResolution(P, Q, ranks, diffs, aug, bases, index)
 
 
-def include_cycle_tensor(J: JoinResolution, x: Sequence[GroupRingElement],
-                         n: int, y: Sequence[GroupRingElement],
-                         m: int) -> list[GroupRingElement]:
-    """Coordinates of x (x) y in degree n+m+1 of the join.
+def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],
+                         n: int, y: Mapping[int, GroupRingElement],
+                         m: int) -> dict[int, GroupRingElement]:
+    """The chain x (x) y in degree n+m+1 of the join.
 
-    x lives in P_n, y in Q_m.  Untwisting u.e_i (x) v.f_j =
+    x is a chain of P_n, y one of Q_m.  Untwisting u.e_i (x) v.f_j =
     u.(e_i (x) u^{-1}v.f_j) places coefficient a_u b_v, as a multiple of the
-    group element u, on basis (n+1, i, u^{-1}v, j).
+    group element u, on basis (n+1, i, u^{-1}v, j).  For fixed i and j the
+    pairs (u, v) land on distinct (basis, u), so no two terms meet and every
+    row that gets a term is nonzero.
     """
     P, Q, G = J.P, J.Q, J.group
     d = n + m + 1
     if d > J.depth:
         raise ResolutionError(
             f"join is built to degree {J.depth}, need degree {d}")
-    if len(x) != P.rank(n) or len(y) != Q.rank(m):
-        raise ResolutionError("tensor factors have wrong ranks for their degrees")
+    for what, vec, rank in (("first", x, P.rank(n)), ("second", y, Q.rank(m))):
+        if any(not 0 <= i < rank for i in vec):
+            raise ResolutionError(f"{what} tensor factor has an index "
+                                  f"outside its rank {rank}")
     order = G.order
     table = G.table
     inv = G.inverse
     idx = J.index[d]
-    acc: dict[int, list[int]] = {}
-    for i, a in enumerate(x):
+    acc = defaultdict(lambda: [0] * order)  # row -> coefficient list
+    for i, a in x.items():
         for u, av in a.support():
-            for j, b in enumerate(y):
+            for j, b in y.items():
                 for v, bv in b.support():
-                    row = idx[(n + 1, i, table[inv[u]][v], j)]
-                    c = acc.get(row)
-                    if c is None:
-                        c = acc[row] = [0] * order
-                    c[u] += av * bv
-    out = J.zero_chain(d)
-    for row, coeffs in acc.items():
-        out[row] = GroupRingElement(G, coeffs)
-    return out
+                    acc[idx[n + 1, i, table[inv[u]][v], j]][u] += av * bv
+    return {row: GroupRingElement(G, coeffs) for row, coeffs in acc.items()}

@@ -19,13 +19,16 @@ correspondence: an invariant chain of P_n is exactly a norm N.y, and the
 class of y (x) 1 in H_n is the image of the stable map the invariant
 represents.  ``phi`` and ``phi_inverse`` implement the two directions;
 ``is_stably_zero`` is the kernel test (the represented map factors through a
-projective iff the class vanishes).
+projective iff the class vanishes).  Chains of P_n, such as an invariant
+cycle, are Z[G] chains {i: nonzero element} (see ``zglinalg``); cycles of
+the down complex, the input of ``classify`` and the ``generators``, are
+dense integer lists.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import GroupRingElement, norm_element
@@ -36,18 +39,19 @@ from .resolutions import Resolution
 from .zglinalg import ZGMatrix, ZGSolver
 
 
-def down_vector(vec: Sequence[GroupRingElement]) -> list[int]:
-    """Image of a chain in P_k (x)_{Z[G]} Z: coordinatewise augmentation."""
-    return [a.augmentation() for a in vec]
+def down_vector(vec: Mapping[int, GroupRingElement]) -> dict[int, int]:
+    """Image of a chain in P_k (x)_{Z[G]} Z, a sparse down_matrix column."""
+    return {i: s for i, a in vec.items() if (s := a.augmentation())}
 
 
 def lift_vector(res: Resolution, k: int, coords: Sequence[int]
-                ) -> list[GroupRingElement]:
-    """The identity-coefficient lift of a down-complex vector back to P_k."""
+                ) -> dict[int, GroupRingElement]:
+    """The chain lifting a down-complex vector: each coordinate on the identity."""
     if len(coords) != res.rank(k):
         raise ResolutionError(f"vector has length {len(coords)}, "
                               f"rank in degree {k} is {res.rank(k)}")
-    return [GroupRingElement.basis(res.group, 0, int(c)) for c in coords]
+    return {i: GroupRingElement.basis(res.group, 0, int(c))
+            for i, c in enumerate(coords) if c}
 
 
 def _rank_and_factors(res: Resolution, k: int) -> tuple[int, list[int]]:
@@ -271,29 +275,32 @@ def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
 class InvariantCycle:
     """A G-invariant cycle of P_n: the chain-level data of a stable map into a syzygy.
 
-    Both defining conditions (killed by the differential, fixed by every
-    group element) are checked at construction.
+    ``vector`` is a chain of P_n (see ``zglinalg``), with explicit zero
+    entries dropped.  Every index is checked to be in range and both
+    defining conditions (killed by the differential, fixed by every group
+    element) are checked at construction.
     """
 
     __slots__ = ("resolution", "degree", "vector")
 
     def __init__(self, resolution: Resolution, degree: int,
-                 vector: Sequence[GroupRingElement]):
+                 vector: Mapping[int, GroupRingElement]):
         self.resolution = resolution
         self.degree = degree
-        self.vector = list(vector)
-        if len(self.vector) != resolution.rank(degree):
-            raise ResolutionError("invariant cycle has the wrong rank")
-        if not all(a.is_invariant() for a in self.vector):
+        rank = resolution.rank(degree)
+        if any(not 0 <= i < rank for i in vector):
+            raise ResolutionError(f"invariant cycle has an index outside "
+                                  f"rank {rank} in degree {degree}")
+        if not all(a.is_invariant() for a in vector.values()):
             raise ResolutionError("vector is not G-invariant")
-        if degree >= 1:
-            img = resolution.apply_differential(degree, self.vector)
-            if not all(a.is_zero() for a in img):
-                raise ResolutionError("vector is not a cycle")
+        # an invariant element is c[0] times the norm
+        self.vector = {i: a for i, a in vector.items() if a.c[0]}
+        if degree >= 1 and resolution.apply_differential(degree, self.vector):
+            raise ResolutionError("vector is not a cycle")
 
     def __repr__(self) -> str:
         return (f"InvariantCycle(deg={self.degree}, "
-                f"{[str(a) for a in self.vector]})")
+                f"{ {i: str(a) for i, a in self.vector.items()} })")
 
 
 def phi_inverse(res: Resolution, n: int, cycle: Sequence[int]
@@ -310,8 +317,8 @@ def phi_inverse(res: Resolution, n: int, cycle: Sequence[int]
     if not is_cycle(res, n, cycle):
         raise ResolutionError("input is not a cycle of the down complex")
     w = res.group.order
-    vec = [GroupRingElement(res.group, (int(c),) * w) for c in cycle]
-    return InvariantCycle(res, n, vec)
+    return InvariantCycle(res, n, {i: GroupRingElement(res.group, (int(c),) * w)
+                                   for i, c in enumerate(cycle) if c})
 
 
 def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
@@ -326,19 +333,18 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
     n = x.degree
     if n < 1:
         raise ResolutionError("the correspondence is defined for degrees >= 1")
+    r = res.rank(n)
     if via_solver:
         G = res.group
-        r = res.rank(n)
         norm_mat = ZGMatrix(G, r, [{i: norm_element(G)} for i in range(r)])
-        y = ZGSolver(norm_mat).solve(dict(enumerate(x.vector)))
+        y = ZGSolver(norm_mat).solve(x.vector)
         if y is NoSolution:
             raise ResolutionError(
                 "norm equation unsolvable; input is not an invariant of a free module")
-        down = [y[i].augmentation() if i in y else 0 for i in range(r)]
+        down = down_vector(y)
     else:
-        down = [a.c[0] for a in x.vector]
-    h = homology(res, n)
-    return h.classify(down)
+        down = {i: a.c[0] for i, a in x.vector.items()}
+    return homology(res, n).classify([down.get(i, 0) for i in range(r)])
 
 
 def is_stably_zero(x: InvariantCycle) -> bool:

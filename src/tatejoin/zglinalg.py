@@ -21,6 +21,11 @@ nonzero coefficients of the input column, convolves coefficient supports
 ((g, v) pairs) through the group table into plain integer lists, and builds
 a GroupRingElement only for a nonzero result entry.
 
+Every Z[G] chain in the package, a vector of a free module P_k of rank r,
+has this one format, the format of a matrix column: {i: element} with
+0 <= i < r.  Producers never store a zero entry, so the zero chain is {}.
+Consumers ignore explicit zero entries and name an index out of range.
+
 ``z_columns`` forgets the module structure: each ZG-rank counts |G| integer
 dimensions, flattened as (i, u) -> i * |G| + u for e_i and group element u,
 and the integer matrix has the coefficient of g^{-1} u in M[i, j] in block
@@ -45,10 +50,7 @@ def check_zrank(group: FiniteGroup, ranks: Iterable[int],
     """Raise SizeBudgetError if |G| * max(ranks) exceeds the budget."""
     if max_zrank is None:
         return
-    worst = 0
-    for r in ranks:
-        if r > worst:
-            worst = r
+    worst = max(ranks, default=0)
     needed = group.order * worst
     if needed > max_zrank:
         raise SizeBudgetError(
@@ -131,20 +133,19 @@ class ZGMatrix:
         """(row, coefficient support) of every entry of column j."""
         return [(i, m.support()) for i, m in self._cols[j].items()]
 
-    def apply(self, vec: Sequence[GroupRingElement]) -> list[GroupRingElement]:
-        """Image of a column vector; coefficients multiply entries on the left."""
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector of length {len(vec)} for a matrix with "
-                             f"{self.ncols} columns")
+    def apply(self, vec: Mapping[int, GroupRingElement]
+              ) -> dict[int, GroupRingElement]:
+        """Image of a chain {j: a_j}; coefficients multiply entries on the left."""
         terms = []
-        for j, a in enumerate(vec):
-            self._check_group(a.group, f"vector entry {j}")
+        for j, a in vec.items():
+            if not 0 <= j < self.ncols:
+                raise ValueError(f"chain index {j} out of range for a matrix "
+                                 f"with {self.ncols} columns")
+            self._check_group(a.group, f"chain entry {j}")
             a_supp = a.support()
             if a_supp:
                 terms.append((a_supp, self._support_column(j)))
-        col = _combine(self.group, terms)
-        zero = GroupRingElement.zero(self.group)
-        return [col.get(i, zero) for i in range(self.nrows)]
+        return _combine(self.group, terms)
 
     def compose(self, inner: "ZGMatrix") -> "ZGMatrix":
         """self after inner: apply inner first.  Requires self.ncols == inner.nrows.
@@ -208,17 +209,15 @@ def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
 
 
 def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
-                     rank: int) -> list[GroupRingElement]:
+                     rank: int) -> dict[int, GroupRingElement]:
+    """The chain whose entry i has coefficients flat[i*|G| : (i+1)*|G|]."""
     order = group.order
     if len(flat) != rank * order:
         raise ValueError(f"flat vector of length {len(flat)}, expected "
                          f"{rank} x {order}")
-    return [GroupRingElement(group, tuple(flat[i * order:(i + 1) * order]))
-            for i in range(rank)]
-
-
-def vector_is_zero(vec: Sequence[GroupRingElement]) -> bool:
-    return all(a.is_zero() for a in vec)
+    blocks = (flat[i * order:(i + 1) * order] for i in range(rank))
+    return {i: GroupRingElement(group, c) for i, c in enumerate(blocks)
+            if any(c)}
 
 
 class ZGSolver:
@@ -226,10 +225,9 @@ class ZGSolver:
 
     The integer solver is built lazily on first use and kept, so lifting many
     chains through the same differential costs one Hermite factorization.
-    Right-hand sides and solutions are sparse columns, {row: nonzero
-    GroupRingElement}, the form ``ZGMatrix.column`` holds, and cross to the
-    integer solver as sparse vectors: b through its entries' supports, x
-    regrouped by row, with no dense vector of length rank * |G|.
+    Right-hand sides and solutions are chains, and cross to the integer
+    solver as sparse vectors: b through its entries' supports, x regrouped
+    by row, with no dense vector of length rank * |G|.
     """
 
     __slots__ = ("matrix", "_solver")
@@ -251,8 +249,8 @@ class ZGSolver:
         Solving the plain integer system suffices: the expansion of a
         ZG-column basis vector (j, g) is g times the basis chain e_j, so any
         integer solution reassembles into ring coefficients verbatim.  The
-        solution is checked in Z[G], M x = b through ``_combine``, against
-        the nonzero entries of b; a row of b outside M is a ValueError.
+        solution is checked in Z[G], M x = b through ``apply``, against the
+        nonzero entries of b; a row of b outside M is a ValueError.
         """
         m = self.matrix
         group, order = m.group, m.group.order
@@ -273,9 +271,7 @@ class ZGSolver:
             j, g = divmod(k, order)
             coeffs.setdefault(j, [0] * order)[g] = v
         x = {j: GroupRingElement(group, c) for j, c in coeffs.items()}
-        got = _combine(group, [(v.support(), m._support_column(j))
-                               for j, v in x.items()])
-        if got != want:
+        if m.apply(x) != want:
             raise InternalCheckError("ZG solver self-check failed: M x != b")
         return x
 

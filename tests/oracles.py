@@ -40,9 +40,13 @@ def z_expansion(m) -> IntMatrix:
     return IntMatrix(data, ncols=m.ncols * order)
 
 
-def flatten_vector(vec) -> list[int]:
-    """A Z[G] column vector as an integer column in (i, u) order."""
-    return [v for a in vec for v in a.c]
+def flatten_vector(vec, rank: int, order: int) -> list[int]:
+    """A Z[G] chain {i: element} of a rank-``rank`` module as an integer
+    column in (i, u) order."""
+    flat = [0] * (rank * order)
+    for i, a in vec.items():
+        flat[i * order:(i + 1) * order] = a.c
+    return flat
 
 
 def det_bareiss(A: IntMatrix) -> int:

@@ -399,6 +399,36 @@ CORRUPT_GROUP_FILES = [
 ]
 
 
+OVERSIZED_GROUP_FILES = [
+    ("table above the order cap",
+     {"table": [[(i + j) % 1030 for j in range(1030)] for i in range(1030)]},
+     2, "above the largest supported table order 1024"),
+    ("degree beyond the generators", {"generators": [[1, 0]],
+                                      "degree": 10 ** 6},
+     2, "is not a permutation"),
+    ("negative degree", {"generators": [], "degree": -1},
+     2, "'degree' must be an integer >= 0"),
+    ("no generators of a huge degree", {"generators": [],
+                                        "degree": 3 * 10 ** 6}, 0, ""),
+]
+
+
+@pytest.mark.parametrize("name,content,code,message", OVERSIZED_GROUP_FILES,
+                         ids=[c[0] for c in OVERSIZED_GROUP_FILES])
+def test_oversized_group_file_exits_quickly(capsys, tmp_path, name, content,
+                                            code, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(content))
+    start = time.perf_counter()
+    got, out, err = run(capsys, "homology", "--group", f"file:{path}",
+                        "--degrees", "1")
+    assert time.perf_counter() - start < 5
+    assert got == code
+    assert message in err
+    if code == 0:  # the trivial group
+        assert factors_of(out) == [[]]
+
+
 @pytest.mark.parametrize("name,content,message", CORRUPT_GROUP_FILES,
                          ids=[c[0] for c in CORRUPT_GROUP_FILES])
 def test_corrupted_group_file_exit_2(capsys, tmp_path, name, content,

@@ -187,3 +187,36 @@ def test_scalar_arithmetic():
     assert (2 * a).c == (6, -4)
     assert (a - a).is_zero()
     assert (-a).c == (-3, 2)
+
+
+def _refused_or_trivial_cheaply(doc):
+    """from_json on doc: its error or group, checked to take < 0.1 s, < 1 MB."""
+    import time
+    import tracemalloc
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        try:
+            outcome = FiniteGroup.from_json(doc)
+        except (GroupError, SchemaError) as e:
+            outcome = e
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1 << 20, (elapsed, peak)
+    return outcome
+
+
+def test_group_json_is_bounded_by_its_own_size():
+    table = [[(i + j) % 1030 for j in range(1030)] for i in range(1030)]
+    err = _refused_or_trivial_cheaply({"table": table})
+    assert isinstance(err, GroupError) and "1024" in str(err)
+    err = _refused_or_trivial_cheaply({"generators": [[1, 0]],
+                                       "degree": 10 ** 6})
+    assert isinstance(err, GroupError) and "not a permutation" in str(err)
+    err = _refused_or_trivial_cheaply({"generators": [], "degree": -1})
+    assert isinstance(err, SchemaError) and "'degree'" in str(err)
+    for degree in (10 ** 6, 3 * 10 ** 6):
+        g = _refused_or_trivial_cheaply({"generators": [], "degree": degree})
+        assert isinstance(g, FiniteGroup) and g.order == 1

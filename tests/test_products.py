@@ -268,9 +268,9 @@ def test_composition_lift_is_a_chain_map(group, depth):
         seed = phi_inverse(res, 1, zb).vector
         psi0 = cm.components[0]
         for j in range(res.ranks[0]):
-            col = [psi0.get(i, j) for i in range(res.ranks[2])]
+            col = psi0.column(j)
             assert res.apply_differential(2, col) == \
-                [v.scale(res.aug[j]) for v in seed]
+                {i: v.scale(res.aug[j]) for i, v in seed.items()}
 
 
 def test_doctored_seed_fails_the_base_case():
@@ -280,7 +280,7 @@ def test_doctored_seed_fails_the_base_case():
     lift.materialize(2)  # the true seed passes
     # the degree-0 columns are memoized, so after the seed changes only
     # the base case d_2 o psi_0 = seed . eps can notice
-    lift.seed = [v.scale(2) for v in lift.seed]
+    lift.seed = {i: v.scale(2) for i, v in lift.seed.items()}
     with pytest.raises(InternalCheckError, match="base case"):
         lift.materialize(2)
     with pytest.raises(ValueError, match="needs a seed"):
@@ -432,3 +432,23 @@ def test_wrong_length_factor_is_a_named_error(pipeline, factor, delta):
     ctx = ProductContext(res)
     with pytest.raises(ResolutionError, match=f"{factor} factor .* degree 3"):
         getattr(ctx, pipeline)(3, factors["first"], 3, factors["second"])
+
+
+def test_lifts_take_sparse_seeds_and_return_chains():
+    res = syzygy_resolution(dihedral(4), 6)
+    zb = homology(res, 1).generators[0]
+    seed = phi_inverse(res, 1, zb).vector
+    padded = {i: GroupRingElement.zero(res.group) for i in range(res.ranks[1])}
+    padded.update(seed)
+    clean = ComparisonLift(res, res, 2, seed=seed)
+    noisy = ComparisonLift(res, res, 2, seed=padded)
+    for k in range(3):
+        for j in range(res.ranks[k]):
+            col = clean.column(k, j)
+            assert all(not v.is_zero() for v in col.values())
+            assert noisy.column(k, j) == col
+    noisy.materialize(2)  # the base case reads the padded seed
+    J = join(res, res, 3)
+    lift = ComparisonLift(J, res)
+    cols = [lift.column(3, j) for j in range(J.ranks[3])]
+    assert all(not v.is_zero() for col in cols for v in col.values())

@@ -431,17 +431,17 @@ def test_include_cycle_tensor_c2_coordinates():
     j = join(p, p, 3)
     e = GroupRingElement.basis(g, 0)
     t = GroupRingElement.basis(g, 1)
-    x = [norm_element(g)]
-    y = [e]
+    x = {0: norm_element(g)}
+    y = {0: e}
     w = include_cycle_tensor(j, x, 1, y, 1)
-    assert len(w) == j.ranks[3]
+    assert all(0 <= pos < j.ranks[3] for pos in w)
     expect = {(2, 0, 0, 0): e, (2, 0, 1, 0): t}
     for pos, basis_tuple in enumerate(j.bases[3]):
-        assert w[pos] == expect.get(basis_tuple,
-                                    GroupRingElement.zero(g))
+        assert w.get(pos, GroupRingElement.zero(g)) == \
+            expect.get(basis_tuple, GroupRingElement.zero(g))
     bdry = j.apply_differential(3, w)
-    assert any(not a.is_zero() for a in bdry)
-    assert down_vector(bdry) == [0] * j.ranks[2]
+    assert any(not a.is_zero() for a in bdry.values())
+    assert down_vector(bdry) == {}
 
 
 def test_include_cycle_tensor_depth_guard():
@@ -449,8 +449,8 @@ def test_include_cycle_tensor_depth_guard():
     j = join(p, p, 2)
     g = p.group
     with pytest.raises(ResolutionError):
-        include_cycle_tensor(j, [norm_element(g)], 1,
-                             [GroupRingElement.basis(g, 0)], 1)
+        include_cycle_tensor(j, {0: norm_element(g)}, 1,
+                             {0: GroupRingElement.basis(g, 0)}, 1)
 
 
 # -- the down complex -----------------------------------------------------------
@@ -508,3 +508,44 @@ def test_failed_save_leaves_no_temporary_file(tmp_path):
     with pytest.raises(OSError):
         periodic_cyclic_resolution(3, 2).save(str(target))
     assert not os.path.exists(str(target) + ".tmp")
+
+
+def test_apply_differential_and_tensor_inclusion_return_chains():
+    p = periodic_cyclic_resolution(2, 4)
+    g = p.group
+    N, e = norm_element(g), GroupRingElement.basis(g, 0)
+    zero = GroupRingElement.zero(g)
+    # d_1 N = (t - 1) N = 0: the cancelled row is left out
+    assert p.apply_differential(1, {0: N}) == {}
+    assert p.apply_differential(1, {0: zero}) == {}
+    j = join(p, p, 3)
+    w = include_cycle_tensor(j, {0: N}, 1, {0: e}, 1)
+    assert w and all(not v.is_zero() for v in w.values())
+    bdry = j.apply_differential(3, w)
+    assert bdry and all(not v.is_zero() for v in bdry.values())
+    # explicit zeros are ignored, indices out of range are named
+    assert include_cycle_tensor(j, {0: zero}, 1, {0: e}, 1) == {}
+    for x, y, which in (({1: N}, {0: e}, "first"),
+                        ({0: N}, {-1: e}, "second")):
+        with pytest.raises(ResolutionError, match=f"{which} tensor factor"):
+            include_cycle_tensor(j, x, 1, y, 1)
+
+
+def test_huge_rank_in_a_resolution_file_is_refused_before_allocation():
+    import tracemalloc
+    with open(os.path.join(FIXTURES, "q8_periodic.json")) as fh:
+        doc = json.load(fh)
+    doc["ranks"][1] = 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="differential 1 row 0"):
+            Resolution.from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a top rank over an empty degree is bounded by no list of the file
+    empty_top = {"group": {"table": [[0]]}, "ranks": [1, 0, 10 ** 6],
+                 "differentials": [[[]], []], "augmentation": [1]}
+    with pytest.raises(SchemaError, match="no rows to bound"):
+        Resolution.from_json(empty_top)

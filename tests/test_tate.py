@@ -223,7 +223,7 @@ def test_class_order():
 
 def test_lift_then_down_is_identity():
     res = periodic_cyclic_resolution(3, 3)
-    assert down_vector(lift_vector(res, 1, [7])) == [7]
+    assert down_vector(lift_vector(res, 1, [7])) == {0: 7}
 
 
 def test_phi_c2_generator():
@@ -232,7 +232,7 @@ def test_phi_c2_generator():
     g = res.group
     h = homology(res, 1)
     x = phi_inverse(res, 1, [1])
-    assert x.vector == [norm_element(g)]
+    assert x.vector == {0: norm_element(g)}
     assert phi(x) == (1,)
     assert not is_stably_zero(x)
 
@@ -270,11 +270,13 @@ def test_phi_boundary_shift_invariance():
                           [rng.randrange(-2, 3) for _ in range(6)])
          for _ in range(res.ranks[n + 1])]
     # N d(s) = d(N s): either order works, d is a module map
-    shift = res.apply_differential(n + 1,
-                                   [norm_element(res.group) * a for a in s])
+    shift = res.apply_differential(
+        n + 1, {i: norm_element(res.group) * a for i, a in enumerate(s)})
     from tatejoin import InvariantCycle
-    shifted = InvariantCycle(res, n,
-                             [a + b for a, b in zip(x.vector, shift)])
+    zero = GroupRingElement.zero(res.group)
+    shifted = InvariantCycle(res, n, {
+        i: x.vector.get(i, zero) + shift.get(i, zero)
+        for i in range(res.ranks[n])})
     assert phi(shifted) == phi(x)
 
 
@@ -315,3 +317,33 @@ def test_homology_same_on_bar_and_periodic():
     for n in range(4):
         assert homology(bar, n).invariant_factors == \
             homology(per, n).invariant_factors
+
+
+def test_tate_chains_store_no_zero_entry():
+    res = syzygy_resolution(dihedral(4), 4)
+    g = res.group
+    z = homology(res, 3).generators[-1]
+    nonzero = {i: c for i, c in enumerate(z) if c}
+    assert len(nonzero) < len(z)  # the generator has zero coordinates
+    assert down_vector(lift_vector(res, 3, z)) == nonzero
+    x = phi_inverse(res, 3, z)
+    assert set(x.vector) == set(nonzero)
+    assert down_vector(x.vector) == {i: 8 * c for i, c in nonzero.items()}
+    t = GroupRingElement.basis(g, 1)
+    assert down_vector({0: t - GroupRingElement.one(g), 1: t}) == {1: 1}
+
+
+def test_invariant_cycle_ignores_zeros_and_names_bad_indices():
+    from tatejoin import InvariantCycle
+    res = syzygy_resolution(dihedral(4), 4)
+    zero = GroupRingElement.zero(res.group)
+    x = phi_inverse(res, 3, homology(res, 3).generators[-1])
+    padded = {i: zero for i in range(res.ranks[3])}
+    padded.update(x.vector)
+    y = InvariantCycle(res, 3, padded)
+    assert y.vector == x.vector
+    assert phi(y) == phi(x) == phi(y, via_solver=True)
+    assert InvariantCycle(res, 3, {0: zero}).vector == {}
+    for bad in (res.ranks[3], -1):
+        with pytest.raises(ResolutionError, match="index outside rank"):
+            InvariantCycle(res, 3, {bad: zero})

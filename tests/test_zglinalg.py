@@ -14,7 +14,7 @@ from oracles import flatten_vector, matmul, z_expansion
 from tatejoin import (GroupRingElement, InternalCheckError, SizeBudgetError,
                       ZGMatrix, ZGSolver, cyclic, norm_element, symmetric)
 from tatejoin.intlinalg import NoSolution
-from tatejoin.zglinalg import check_zrank, unflatten_vector, vector_is_zero
+from tatejoin.zglinalg import check_zrank, unflatten_vector
 
 
 def c2_elems():
@@ -22,11 +22,6 @@ def c2_elems():
     e = GroupRingElement.basis(g, 0)
     t = GroupRingElement.basis(g, 1)
     return g, e, t
-
-
-def dense(x, m):
-    """A sparse solution {row: entry} as a full column vector for m."""
-    return [x.get(j, GroupRingElement.zero(m.group)) for j in range(m.ncols)]
 
 
 def test_z_expansion_t_minus_1():
@@ -62,17 +57,16 @@ def test_z_columns_match_expansion():
 def test_apply_matches_expansion():
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[t - e, norm_element(g)], [e, t]])
-    vec = [e + t, t.scale(3)]
-    flat_in = flatten_vector(vec)
+    vec = {0: e + t, 1: t.scale(3)}
+    flat_in = flatten_vector(vec, 2, 2)
     out = m.apply(vec)
-    assert flatten_vector(out) == z_expansion(m).apply(flat_in)
+    assert flatten_vector(out, 2, 2) == z_expansion(m).apply(flat_in)
 
 
 def test_flatten_round_trip():
     g = symmetric(3)
-    vec = [GroupRingElement(g, [1, 0, -2, 0, 0, 5]),
-           GroupRingElement.zero(g)]
-    assert unflatten_vector(flatten_vector(vec), g, 2) == vec
+    vec = {0: GroupRingElement(g, [1, 0, -2, 0, 0, 5])}
+    assert unflatten_vector(flatten_vector(vec, 2, 6), g, 2) == vec
 
 
 def test_solver_norm_equation():
@@ -81,7 +75,7 @@ def test_solver_norm_equation():
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
     x = ZGSolver(m).solve({0: e + t})
     assert x is not NoSolution
-    assert m.apply(dense(x, m)) == [e + t]
+    assert m.apply(x) == {0: e + t}
 
 
 def test_solver_no_solution():
@@ -95,10 +89,10 @@ def test_solver_two_by_two():
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[t, e - t], [GroupRingElement.zero(g), e + t]])
     b = [t + e.scale(2), (e + t).scale(2)]
-    x = m.apply([e + t, e.scale(2)])
-    got = ZGSolver(m).solve(dict(enumerate(x)))
+    x = m.apply({0: e + t, 1: e.scale(2)})
+    got = ZGSolver(m).solve(x)
     assert got is not NoSolution
-    assert m.apply(dense(got, m)) == x
+    assert m.apply(got) == x
     del b
 
 
@@ -109,12 +103,6 @@ def test_matrix_equality_and_compose_shapes():
     assert a.compose(b).get(0, 0) == t.scale(2)
     with pytest.raises(ValueError):
         b.compose(b)
-
-
-def test_vector_helpers():
-    g, e, t = c2_elems()
-    assert vector_is_zero([GroupRingElement.zero(g)])
-    assert not vector_is_zero([e])
 
 
 def test_check_zrank_budget():
@@ -178,11 +166,10 @@ def test_column_and_apply_match_expansion_over_s3():
                     assert col[i].c == tuple(block)
                 else:
                     assert i not in col
-        vec = s3_matrix(rng, ncols, 1)
-        vec = [vec.get(j, 0) for j in range(ncols)]
+        vec = s3_matrix(rng, ncols, 1).column(0)
         out = m.apply(vec)
-        assert (flatten_vector(out)
-                == dense.apply(flatten_vector(vec)))
+        assert (flatten_vector(out, nrows, g.order)
+                == dense.apply(flatten_vector(vec, ncols, g.order)))
 
 
 def test_constructor_drops_zeros_and_views_are_read_only():
@@ -222,7 +209,7 @@ def test_shape_and_index_errors_are_named():
     with pytest.raises(ValueError):
         ZGMatrix.from_rows(g, [[e, t], [e]])
     with pytest.raises(ValueError):
-        m.apply([e])
+        m.apply({2: e})
     with pytest.raises(ValueError):
         unflatten_vector([1, 0, 1], g, 2)
     with pytest.raises(ValueError):
@@ -237,11 +224,11 @@ def test_shape_and_index_errors_are_named():
     with pytest.raises(ValueError):
         a6.compose(a_s3)
     with pytest.raises(ValueError):
-        a6.apply([GroupRingElement.one(s3)])
+        a6.apply({0: GroupRingElement.one(s3)})
     with pytest.raises(ValueError):
         ZGMatrix.from_rows(g, [[e]]).compose(a_s3)
     with pytest.raises(ValueError):
-        ZGMatrix.from_rows(g, [[e]]).apply([GroupRingElement.one(s3)])
+        ZGMatrix.from_rows(g, [[e]]).apply({0: GroupRingElement.one(s3)})
 
 
 def test_zg_solver_check_is_not_an_assert(monkeypatch):
@@ -265,10 +252,36 @@ def test_solver_takes_and_returns_sparse_columns():
     # explicit zero entry in b is the same column as leaving it out
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[t, e - t], [GroupRingElement.zero(g), e + t]])
-    b = m.apply([GroupRingElement.zero(g), e.scale(2)])
-    sparse_b = {i: v for i, v in enumerate(b) if not v.is_zero()}
-    x = ZGSolver(m).solve(dict(enumerate(b)))
-    assert x == ZGSolver(m).solve(sparse_b)
+    b = m.apply({0: GroupRingElement.zero(g), 1: e.scale(2)})
+    with_zeros = {0: GroupRingElement.zero(g), 1: GroupRingElement.zero(g),
+                  **b}
+    x = ZGSolver(m).solve(with_zeros)
+    assert x == ZGSolver(m).solve(b)
     assert all(not v.is_zero() for v in x.values())
-    assert m.apply(dense(x, m)) == b
+    assert m.apply(x) == b
     assert ZGSolver(m).solve({}) == {}
+
+
+def test_chain_producers_store_no_zero_entry():
+    # row 0 of M x cancels, e - e = 0, so apply must leave it out
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[e, e.scale(-1)], [t, e]])
+    assert m.apply({0: e, 1: e}) == {1: t + e}
+    assert m.apply({}) == {}
+    assert unflatten_vector([0, 0, 1, 0], g, 2) == {1: e}
+    assert unflatten_vector([0, 0, 0, 0], g, 2) == {}
+    x = ZGSolver(m).solve({1: t + e})
+    assert x is not NoSolution
+    assert all(not v.is_zero() for v in x.values())
+    assert m.apply(x) == {1: t + e}
+
+
+def test_chain_consumers_ignore_zeros_and_name_bad_indices():
+    g, e, t = c2_elems()
+    zero = GroupRingElement.zero(g)
+    m = ZGMatrix.from_rows(g, [[e, t]])
+    assert m.apply({0: zero, 1: e}) == m.apply({1: e}) == {0: t}
+    assert m.apply({0: zero, 1: zero}) == {}
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            m.apply({bad: zero})
