@@ -141,7 +141,8 @@ class ZGMatrix:
             if not 0 <= j < self.ncols:
                 raise ValueError(f"chain index {j} out of range for a matrix "
                                  f"with {self.ncols} columns")
-            self._check_group(a.group, f"chain entry {j}")
+            if a.group is not self.group:
+                self._check_group(a.group, f"chain entry {j}")
             a_supp = a.support()
             if a_supp:
                 terms.append((a_supp, self._support_column(j)))
