@@ -425,7 +425,7 @@ def bar_resolution(group: FiniteGroup, n: int,
     for k in range(1, n + 1):
         cols = []
         for tup in tuples(k):
-            acc = defaultdict(lambda: [0] * w)  # row -> coefficient list
+            acc: defaultdict[int, list[int]] = defaultdict(lambda: [0] * w)
             acc[tuple_index(tup[1:])][tup[0]] += 1
             sign = -1
             for i in range(k - 1):
@@ -654,7 +654,7 @@ def join(P: Resolution, Q: Resolution, n: int,
         cols = []
         tgt = index[d - 1]
         for k, i, g, j in bases[d]:
-            acc = defaultdict(lambda: [0] * order)  # row -> coefficient list
+            acc: defaultdict[int, list[int]] = defaultdict(lambda: [0] * order)
             if k == 0:
                 # bottom summand Z (x) Q_d: the Q differential verbatim
                 dq = Q.differential(d)
@@ -720,7 +720,7 @@ def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],
     table = G.table
     inv = G.inverse
     idx = J.index[d]
-    acc = defaultdict(lambda: [0] * order)  # row -> coefficient list
+    acc: defaultdict[int, list[int]] = defaultdict(lambda: [0] * order)
     for i, a in x.items():
         for u, av in a.support():
             for j, b in y.items():
