@@ -277,6 +277,21 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
         gens.append(g)
     if not gens:  # nothing of size degree is built for the trivial group
         return FiniteGroup([[0]], label=label)
+    # no orbit is longer than the group (orbit-stabilizer), so a long one
+    # is refused in O(degree x generators), before any closure
+    seen = [False] * degree
+    for start in range(degree):
+        orbit = [] if seen[start] else [start]
+        seen[start] = True
+        for i in orbit:
+            for j in [g[i] for g in gens]:
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        if len(orbit) > MAX_TABLE_ORDER:
+            raise GroupError(
+                f"{label!r} has an orbit of {len(orbit)} points, so its order "
+                f"exceeds the largest supported table order {MAX_TABLE_ORDER}")
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}

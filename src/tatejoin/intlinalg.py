@@ -44,21 +44,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InternalCheckError
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 class IntMatrix:
     """A dense integer matrix (list-of-rows).  Storage detail stays behind this class."""
 
@@ -539,8 +524,9 @@ class IntegerLattice:
     """A subgroup of Z^n kept as its reduced echelon basis of sparse rows.
 
     Rows are dicts {col: value} keyed by their leading (lowest) column.  add()
-    inserts a vector, combining with existing rows by extended gcd; contains()
-    tests exact membership (divisibility at every leading position).
+    inserts a vector, running Euclid's algorithm on the leading entries
+    against the existing rows; contains() tests exact membership
+    (divisibility at every leading position).
 
     After every add() the basis satisfies two rules: each pivot (leading
     entry) is positive, and every entry that another row holds in a pivot
@@ -572,14 +558,11 @@ class IntegerLattice:
                 self.rows[j] = vec
                 changed = True
                 break
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                _sub_multiple(vec, b // a, row)
-            else:
-                g, x, y = xgcd(a, b)
-                # new pivot row with leading entry g; nonpivot combination continues
-                self.rows[j] = _row_combine(y, vec, x, row)
-                vec = _row_combine(a // g, vec, -(b // g), row)
+            _sub_multiple(vec, vec[j] // row[j], row)
+            if j in vec:
+                # the positive remainder is the new pivot row; the old row
+                # continues, so the pivots run through Euclid's algorithm
+                self.rows[j], vec = vec, row
                 changed = True
         if changed:
             self._reduce()
@@ -625,14 +608,6 @@ def f2_rank(masks: Iterable[int]) -> int:
                 break
             m ^= basis[top]
     return len(basis)
-
-
-def _row_combine(s: int, a: dict[int, int], t: int,
-                 b: dict[int, int]) -> dict[int, int]:
-    """s*a + t*b for sparse rows and s != 0, as a new row; zeros dropped."""
-    out = {j: s * v for j, v in a.items()}
-    _sub_multiple(out, -t, b)
-    return out
 
 
 def _sub_multiple(a: dict[int, int], q: int, b: dict[int, int]) -> None:

@@ -29,8 +29,10 @@ must agree exactly; ``product_table`` records both and flags any mismatch.
 
 Both pipelines lift into P with one lazy lifter, ``ComparisonLift``: shift
 0 for the join's comparison map, shift m+1 seeded by N.y_b for the self-map.
-Each lift has its own solvers, so the pipelines share no intermediate data,
-and a product lifts only the columns reachable from its input's support.
+Each lift keeps its own columns, and a product lifts only the columns
+reachable from its input's support.  The lifts share the factorization of
+each differential of P, which the matrix owns (``ZGMatrix.solver``);
+sharing it weakens no check, because every solution is multiplied back.
 Every chain here, the seed, the lifted columns and the product chains, is
 a Z[G] chain {index: nonzero element} (see ``zglinalg``), and each
 right-hand side is one call of the convolution kernel behind
@@ -50,7 +52,7 @@ from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, ZGSolver, _combine
+from .zglinalg import ZGMatrix, _combine
 
 
 class ChainMap:
@@ -112,43 +114,39 @@ class ComparisonLift:
     """Lazy chain map of degree ``shift`` from one resolution into another.
 
     Column j in degree k, psi_k(e_j), is lifted through the exact target on
-    first use and memoized as a sparse column {row: nonzero entry}: degree
-    0 matches augmentations when shift is 0 and solves
-    d^T_shift x = eps^S(e_j) . seed otherwise, for a boundary ``seed``, a
-    chain of target degree shift - 1; degree k > 0 solves
-    d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  That right-hand side is one
-    ``_combine`` call: the entries of d^S_k e_j are the coefficients, on
-    the left, of the memoized columns psi_{k-1}(e_i).  ``solvers`` (target
-    degree -> ZGSolver) may be one dict shared by lifts into the same
-    target.  A column with no solution raises ResolutionError naming its
-    degree.
+    first use and memoized as a sparse column {row: nonzero entry}.  Degree
+    0 is eps^S(e_j) . seed, lifted through d^T_shift when shift > 0; there
+    ``seed`` is a boundary, a chain of target degree shift - 1, and for
+    shift 0 the constructor solves eps^T(seed) = 1 for it.  Degree k > 0
+    solves d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  That right-hand side is
+    one ``_combine`` call: the entries of d^S_k e_j are the coefficients,
+    on the left, of the memoized columns psi_{k-1}(e_i).  Every solve goes
+    through the target differential's own solver, so lifts into the same
+    target share its factorization and keep only their columns.  A column
+    with no solution raises ResolutionError naming its degree.
     """
 
-    __slots__ = ("source", "target", "shift", "seed", "_cols", "_aug_solver",
-                 "_solvers")
+    __slots__ = ("source", "target", "shift", "seed", "_cols")
 
     def __init__(self, source: Resolution, target: Resolution, shift: int = 0,
-                 seed: Mapping[int, GroupRingElement] | None = None,
-                 solvers: dict[int, ZGSolver] | None = None):
+                 seed: Mapping[int, GroupRingElement] | None = None):
         if source.group != target.group:
             raise ResolutionError("comparison lift needs matching groups")
         if (seed is None) != (shift == 0):
             raise ValueError("a lift of shift > 0 needs a seed, "
                              "a lift of shift 0 takes none")
+        if seed is None:
+            z = IntegerSolver([{0: a} for a in target.aug], 1).solve({0: 1})
+            if z is NoSolution:
+                raise ResolutionError(
+                    "target augmentation is not onto; invalid resolution")
+            seed = {i: GroupRingElement.basis(target.group, 0, v)
+                    for i, v in z.items()}
         self.source = source
         self.target = target
         self.shift = shift
         self.seed = seed
         self._cols: dict[tuple[int, int], dict[int, GroupRingElement]] = {}
-        self._aug_solver = (IntegerSolver([{0: a} for a in target.aug], 1)
-                            if seed is None else None)
-        self._solvers = {} if solvers is None else solvers
-
-    def _solver(self, k: int) -> ZGSolver:
-        s = self._solvers.get(k)
-        if s is None:
-            s = self._solvers[k] = ZGSolver(self.target.differential(k))
-        return s
 
     def column(self, k: int, j: int) -> dict[int, GroupRingElement]:
         """psi_k(e_j) as {row: nonzero entry}; callers must not change it."""
@@ -156,26 +154,18 @@ class ComparisonLift:
         col = self._cols.get(key)
         if col is not None:
             return col
-        group = self.source.group
-        if k == 0 and self.seed is None:
-            z = self._aug_solver.solve({0: self.source.aug[j]})
-            if z is NoSolution:
-                raise ResolutionError(
-                    "target augmentation is not onto; invalid resolution")
-            col = {i: GroupRingElement.basis(group, 0, v)
-                   for i, v in z.items()}
+        if k == 0:
+            a = self.source.aug[j]
+            col = {i: v.scale(a) for i, v in self.seed.items() if a}
         else:
-            if k == 0:
-                a = self.source.aug[j]
-                rhs = {i: v.scale(a) for i, v in self.seed.items()}
-            else:
-                terms = []
-                for i, val in self.source.differential(k).column(j).items():
-                    prev = self.column(k - 1, i)
-                    terms.append((val.support(), [(r, v.support())
-                                                  for r, v in prev.items()]))
-                rhs = _combine(group, terms)
-            col = self._solver(k + self.shift).solve(rhs)
+            terms = []
+            for i, val in self.source.differential(k).column(j).items():
+                prev = self.column(k - 1, i)
+                terms.append((val.support(), [(r, v.support())
+                                              for r, v in prev.items()]))
+            col = _combine(self.source.group, terms)
+        if k + self.shift:
+            col = self.target.differential(k + self.shift).solver().solve(col)
             if col is NoSolution:
                 raise ResolutionError(
                     f"lifting failed at degree {k}: target resolution not exact")
@@ -201,7 +191,8 @@ class ComparisonLift:
                              [self.column(k, j)
                               for j in range(self.source.rank(k))])
                  for k in range(up_to + 1)}
-        cm = ChainMap(self.source, self.target, self.shift, comps, self.seed)
+        cm = ChainMap(self.source, self.target, self.shift, comps,
+                      self.seed if self.shift else None)
         cm.check()
         return cm
 
@@ -218,13 +209,13 @@ class ProductContext:
     Holds one join P_{<=N} * P_{<=M} through degree D, grown lazily to the
     componentwise maximum (N, M, D) of what the products ask for; a union of
     boxes is not the join of two resolutions, so the box is the bounding
-    one.  Also holds the lazy comparison lift join -> P, and the lazy chain
-    self-maps of the composition pipeline, which share one dict of solvers
-    for P's differentials.  All methods are deterministic.
+    one.  Also holds the lazy comparison lift join -> P and the lazy chain
+    self-maps of the composition pipeline.  Each keeps its own columns; all
+    of them solve through the differentials of P, which keep their
+    factorizations.  All methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_box", "_join", "_lift", "_solvers",
-                 "_glifts")
+    __slots__ = ("P", "max_zrank", "_box", "_join", "_lift", "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
@@ -232,7 +223,6 @@ class ProductContext:
         self._box: tuple[int, int, int] | None = None
         self._join: JoinResolution | None = None
         self._lift: ComparisonLift | None = None
-        self._solvers: dict[int, ZGSolver] = {}
         self._glifts: dict[tuple, ComparisonLift] = {}
 
     def join_to(self, n: int, m: int | None = None,
@@ -244,7 +234,7 @@ class ProductContext:
         (n, m, degree) grows it.  The old join is then a subcomplex of the
         new one on the same basis tuples, so its lifted columns are the
         same P-chains: the new lift keeps them, re-keyed from each old
-        basis tuple to its new index, and keeps the solvers too.
+        basis tuple to its new index.
         """
         m = n if m is None else m
         want = (n, m, n + m + 1 if degree is None else degree)
@@ -255,11 +245,8 @@ class ProductContext:
             Pm = Pn if M == N else self.P.truncated(M)
             old, old_lift = self._join, self._lift
             J = self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
-            if old_lift is None:
-                self._lift = ComparisonLift(J, self.P)
-            else:
-                self._lift = ComparisonLift(J, self.P,
-                                            solvers=old_lift._solvers)
+            self._lift = ComparisonLift(J, self.P)
+            if old_lift is not None:
                 self._lift._cols.update(
                     ((k, J.index[k][old.bases[k][j]]), col)
                     for (k, j), col in old_lift._cols.items())
@@ -336,8 +323,7 @@ class ProductContext:
         lift = self._glifts.get(key)
         if lift is None:
             lift = self._glifts[key] = ComparisonLift(
-                self.P, self.P, m + 1, seed=phi_inverse(self.P, m, zb).vector,
-                solvers=self._solvers)
+                self.P, self.P, m + 1, seed=phi_inverse(self.P, m, zb).vector)
         return lift
 
     def composition_product(self, n: int, za: Sequence[int], m: int,

@@ -713,6 +713,9 @@ def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],
         raise ResolutionError(
             f"join is built to degree {J.depth}, need degree {d}")
     for what, vec, rank in (("first", x, P.rank(n)), ("second", y, Q.rank(m))):
+        if not isinstance(vec, Mapping):
+            raise ResolutionError(f"{what} tensor factor is not a chain, a "
+                                  f"mapping {{index: element}}")
         if any(not 0 <= i < rank for i in vec):
             raise ResolutionError(f"{what} tensor factor has an index "
                                   f"outside its rank {rank}")

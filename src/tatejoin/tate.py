@@ -36,7 +36,7 @@ from .intlinalg import (IntMatrix, NoSolution, _sparse_eliminate,
                         kernel_basis, smith_normal_form,
                         sparse_invariant_factors)
 from .resolutions import Resolution
-from .zglinalg import ZGMatrix, ZGSolver
+from .zglinalg import ZGMatrix
 
 
 def down_vector(vec: Mapping[int, GroupRingElement]) -> dict[int, int]:
@@ -288,6 +288,9 @@ class InvariantCycle:
         self.resolution = resolution
         self.degree = degree
         rank = resolution.rank(degree)
+        if not isinstance(vector, Mapping):
+            raise ResolutionError("an invariant cycle is a chain, a mapping "
+                                  "{index: element}")
         if any(not 0 <= i < rank for i in vector):
             raise ResolutionError(f"invariant cycle has an index outside "
                                   f"rank {rank} in degree {degree}")
@@ -337,7 +340,7 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
     if via_solver:
         G = res.group
         norm_mat = ZGMatrix(G, r, [{i: norm_element(G)} for i in range(r)])
-        y = ZGSolver(norm_mat).solve(x.vector)
+        y = norm_mat.solver().solve(x.vector)
         if y is NoSolution:
             raise ResolutionError(
                 "norm equation unsolvable; input is not an invariant of a free module")

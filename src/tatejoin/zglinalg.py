@@ -65,17 +65,18 @@ class ZGMatrix:
     ``cols[j]`` maps row i to the entry M[i, j].  The constructor checks
     every row index and entry group once, drops zero entries and copies
     what it keeps into ``_cols``; no method changes a matrix afterwards, so
-    whatever a caller derives from one (a resolution's down matrices, a
-    solver's factorization) never goes stale.
+    whatever a caller derives from one (a resolution's down matrices, the
+    factorization ``solver()`` keeps) never goes stale.
     """
 
-    __slots__ = ("group", "nrows", "ncols", "_cols")
+    __slots__ = ("group", "nrows", "ncols", "_cols", "_solver")
 
     def __init__(self, group: FiniteGroup, nrows: int,
                  cols: Sequence[Mapping[int, GroupRingElement]]):
         self.group = group
         self.nrows = nrows
         self.ncols = len(cols)
+        self._solver: ZGSolver | None = None
         self._cols: list[dict[int, GroupRingElement]] = []
         for j, col in enumerate(cols):
             kept = {}
@@ -136,8 +137,12 @@ class ZGMatrix:
     def apply(self, vec: Mapping[int, GroupRingElement]
               ) -> dict[int, GroupRingElement]:
         """Image of a chain {j: a_j}; coefficients multiply entries on the left."""
+        try:
+            items = vec.items()
+        except AttributeError:
+            raise _not_a_chain("a chain", vec) from None
         terms = []
-        for j, a in vec.items():
+        for j, a in items:
             if not 0 <= j < self.ncols:
                 raise ValueError(f"chain index {j} out of range for a matrix "
                                  f"with {self.ncols} columns")
@@ -175,6 +180,12 @@ class ZGMatrix:
         return (f"ZGMatrix({self.group.label}, {self.nrows}x{self.ncols}, "
                 f"{sum(map(len, self._cols))} entries)")
 
+    def solver(self) -> "ZGSolver":
+        """This matrix's ZGSolver, built on first use and kept."""
+        if self._solver is None:
+            self._solver = ZGSolver(self)
+        return self._solver
+
     # -- integer realization --------------------------------------------
 
     def z_columns(self) -> list[dict[int, int]]:
@@ -209,6 +220,12 @@ def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
     return {i: GroupRingElement(group, c) for i, c in acc.items() if any(c)}
 
 
+def _not_a_chain(what: str, vec) -> ValueError:
+    """The error for a chain given as anything but a mapping."""
+    return ValueError(f"{what} must be a mapping {{index: element}}, "
+                      f"not a {type(vec).__name__}")
+
+
 def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
                      rank: int) -> dict[int, GroupRingElement]:
     """The chain whose entry i has coefficients flat[i*|G| : (i+1)*|G|]."""
@@ -224,25 +241,20 @@ def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
 class ZGSolver:
     """Solve M x = b over ZG by factoring the z-expansion once.
 
-    The integer solver is built lazily on first use and kept, so lifting many
-    chains through the same differential costs one Hermite factorization.
-    Right-hand sides and solutions are chains, and cross to the integer
-    solver as sparse vectors: b through its entries' supports, x regrouped
-    by row, with no dense vector of length rank * |G|.
+    The constructor runs the Hermite factorization; ``ZGMatrix.solver()``
+    builds one per matrix and keeps it, so lifting many chains through the
+    same differential costs one factorization.  Right-hand sides and
+    solutions are chains, and cross to the integer solver as sparse
+    vectors: b through its entries' supports, x regrouped by row, with no
+    dense vector of length rank * |G|.
     """
 
     __slots__ = ("matrix", "_solver")
 
     def __init__(self, matrix: ZGMatrix):
         self.matrix = matrix
-        self._solver: IntegerSolver | None = None
-
-    def _ensure(self) -> IntegerSolver:
-        if self._solver is None:
-            m = self.matrix
-            self._solver = IntegerSolver(m.z_columns(),
-                                         m.nrows * m.group.order)
-        return self._solver
+        self._solver = IntegerSolver(matrix.z_columns(),
+                                     matrix.nrows * matrix.group.order)
 
     def solve(self, b: Mapping[int, GroupRingElement]):
         """A sparse ZG-solution {row: entry} of M x = b, or NoSolution.
@@ -255,16 +267,21 @@ class ZGSolver:
         """
         m = self.matrix
         group, order = m.group, m.group.order
+        try:
+            items = b.items()
+        except AttributeError:
+            raise _not_a_chain("a right-hand side", b) from None
         flat, want = {}, {}
-        for i, a in b.items():
+        for i, a in items:
             if not 0 <= i < m.nrows:
                 raise ValueError(f"right-hand side row {i} out of range for "
                                  f"a matrix with {m.nrows} rows")
-            m._check_group(a.group, f"right-hand side entry {i}")
+            if a.group is not group:
+                m._check_group(a.group, f"right-hand side entry {i}")
             if a.support():
                 flat.update((i * order + g, v) for g, v in a.support())
                 want[i] = a
-        z = self._ensure().solve(flat)
+        z = self._solver.solve(flat)
         if z is NoSolution:
             return NoSolution
         coeffs: dict[int, list[int]] = {}

@@ -4,7 +4,8 @@ A CLI homology run on the computed resolution of S4 to depth 5 (a syzygy
 build, LLL included) happens in a fresh interpreter in which importing
 sympy fails, and ``pyproject.toml`` declares no runtime
 dependency.  No ``assert`` statement appears in the package, so
-``python -O`` cannot switch a certificate off.
+``python -O`` cannot switch a certificate off, and only ``ZGMatrix.solver``
+builds a ``ZGSolver``, so every lift shares its differential's factorization.
 """
 
 import ast
@@ -47,14 +48,36 @@ def test_no_runtime_dependency_declared():
     assert project.get("dependencies", []) == []
 
 
-def test_no_assert_statements_in_the_package():
+def _package_trees():
+    """(path relative to the package, parsed module) for every source file."""
     src = os.path.dirname(tatejoin.__file__)
-    found = []
-    for path in sorted(glob.glob(os.path.join(src, "**", "*.py"),
-                                 recursive=True)):
+    paths = sorted(glob.glob(os.path.join(src, "**", "*.py"), recursive=True))
+    assert len(paths) > 5
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [f"{os.path.relpath(path, src)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert len(glob.glob(os.path.join(src, "*.py"))) > 5
+            yield os.path.relpath(path, src), ast.parse(fh.read(), filename=path)
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{rel}:{node.lineno}" for rel, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements in the package: {found}"
+
+
+def _calls_by_scope(node, name, scope=()):
+    """The dotted class/function scope of every call of ``name`` in node."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)):
+        yield ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_by_scope(child, name, scope)
+
+
+def test_only_a_matrix_builds_its_solver():
+    # every lift shares the factorization its differential keeps, so no
+    # other code may factor a Z[G] matrix by hand
+    found = [f"{rel}:{scope}" for rel, tree in _package_trees()
+             for scope in _calls_by_scope(tree, "ZGSolver")]
+    assert found == ["zglinalg.py:ZGMatrix.solver"], found

@@ -208,6 +208,24 @@ def _refused_or_trivial_cheaply(doc):
     return outcome
 
 
+def test_a_long_cycle_is_refused_before_the_closure():
+    # an orbit of n points means order >= n; the closure would store up to
+    # 1024 elements of degree 10,000 before noticing
+    import time
+    import tracemalloc
+    cycle = list(range(1, 10_000)) + [0]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(GroupError, match="orbit of 10000 points"):
+            from_permutations(10_000, [cycle], label="long")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 5 << 20, (elapsed, peak)
+
+
 def test_group_json_is_bounded_by_its_own_size():
     table = [[(i + j) % 1030 for j in range(1030)] for i in range(1030)]
     err = _refused_or_trivial_cheaply({"table": table})

@@ -21,7 +21,7 @@ from tatejoin import (IntMatrix, InternalCheckError, NoSolution, bar_resolution,
 from tatejoin import intlinalg
 from tatejoin.intlinalg import (IntegerLattice, IntegerSolver,
                                 _modular_diagonal, _sparse_eliminate,
-                                lll_reduce_rows, xgcd)
+                                lll_reduce_rows)
 
 
 def columns(a):
@@ -46,13 +46,6 @@ def apply_sparse(cols, x, nrows):
         for i, a in cols[j].items():
             out[i] += a * xv
     return out
-
-
-def test_xgcd_identity():
-    for a, b in [(12, 18), (-4, 6), (0, 0), (0, -7), (35, 21), (1, 0)]:
-        g, x, y = xgcd(a, b)
-        assert g == x * a + y * b
-        assert g >= 0
 
 
 def test_smith_hand_example():

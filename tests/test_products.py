@@ -2,26 +2,29 @@
 
 The join pipeline (include the tensor, transport down a comparison map) and
 the composition pipeline (lift one cycle to a chain map, evaluate on the
-other) share no code past the resolution itself, so their agreement on every
-entry is the strongest internal check the engine has.  Frozen values below
+other) share no chain past the resolution and the factorizations its
+differentials keep, so their agreement on every entry is the strongest
+internal check the engine has.  Frozen values below
 are for cyclic groups, where the product of generators is a generator of the
 output degree.
 """
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
 
+import tatejoin
 from tatejoin import (ChainMap, ComparisonLift, GroupRingElement,
                       InternalCheckError, ProductContext, ResolutionError,
                       ZGMatrix, bar_resolution, composition_product, cyclic,
                       dihedral, from_permutations, homology,
                       include_cycle_tensor, join, join_product,
-                      lift_comparison, lift_vector, periodic_cyclic_resolution,
-                      phi_inverse, product_table, quaternion8, run_verify,
-                      symmetric, syzygy_resolution)
+                      lift_comparison, lift_vector, load_resolution,
+                      periodic_cyclic_resolution, phi_inverse, product_table,
+                      quaternion8, run_verify, symmetric, syzygy_resolution)
 from tatejoin.tate import down_vector
 
 
@@ -418,6 +421,27 @@ def test_growing_join_keeps_its_lifted_columns(monkeypatch):
     assert products_of(sized) == grown_classes
     assert grown_count == len(lifted) > 0
     assert grown.lift()._cols == sized.lift()._cols
+
+
+def test_a_product_table_factors_each_differential_once(monkeypatch):
+    # the join's comparison lift and the self-maps all solve through the
+    # differentials of P, and each matrix keeps its one solver
+    import tatejoin.zglinalg as zglinalg
+    res = load_resolution(os.path.join(os.path.dirname(tatejoin.__file__),
+                                       "fixtures", "q8_periodic.json"))
+    factored = []
+    real_init = zglinalg.ZGSolver.__init__
+
+    def recording_init(self, matrix):
+        factored.append(matrix)
+        real_init(self, matrix)
+
+    monkeypatch.setattr(zglinalg.ZGSolver, "__init__", recording_init)
+    assert product_table(res, [(3, 3), (1, 5)]).all_agree
+    diffs = [res.differential(k) for k in range(1, res.depth + 1)]
+    assert factored
+    assert len({id(m) for m in factored}) == len(factored)
+    assert all(any(m is d for d in diffs) for m in factored)
 
 
 @pytest.mark.parametrize("pipeline", ["join_product", "composition_product"])

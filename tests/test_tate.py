@@ -347,3 +347,17 @@ def test_invariant_cycle_ignores_zeros_and_names_bad_indices():
     for bad in (res.ranks[3], -1):
         with pytest.raises(ResolutionError, match="index outside rank"):
             InvariantCycle(res, 3, {bad: zero})
+
+
+def test_a_dense_list_is_not_an_invariant_cycle():
+    from tatejoin import InvariantCycle, include_cycle_tensor, join
+    res = periodic_cyclic_resolution(2, 4)
+    dense = [norm_element(res.group)]
+    with pytest.raises(ResolutionError, match=r"mapping \{index: element\}"):
+        InvariantCycle(res, 1, dense)
+    x = phi_inverse(res, 1, homology(res, 1).generators[0]).vector
+    J = join(res, res, 3)
+    for args in ((dense, 1, x, 1), (x, 1, dense, 1)):
+        with pytest.raises(ResolutionError,
+                           match=r"mapping \{index: element\}"):
+            include_cycle_tensor(J, *args)

@@ -285,3 +285,21 @@ def test_chain_consumers_ignore_zeros_and_name_bad_indices():
     for bad in (2, -1):
         with pytest.raises(ValueError, match="out of range"):
             m.apply({bad: zero})
+
+
+def test_a_dense_list_is_not_a_chain():
+    # the chain format before the sparse one: one element per coordinate
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[norm_element(g)]])
+    with pytest.raises(ValueError, match=r"mapping \{index: element\}"):
+        m.apply([norm_element(g)])
+    with pytest.raises(ValueError, match=r"mapping \{index: element\}"):
+        m.solver().solve([norm_element(g)])
+
+
+def test_a_matrix_keeps_its_solver():
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[norm_element(g)]])
+    assert m.solver() is m.solver()
+    assert m.apply(m.solver().solve({0: norm_element(g)})) == \
+        {0: norm_element(g)}
