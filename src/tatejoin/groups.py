@@ -267,7 +267,8 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
 
     Elements are enumerated in breadth-first order from the identity, so the
     result is deterministic in the generator order.  Composition convention:
-    (p*q)(i) = p(q(i)).
+    (p*q)(i) = p(q(i)).  The closure acts on the moved points only (the
+    orbits longer than 1, ascending), which leaves the element order as is.
     """
     gens = []
     for g in generators:
@@ -280,26 +281,33 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
     # no orbit is longer than the group (orbit-stabilizer), so a long one
     # is refused in O(degree x generators), before any closure
     seen = [False] * degree
+    moved = []
     for start in range(degree):
-        orbit = [] if seen[start] else [start]
-        seen[start] = True
+        if seen[start]:
+            continue
+        seen[start], orbit = True, [start]
         for i in orbit:
-            for j in [g[i] for g in gens]:
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.append(j)
+            for g in gens:
+                if not seen[g[i]]:
+                    seen[g[i]] = True
+                    orbit.append(g[i])
         if len(orbit) > MAX_TABLE_ORDER:
             raise GroupError(
                 f"{label!r} has an orbit of {len(orbit)} points, so its order "
                 f"exceeds the largest supported table order {MAX_TABLE_ORDER}")
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        p = queue.pop(0)
-        for g in gens:
-            q = tuple(p[g[i]] for i in range(degree))
+        if len(orbit) > 1:
+            moved.extend(orbit)
+    moved.sort()
+    pos = {p: t for t, p in enumerate(moved)}
+    gens = [tuple(pos[g[p]] for p in moved) for g in gens]
+    ident = tuple(range(len(moved)))
+    elems, index = [ident], {ident: 0}
+    # right[t][p] is the index of p * gens[t]; element e > 0 was first
+    # reached as parent[e] = (p, t), so e = elems[p] * gens[t]
+    right, parent = [[] for _ in gens], [(0, 0)]
+    for pi, p in enumerate(elems):  # grows while it is read: breadth-first
+        for t, g in enumerate(gens):
+            q = tuple(map(p.__getitem__, g))
             if q not in index:
                 if len(elems) == MAX_TABLE_ORDER:
                     raise GroupError(
@@ -307,9 +315,13 @@ def from_permutations(degree: int, generators: Iterable[Sequence[int]],
                         f"table order {MAX_TABLE_ORDER}")
                 index[q] = len(elems)
                 elems.append(q)
-                queue.append(q)
-    table = [[index[tuple(p[q[i]] for i in range(degree))] for q in elems]
-             for p in elems]
+                parent.append((pi, t))
+            right[t].append(index[q])
+    # column e of the table from its parent's: a e = (a elems[p]) gens[t]
+    cols = [list(range(len(elems)))]
+    for p, t in parent[1:]:
+        cols.append(list(map(right[t].__getitem__, cols[p])))
+    table = list(zip(*cols))
     return FiniteGroup(table, label=label)
 
 
@@ -450,31 +462,28 @@ def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Convolution product: (ab)_h = sum over g*g' = h of a_g b_{g'}."""
     if a.group is not b.group and a.group != b.group:
         raise ValueError("operands live in different group rings")
-    acc: dict[int, list[int]] = {}
-    _convolve_into(acc, a.group, a.support(), ((0, b.support()),))
-    return GroupRingElement(a.group, acc[0])
+    acc: dict[int, int] = {}
+    col = tuple((0, h, c) for h, c in b.support())
+    _accumulate(acc, a.group.table, ((g, ag, col) for g, ag in a.support()))
+    return GroupRingElement(a.group,
+                            [acc.get(h, 0) for h in range(a.group.order)])
 
 
-def _convolve_into(acc: dict[int, list[int]], group: FiniteGroup, a_supp,
-                   col) -> None:
-    """Add a*m_i into the coefficient list acc[i] for every (i, m_i) of col.
+def _accumulate(acc: dict[int, int], table, terms) -> None:
+    """Add a_g g * col into the flat dict acc for each term (g, a_g, col).
 
-    ``col`` pairs each row i with the support of m_i, and a support lists
-    the pairs (g, a_g) with a_g nonzero.  A row missing from acc starts at
-    zero.  Taking a whole column per call keeps the per-entry loop inside
-    the kernel.  This is the one convolution of the package:
-    ``ring_multiply`` calls it with a one-entry column, and the Z[G] matrix
-    kernel in ``zglinalg`` with each column of a map.
+    ``col`` is a column in the stored form of ``zglinalg``, triples
+    (i * |G|, h, c); the term adds a_g c at key i * |G| + g h, and a key
+    missing from acc starts at zero.  This is the one convolution of the
+    package: ``ring_multiply`` runs it on a one-row column, and
+    ``zglinalg`` on the columns of a map.
     """
-    order, table = group.order, group.table
-    for i, m_supp in col:
-        c = acc.get(i)
-        if c is None:
-            c = acc[i] = [0] * order
-        for g, ag in a_supp:
-            row = table[g]
-            for h, mh in m_supp:
-                c[row[h]] += ag * mh
+    get = acc.get
+    for g, ag, col in terms:
+        row = table[g]
+        for base, h, c in col:
+            k = base + row[h]
+            acc[k] = get(k, 0) + ag * c
 
 
 def norm_element(group: FiniteGroup) -> GroupRingElement:

@@ -158,11 +158,12 @@ class ComparisonLift:
             a = self.source.aug[j]
             col = {i: v.scale(a) for i, v in self.seed.items() if a}
         else:
-            terms = []
+            order, terms = self.source.group.order, []
             for i, val in self.source.differential(k).column(j).items():
-                prev = self.column(k - 1, i)
-                terms.append((val.support(), [(r, v.support())
-                                              for r, v in prev.items()]))
+                prev = tuple((r * order, h, c) for r, v in
+                             self.column(k - 1, i).items()
+                             for h, c in v.support())
+                terms.extend((g, ag, prev) for g, ag in val.support())
             col = _combine(self.source.group, terms)
         if k + self.shift:
             col = self.target.differential(k + self.shift).solver().solve(col)

@@ -40,10 +40,10 @@ degree ``join`` builds.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
-from collections import defaultdict
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
@@ -52,7 +52,7 @@ from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
 from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
                         f2_rank, kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
-from .zglinalg import ZGMatrix, check_zrank, unflatten_vector
+from .zglinalg import ZGMatrix, _elements, check_zrank
 
 
 def write_atomically(path: str, text: str) -> None:
@@ -98,10 +98,8 @@ class Resolution:
                     f"differential {k} has shape {d.nrows}x{d.ncols}, "
                     f"expected {self.ranks[k - 1]}x{self.ranks[k]}")
         if self.depth >= 1:
-            d1 = self.diffs[0]
-            for j in range(d1.ncols):
-                if sum(self.aug[i] * v.augmentation()
-                       for i, v in d1.column(j).items()):
+            for j, col in enumerate(self.diffs[0].augmented()):
+                if sum(self.aug[i] * a for i, a in col.items()):
                     raise ResolutionError("augmentation does not kill "
                                           f"differential 1 (column {j})")
         for k in range(2, self.depth + 1):
@@ -162,11 +160,7 @@ class Resolution:
         """
         cols = self._down.get(k)
         if cols is None:
-            d = self.differential(k)
-            cols = self._down[k] = [
-                {i: a for i, val in d.column(j).items()
-                 if (a := val.augmentation())}
-                for j in range(d.ncols)]
+            cols = self._down[k] = self.differential(k).augmented()
         return cols
 
     def down_boundary(self, k: int, vec: Sequence[int]) -> list[int]:
@@ -202,10 +196,7 @@ class Resolution:
         return {
             "group": self.group.to_json(),
             "ranks": list(self.ranks),
-            "differentials": [
-                [[list(d.get(i, j).c) for j in range(d.ncols)]
-                 for i in range(d.nrows)]
-                for d in self.diffs],
+            "differentials": [d.dense_rows() for d in self.diffs],
             "augmentation": list(self.aug),
         }
 
@@ -239,18 +230,20 @@ class Resolution:
             if not rows and ranks[k] and k == len(raw):
                 raise SchemaError(f"differential {k} has no rows to bound "
                                   f"its rank {ranks[k]}")
-        diffs = []
+        diffs, order = [], group.order
         for k, rows in enumerate(raw, start=1):
-            cols = [{} for _ in range(ranks[k])]
+            cols = [[] for _ in range(ranks[k])]
             for i, row in enumerate(rows):
                 for j, coeffs in enumerate(row):
                     what = f"differential {k} entry ({i},{j})"
-                    if len(_int_list(coeffs, what)) != group.order:
+                    if len(_int_list(coeffs, what)) != order:
                         raise SchemaError(
                             f"{what} has {len(coeffs)} coefficients, "
-                            f"expected {group.order}")
-                    cols[j][i] = GroupRingElement(group, coeffs)
-            diffs.append(ZGMatrix(group, ranks[k - 1], cols))
+                            f"expected {order}")
+                    cols[j].extend((i * order, h, c)
+                                   for h, c in enumerate(coeffs) if c)
+            diffs.append(ZGMatrix._of_triples(group, ranks[k - 1],
+                                              [tuple(c) for c in cols]))
         return cls(group, ranks, diffs, aug, label=label)
 
 
@@ -404,7 +397,6 @@ def bar_resolution(group: FiniteGroup, n: int,
     w = group.order
     ranks = [(w - 1) ** k for k in range(n + 1)]
     check_zrank(group, ranks, max_zrank, what=f"bar resolution of {group.label}")
-    nonid = list(range(1, w))
 
     def tuple_index(tup):
         # lexicographic rank of a tuple of nonidentity elements
@@ -413,30 +405,26 @@ def bar_resolution(group: FiniteGroup, n: int,
             idx = idx * (w - 1) + (g - 1)
         return idx
 
-    def tuples(k):
-        if k == 0:
-            yield ()
-            return
-        for prefix in tuples(k - 1):
-            for g in nonid:
-                yield prefix + (g,)
-
+    # The faces [..|g_i g_{i+1}|..] and [g_1|..|g_{k-1}] of a tuple are
+    # distinct rows (where two first differ, one has g_i g_{i+1}, one g_i);
+    # only g_1 [g_2|..|g_k], touched first, can share a row with one.
     diffs = []
     for k in range(1, n + 1):
         cols = []
-        for tup in tuples(k):
-            acc: defaultdict[int, list[int]] = defaultdict(lambda: [0] * w)
-            acc[tuple_index(tup[1:])][tup[0]] += 1
-            sign = -1
+        for tup in itertools.product(range(1, w), repeat=k):  # lexicographic
+            faces, sign = {}, -1
             for i in range(k - 1):
                 merged = group.table[tup[i]][tup[i + 1]]
                 if merged != 0:
-                    acc[tuple_index(tup[:i] + (merged,) + tup[i + 2:])][0] += sign
+                    faces[tuple_index(tup[:i] + (merged,) + tup[i + 2:])] = sign
                 sign = -sign
-            acc[tuple_index(tup[:-1])][0] += sign
-            cols.append({row: GroupRingElement(group, coeffs)
-                         for row, coeffs in acc.items()})
-        diffs.append(ZGMatrix(group, ranks[k - 1], cols))
+            faces[tuple_index(tup[:-1])] = sign
+            first = tuple_index(tup[1:])
+            shared = faces.pop(first, 0)
+            head = ((first * w, 0, shared),) if shared else ()
+            cols.append(head + ((first * w, tup[0], 1),)
+                        + tuple((row * w, 0, c) for row, c in faces.items()))
+        diffs.append(ZGMatrix._of_triples(group, ranks[k - 1], cols))
     return Resolution(group, ranks, diffs, [1], label=f"bar({group.label})")
 
 
@@ -500,8 +488,10 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
     dense = lll_reduce_rows(dense)
     dense.sort(key=lambda v: (max(abs(x) for x in v),
                               sum(1 for x in v if x), v))
-    candidates = ZGMatrix(group, rank_above, [
-        unflatten_vector(flat, group, rank_above) for flat in dense])
+    # a kernel vector in (i, u) order is a stored column verbatim
+    candidates = ZGMatrix._of_triples(group, rank_above, [
+        tuple((k - k % order, k % order, v) for k, v in enumerate(flat) if v)
+        for flat in dense])
     # column (t, g) of the expansion is g times candidate t, so block t is
     # the orbit of candidate t; orbits[t][0] is the candidate itself
     z = candidates.z_columns()
@@ -536,8 +526,8 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
         if lat.rows != full.rows:
             raise InternalCheckError(
                 "reverse-delete dropped part of the kernel lattice")
-    return ZGMatrix(group, rank_above,
-                    [candidates.column(t) for t in sorted(survivors)])
+    return ZGMatrix._of_triples(
+        group, rank_above, [candidates.triples(t) for t in sorted(survivors)])
 
 
 def _orbit_rank(orbit: list[dict[int, int]], masks: list[int],
@@ -649,48 +639,46 @@ def join(P: Resolution, Q: Resolution, n: int,
                                      "with the rank formula")
     index = [{key: c for c, key in enumerate(b)} for b in bases]
 
+    # No two terms below meet: the P and Q parts of a middle summand land in
+    # different summands, and within a part distinct source triples go to
+    # distinct (row, element).  So triples are emitted as they come.
     diffs = []
     for d in range(1, n + 1):
         cols = []
         tgt = index[d - 1]
         for k, i, g, j in bases[d]:
-            acc: defaultdict[int, list[int]] = defaultdict(lambda: [0] * order)
+            col = []
             if k == 0:
                 # bottom summand Z (x) Q_d: the Q differential verbatim
-                dq = Q.differential(d)
-                for jp, val in dq.column(j).items():
-                    for v, beta in val.support():
-                        acc[tgt[0, -1, 0, jp]][v] += beta
+                col.extend((tgt[0, -1, 0, base // order] * order, v, beta)
+                           for base, v, beta in Q.differential(d).triples(j))
             elif k == d + 1:
                 # top summand P_d (x) Z: the P differential verbatim
-                dp = P.differential(d)
-                for ip, val in dp.column(i).items():
-                    for u, alpha in val.support():
-                        acc[tgt[d, ip, 0, -1]][u] += alpha
+                col.extend((tgt[d, base // order, 0, -1] * order, u, alpha)
+                           for base, u, alpha in P.differential(d).triples(i))
             else:
                 # middle summand P_{k-1} (x) Q_{d-k}, basis e_i (x) g.f_j
                 if k >= 2:
-                    dp = P.differential(k - 1)
-                    for ip, val in dp.column(i).items():
-                        for u, alpha in val.support():
-                            # u.e_ip (x) g.f_j = u.(e_ip (x) u^{-1}g.f_j)
-                            acc[tgt[k - 1, ip, table[inv[u]][g], j]][u] += alpha
-                else:
+                    # u.e_ip (x) g.f_j = u.(e_ip (x) u^{-1}g.f_j)
+                    col.extend(
+                        (tgt[k - 1, base // order, table[inv[u]][g], j] * order,
+                         u, alpha)
+                        for base, u, alpha in P.differential(k - 1).triples(i))
+                elif P.aug[i]:
                     # P-degree 0: boundary into the Z factor via eps
-                    acc[tgt[0, -1, 0, j]][g] += P.aug[i]
+                    col.append((tgt[0, -1, 0, j] * order, g, P.aug[i]))
                 sign = -1 if k % 2 else 1  # suspension sign (-1)^k
                 if d - k >= 1:
-                    dq = Q.differential(d - k)
-                    for jp, val in dq.column(j).items():
-                        for v, beta in val.support():
-                            # e_i (x) g.(v.f_jp) stays in summand k
-                            acc[tgt[k, i, table[g][v], jp]][0] += sign * beta
-                else:
+                    # e_i (x) g.(v.f_jp) stays in summand k
+                    col.extend(
+                        (tgt[k, i, table[g][v], base // order] * order, 0,
+                         sign * beta)
+                        for base, v, beta in Q.differential(d - k).triples(j))
+                elif Q.aug[j]:
                     # Q-degree 0: eps of the second factor, into P_{k-1} (x) Z
-                    acc[tgt[d, i, 0, -1]][0] += sign * Q.aug[j]
-            cols.append({row: GroupRingElement(G, coeffs)
-                         for row, coeffs in acc.items()})
-        diffs.append(ZGMatrix(G, ranks[d - 1], cols))
+                    col.append((tgt[d, i, 0, -1] * order, 0, sign * Q.aug[j]))
+            cols.append(tuple(col))
+        diffs.append(ZGMatrix._of_triples(G, ranks[d - 1], cols))
 
     aug = [Q.aug[j] for j in range(Q.rank(0))] + [P.aug[i] for i in range(P.rank(0))]
     return JoinResolution(P, Q, ranks, diffs, aug, bases, index)
@@ -719,14 +707,8 @@ def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],
         if any(not 0 <= i < rank for i in vec):
             raise ResolutionError(f"{what} tensor factor has an index "
                                   f"outside its rank {rank}")
-    order = G.order
-    table = G.table
-    inv = G.inverse
-    idx = J.index[d]
-    acc: defaultdict[int, list[int]] = defaultdict(lambda: [0] * order)
-    for i, a in x.items():
-        for u, av in a.support():
-            for j, b in y.items():
-                for v, bv in b.support():
-                    acc[idx[n + 1, i, table[inv[u]][v], j]][u] += av * bv
-    return {row: GroupRingElement(G, coeffs) for row, coeffs in acc.items()}
+    order, table, inv, idx = G.order, G.table, G.inverse, J.index[d]
+    return _elements(G, [
+        (idx[n + 1, i, table[inv[u]][v], j] * order, u, av * bv)
+        for i, a in x.items() for u, av in a.support()
+        for j, b in y.items() for v, bv in b.support()])

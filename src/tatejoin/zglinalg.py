@@ -1,12 +1,14 @@
 """Matrices over the integral group ring and their integer realizations.
 
-A free-module map between left ZG-modules is stored column-major: one
-sparse column per index j, a dict from row i to the nonzero GroupRingElement
-coefficient of basis vector e_i in the image of e_j.  ``column(j)`` is a
-read-only view of that dict, found in O(1); ``entries`` is a read-only
-{(i, j): GroupRingElement} mapping built from the same columns on each
-read, not a second store.  A matrix is built whole from its columns and
-never changes afterwards.  Applying the map to a column vector a gives
+A free-module map between left ZG-modules is stored column-major, each
+column as the kernel reads it: triples (i * |G|, h, c), one per nonzero
+coefficient c of group element h in M[i, j], which are the nonzero entries
+of z-column (j, e) below.  Rows keep the order they were given in (or first
+touched in by a builder), h ascending within a row: the down matrices, and
+so the generator cycles, follow that order.  A matrix never changes once
+built.  GroupRingElements are built only at the API edge: ``column(j)``,
+``get``, ``entries``, and the chains ``apply`` and ``ZGSolver.solve``
+return.  Applying the map to a column vector a gives
 
     out_i = sum_j a_j * M[i, j]
 
@@ -15,16 +17,15 @@ puts the inner map's entry on the left of the product,
 
     (M after N)[i, k] = sum_j N[j, k] * M[i, j].
 
-The order matters for noncommutative groups and is fixed here once, in
-``_combine``, the kernel behind both ``apply`` and ``compose``.  It walks the
-nonzero coefficients of the input column, convolves coefficient supports
-((g, v) pairs) through the group table into plain integer lists, and builds
-a GroupRingElement only for a nonzero result entry.
+The order matters for noncommutative groups and is fixed once, in the
+kernel ``groups._accumulate`` that ``apply``, ``compose``, the solver's
+multiply-back and the down matrices run: a term a_g g times a column adds
+a_g c at i * |G| + g h of one flat integer dict.
 
 Every Z[G] chain in the package, a vector of a free module P_k of rank r,
-has this one format, the format of a matrix column: {i: element} with
-0 <= i < r.  Producers never store a zero entry, so the zero chain is {}.
-Consumers ignore explicit zero entries and name an index out of range.
+has the format {i: element} with 0 <= i < r.  Producers never store a zero
+entry, so the zero chain is {}.  Consumers ignore explicit zero entries and
+name an index out of range.
 
 ``z_columns`` forgets the module structure: each ZG-rank counts |G| integer
 dimensions, flattened as (i, u) -> i * |G| + u for e_i and group element u,
@@ -41,7 +42,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, SizeBudgetError
-from .groups import FiniteGroup, GroupRingElement, _convolve_into
+from .groups import FiniteGroup, GroupRingElement, _accumulate
 from .intlinalg import IntegerSolver, NoSolution
 
 
@@ -63,10 +64,12 @@ class ZGMatrix:
     """Sparse matrix over ZG of shape (nrows, len(cols)), built whole.
 
     ``cols[j]`` maps row i to the entry M[i, j].  The constructor checks
-    every row index and entry group once, drops zero entries and copies
-    what it keeps into ``_cols``; no method changes a matrix afterwards, so
-    whatever a caller derives from one (a resolution's down matrices, the
-    factorization ``solver()`` keeps) never goes stale.
+    every row index and entry group once and stores column j as the triples
+    (i * |G|, h, c) of its nonzero coefficients, rows in the order given and
+    h ascending; no entry is kept as a GroupRingElement, and the methods
+    that hand entries back build them.  No method changes a matrix
+    afterwards, so nothing derived from one (down matrices, ``solver()``)
+    goes stale.
     """
 
     __slots__ = ("group", "nrows", "ncols", "_cols", "_solver")
@@ -74,21 +77,32 @@ class ZGMatrix:
     def __init__(self, group: FiniteGroup, nrows: int,
                  cols: Sequence[Mapping[int, GroupRingElement]]):
         self.group = group
-        self.nrows = nrows
-        self.ncols = len(cols)
-        self._solver: ZGSolver | None = None
-        self._cols: list[dict[int, GroupRingElement]] = []
+        stored = []
         for j, col in enumerate(cols):
-            kept = {}
+            kept = []
             for i, val in col.items():
                 if not 0 <= i < nrows:
                     raise ValueError(f"row {i} of column {j} out of range "
                                      f"for a matrix with {nrows} rows")
                 if val.group is not group:
                     self._check_group(val.group, f"entry ({i}, {j})")
-                if any(val.c):
-                    kept[i] = val
-            self._cols.append(kept)
+                kept.extend((i * group.order, h, c) for h, c in val.support())
+            stored.append(tuple(kept))
+        self.nrows, self.ncols, self._cols = nrows, len(stored), stored
+        self._solver: ZGSolver | None = None
+
+    @classmethod
+    def _of_triples(cls, group: FiniteGroup, nrows: int,
+                    cols: Sequence[tuple]) -> "ZGMatrix":
+        """A matrix from columns in the stored form; rows are checked."""
+        m, limit = cls.__new__(cls), nrows * group.order
+        for j, col in enumerate(cols):
+            if col and not (min(col)[0] >= 0 and max(col)[0] < limit):
+                raise ValueError(f"a row of column {j} is out of range for "
+                                 f"a matrix with {nrows} rows")
+        m.group, m.nrows, m.ncols = group, nrows, len(cols)
+        m._cols, m._solver = list(cols), None
+        return m
 
     @classmethod
     def from_rows(cls, group: FiniteGroup,
@@ -110,29 +124,45 @@ class ZGMatrix:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise ValueError(f"index ({i}, {j}) out of range for a "
                              f"{self.nrows}x{self.ncols} matrix")
-        val = self._cols[j].get(i)
-        return GroupRingElement.zero(self.group) if val is None else val
+        return self.column(j).get(i) or GroupRingElement.zero(self.group)
 
     @property
     def entries(self) -> Mapping[tuple[int, int], GroupRingElement]:
-        """Read-only {(i, j): value} of the nonzero entries, column by column.
-
-        Built from the column store on each read, so it is never out of date
-        and never a second store to keep in sync.
-        """
-        return MappingProxyType({(i, j): val for j, col in enumerate(self._cols)
-                                 for i, val in col.items()})
+        """Read-only {(i, j): value} of the nonzero entries, built on read."""
+        return MappingProxyType({(i, j): val for j in range(self.ncols)
+                                 for i, val in self.column(j).items()})
 
     def is_zero(self) -> bool:
         return not any(self._cols)
 
     def column(self, j: int) -> Mapping[int, GroupRingElement]:
-        """Read-only {row: value} view of the nonzero entries of column j."""
-        return MappingProxyType(self._cols[j])
+        """Read-only {row: value} of the nonzero entries of column j, rows in
+        the stored order, built on each call."""
+        return MappingProxyType(_elements(self.group, self._cols[j]))
 
-    def _support_column(self, j: int) -> list[tuple[int, tuple]]:
-        """(row, coefficient support) of every entry of column j."""
-        return [(i, m.support()) for i, m in self._cols[j].items()]
+    def triples(self, j: int) -> tuple:
+        """Column j in the stored form, (i * |G|, h, c) with c nonzero."""
+        return self._cols[j]
+
+    def dense_rows(self) -> list[list[list[int]]]:
+        """M as rows of entries, each entry its |G| coefficients; one pass."""
+        order = self.group.order
+        rows = [[[0] * order for _ in self._cols] for _ in range(self.nrows)]
+        for j, col in enumerate(self._cols):
+            for base, h, c in col:
+                rows[base // order][j][h] = c
+        return rows
+
+    def augmented(self) -> list[dict[int, int]]:
+        """Columns {i: augmentation of M[i, j]} with zeros left out: the
+        kernel with a table that sends every product to the identity."""
+        order, cols = self.group.order, []
+        trivial = ((0,) * order,)  # the row of g = 0 is all the kernel reads
+        for col in self._cols:
+            acc: dict[int, int] = {}
+            _accumulate(acc, trivial, ((0, 1, col),))
+            cols.append({base // order: a for base, a in acc.items() if a})
+        return cols
 
     def apply(self, vec: Mapping[int, GroupRingElement]
               ) -> dict[int, GroupRingElement]:
@@ -148,9 +178,8 @@ class ZGMatrix:
                                  f"with {self.ncols} columns")
             if a.group is not self.group:
                 self._check_group(a.group, f"chain entry {j}")
-            a_supp = a.support()
-            if a_supp:
-                terms.append((a_supp, self._support_column(j)))
+            col = self._cols[j]
+            terms.extend((g, ag, col) for g, ag in a.support())
         return _combine(self.group, terms)
 
     def compose(self, inner: "ZGMatrix") -> "ZGMatrix":
@@ -164,21 +193,28 @@ class ZGMatrix:
                 f"shape mismatch in composition: {self.nrows}x{self.ncols} "
                 f"after {inner.nrows}x{inner.ncols}")
         self._check_group(inner.group, "inner map")
-        outer = [self._support_column(j) for j in range(self.ncols)]
-        return ZGMatrix(self.group, self.nrows,
-                        [_combine(self.group, [(n.support(), outer[j])
-                                               for j, n in col.items()])
-                         for col in inner._cols])
+        order, table, outer = self.group.order, self.group.table, self._cols
+        cols = []
+        for col in inner._cols:
+            acc: dict[int, int] = {}
+            _accumulate(acc, table,
+                        ((g, n, outer[base // order]) for base, g, n in col))
+            cols.append(_triples(acc, order))
+        return ZGMatrix._of_triples(self.group, self.nrows, cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZGMatrix):
             return NotImplemented
+        # a column's triples are distinct, so equal sets are equal columns
         return (self.group == other.group and self.nrows == other.nrows
-                and self.ncols == other.ncols and self._cols == other._cols)
+                and self.ncols == other.ncols
+                and all(a == b or set(a) == set(b)
+                        for a, b in zip(self._cols, other._cols)))
 
     def __repr__(self) -> str:
+        entries = sum(len({base for base, _, _ in col}) for col in self._cols)
         return (f"ZGMatrix({self.group.label}, {self.nrows}x{self.ncols}, "
-                f"{sum(map(len, self._cols))} entries)")
+                f"{entries} entries)")
 
     def solver(self) -> "ZGSolver":
         """This matrix's ZGSolver, built on first use and kept."""
@@ -195,47 +231,49 @@ class ZGMatrix:
         of h on row (i, g h).  Distinct (i, h) land on distinct rows, so no
         two terms ever meet.
         """
-        order = self.group.order
-        table = self.group.table
-        cols: list[dict[int, int]] = []
-        for j in range(self.ncols):
-            ents = [(i * order, supp) for i, supp in self._support_column(j)]
-            for g in range(order):
-                row_of = table[g]
-                cols.append({base + row_of[h]: v
-                             for base, supp in ents for h, v in supp})
-        return cols
+        return [{base + row[h]: c for base, h, c in col}
+                for col in self._cols for row in self.group.table]
 
 
 def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
-    """The sparse column sum over terms of a * (column of M), a on the left.
+    """The chain sum of a_g g * col over the terms (g, a_g, col)."""
+    acc: dict[int, int] = {}
+    _accumulate(acc, group.table, terms)
+    order = group.order
+    return _elements(group, ((k - k % order, k % order, c)
+                             for k, c in acc.items()))
 
-    Each term pairs the support of a coefficient a with a column of M given
-    as (row, support of the entry) pairs.  Sums accumulate in integer lists,
-    one kernel call per term; only the nonzero ones become GroupRingElements.
-    """
-    acc: dict[int, list[int]] = {}
-    for a_supp, col in terms:
-        _convolve_into(acc, group, a_supp, col)
-    return {i: GroupRingElement(group, c) for i, c in acc.items() if any(c)}
+
+def _triples(acc: dict[int, int], order: int) -> tuple:
+    """The stored column of a flat accumulator {i * |G| + u: c}: rows in the
+    order first touched, coefficients that summed to zero left out."""
+    if not any(acc.values()):
+        return ()
+    rows: dict[int, list] = {}
+    for k, c in acc.items():
+        h = k % order
+        rows.setdefault(k - h, []).append((h, c))
+    return tuple((base, h, c) for base, hc in rows.items()
+                 for h, c in sorted(hc) if c)
+
+
+def _elements(group: FiniteGroup, col) -> dict[int, GroupRingElement]:
+    """The chain {i: element} of triples (i * |G|, h, c), rows in the order
+    first met, a row whose coefficients are all zero left out."""
+    order, rows = group.order, {}
+    for base, h, c in col:
+        coeffs = rows.get(base)
+        if coeffs is None:
+            coeffs = rows[base] = [0] * order
+        coeffs[h] = c
+    return {base // order: GroupRingElement(group, c)
+            for base, c in rows.items() if any(c)}
 
 
 def _not_a_chain(what: str, vec) -> ValueError:
     """The error for a chain given as anything but a mapping."""
     return ValueError(f"{what} must be a mapping {{index: element}}, "
                       f"not a {type(vec).__name__}")
-
-
-def unflatten_vector(flat: Sequence[int], group: FiniteGroup,
-                     rank: int) -> dict[int, GroupRingElement]:
-    """The chain whose entry i has coefficients flat[i*|G| : (i+1)*|G|]."""
-    order = group.order
-    if len(flat) != rank * order:
-        raise ValueError(f"flat vector of length {len(flat)}, expected "
-                         f"{rank} x {order}")
-    blocks = (flat[i * order:(i + 1) * order] for i in range(rank))
-    return {i: GroupRingElement(group, c) for i, c in enumerate(blocks)
-            if any(c)}
 
 
 class ZGSolver:
@@ -262,8 +300,8 @@ class ZGSolver:
         Solving the plain integer system suffices: the expansion of a
         ZG-column basis vector (j, g) is g times the basis chain e_j, so any
         integer solution reassembles into ring coefficients verbatim.  The
-        solution is checked in Z[G], M x = b through ``apply``, against the
-        nonzero entries of b; a row of b outside M is a ValueError.
+        solution is checked in Z[G] through the kernel, M x = b against the
+        coefficients of b; a row of b outside M is a ValueError.
         """
         m = self.matrix
         group, order = m.group, m.group.order
@@ -271,25 +309,22 @@ class ZGSolver:
             items = b.items()
         except AttributeError:
             raise _not_a_chain("a right-hand side", b) from None
-        flat, want = {}, {}
+        flat = {}
         for i, a in items:
             if not 0 <= i < m.nrows:
                 raise ValueError(f"right-hand side row {i} out of range for "
                                  f"a matrix with {m.nrows} rows")
             if a.group is not group:
                 m._check_group(a.group, f"right-hand side entry {i}")
-            if a.support():
-                flat.update((i * order + g, v) for g, v in a.support())
-                want[i] = a
+            flat.update((i * order + g, v) for g, v in a.support())
         z = self._solver.solve(flat)
         if z is NoSolution:
             return NoSolution
-        coeffs: dict[int, list[int]] = {}
-        for k, v in z.items():  # ascending k, so rows come out in order
-            j, g = divmod(k, order)
-            coeffs.setdefault(j, [0] * order)[g] = v
-        x = {j: GroupRingElement(group, c) for j, c in coeffs.items()}
-        if m.apply(x) != want:
+        # z is ascending in k = j * |G| + g: x in the stored column form
+        x = tuple((k - k % order, k % order, v) for k, v in z.items())
+        acc: dict[int, int] = {}
+        _accumulate(acc, group.table,
+                    ((g, v, m._cols[base // order]) for base, g, v in x))
+        if {k: c for k, c in acc.items() if c} != flat:
             raise InternalCheckError("ZG solver self-check failed: M x != b")
-        return x
-
+        return _elements(group, x)

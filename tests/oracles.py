@@ -12,7 +12,7 @@ its oracle.
 import math
 from itertools import combinations
 
-from tatejoin import IntMatrix
+from tatejoin import GroupRingElement, IntMatrix
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -47,6 +47,18 @@ def flatten_vector(vec, rank: int, order: int) -> list[int]:
     for i, a in vec.items():
         flat[i * order:(i + 1) * order] = a.c
     return flat
+
+
+def unflatten_vector(flat, group, rank: int) -> dict:
+    """The chain whose entry i has coefficients flat[i*|G| : (i+1)*|G|],
+    the inverse of ``flatten_vector``."""
+    order = group.order
+    if len(flat) != rank * order:
+        raise ValueError(f"flat vector of length {len(flat)}, expected "
+                         f"{rank} x {order}")
+    blocks = (flat[i * order:(i + 1) * order] for i in range(rank))
+    return {i: GroupRingElement(group, c) for i, c in enumerate(blocks)
+            if any(c)}
 
 
 def det_bareiss(A: IntMatrix) -> int:

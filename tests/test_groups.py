@@ -238,3 +238,88 @@ def test_group_json_is_bounded_by_its_own_size():
     for degree in (10 ** 6, 3 * 10 ** 6):
         g = _refused_or_trivial_cheaply({"generators": [], "degree": degree})
         assert isinstance(g, FiniteGroup) and g.order == 1
+
+
+def _closure_on_all_points(degree, gens):
+    """The group table of the closure acting on every point, fixed or not:
+    breadth-first from the identity, (p*q)(i) = p(q(i)), as documented."""
+    ident = tuple(range(degree))
+    elems, index, queue = [ident], {ident: 0}, [ident]
+    while queue:
+        p = queue.pop(0)
+        for g in gens:
+            q = tuple(p[g[i]] for i in range(degree))
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+                queue.append(q)
+    return tuple(tuple(index[tuple(p[q[i]] for i in range(degree))]
+                       for q in elems) for p in elems)
+
+
+@pytest.mark.parametrize("degree, gens", [
+    (4, [[1, 0, 2, 3], [1, 2, 3, 0]]),  # S4
+    (6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]),  # C2^3
+    # S3 on {2, 5, 7} times C2 on {1, 8}; 0, 3, 4 and 6 are fixed
+    (9, [[0, 1, 5, 3, 4, 7, 6, 2, 8], [0, 1, 5, 3, 4, 2, 6, 7, 8],
+         [0, 8, 2, 3, 4, 5, 6, 7, 1]]),
+])
+def test_closing_on_moved_points_keeps_the_table(degree, gens):
+    g = from_permutations(degree, gens)
+    assert g.table == _closure_on_all_points(degree, gens)
+
+
+def _transpositions(count, degree):
+    """count disjoint transpositions (2t 2t+1) acting on degree points."""
+    gens = []
+    for t in range(count):
+        p = list(range(degree))
+        p[2 * t], p[2 * t + 1] = 2 * t + 1, 2 * t
+        gens.append(p)
+    return gens
+
+
+def test_short_orbits_above_the_cap_are_refused_cheaply(tmp_path, capsys):
+    # order 2048 with orbits of 2: only the 22 moved points enter the closure
+    import time
+    import tracemalloc
+    from tatejoin.cli import main
+    gens = _transpositions(11, 10_000)
+    # timed untraced, since tracemalloc slows every allocation down
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match="exceeds the largest"):
+        from_permutations(10_000, gens)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupError, match="exceeds the largest"):
+            from_permutations(10_000, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 5 << 20, (elapsed, peak)
+    path = tmp_path / "short_orbits.json"
+    path.write_text(json.dumps({"degree": 10_000, "generators": gens}))
+    start = time.perf_counter()
+    rc = main(["homology", "--group", f"file:{path}", "--degrees", "1"])
+    elapsed = time.perf_counter() - start
+    assert rc == 2 and elapsed < 0.5, (rc, elapsed)
+    assert "1024" in capsys.readouterr().err
+
+
+def test_fixed_points_cost_next_to_nothing():
+    # order 1024 on its 20 moved points, then with 9,980 fixed points added
+    import time
+
+    def best_of_two(gens):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            g = from_permutations(len(gens[0]), gens)
+            times.append(time.perf_counter() - start)
+        return min(times), g
+
+    t_moved, g_moved = best_of_two(_transpositions(10, 20))
+    t_fixed, g_fixed = best_of_two(_transpositions(10, 10_000))
+    assert g_moved.order == 1024 and g_fixed.table == g_moved.table
+    assert t_fixed <= 1.5 * t_moved, (t_fixed, t_moved)

@@ -549,3 +549,23 @@ def test_huge_rank_in_a_resolution_file_is_refused_before_allocation():
                  "differentials": [[[]], []], "augmentation": [1]}
     with pytest.raises(SchemaError, match="no rows to bound"):
         Resolution.from_json(empty_top)
+
+
+def test_builders_and_certificates_make_no_ring_elements(monkeypatch):
+    # the bar and join builders emit the stored triples directly, and the
+    # constructor's d o d and eps o d_1 certificates read them as they are
+    P = syzygy_resolution(dihedral(4), 7)
+    made = []
+    real = GroupRingElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupRingElement, "__init__", counted)
+    bar = bar_resolution(cyclic(5), 5)
+    box = join(P.truncated(3), P.truncated(3), 7)
+    monkeypatch.undo()
+    assert len(made) == 0
+    assert bar.ranks == (1, 4, 16, 64, 256, 1024)
+    assert box.depth == 7

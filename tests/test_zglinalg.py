@@ -6,15 +6,17 @@ back, never by comparing against the solver itself.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import tatejoin.intlinalg
-from oracles import flatten_vector, matmul, z_expansion
+from oracles import flatten_vector, matmul, unflatten_vector, z_expansion
 from tatejoin import (GroupRingElement, InternalCheckError, SizeBudgetError,
-                      ZGMatrix, ZGSolver, cyclic, norm_element, symmetric)
+                      ZGMatrix, ZGSolver, cyclic, dihedral, norm_element,
+                      symmetric)
 from tatejoin.intlinalg import NoSolution
-from tatejoin.zglinalg import check_zrank, unflatten_vector
+from tatejoin.zglinalg import check_zrank
 
 
 def c2_elems():
@@ -303,3 +305,74 @@ def test_a_matrix_keeps_its_solver():
     assert m.solver() is m.solver()
     assert m.apply(m.solver().solve({0: norm_element(g)})) == \
         {0: norm_element(g)}
+
+
+def shuffled_columns(rng, g, nrows, ncols):
+    """Element columns {row: entry} over g, rows listed out of order, entries
+    with two to four nonzero coefficients."""
+    cols = []
+    for _ in range(ncols):
+        rows = [i for i in range(nrows) if rng.random() < 0.7]
+        rng.shuffle(rows)
+        col = {}
+        for i in rows:
+            c = [0] * g.order
+            for h in rng.sample(range(g.order), rng.randrange(2, 5)):
+                c[h] = rng.choice([-3, -2, -1, 1, 2, 3])
+            col[i] = GroupRingElement(g, c)
+        cols.append(col)
+    return cols
+
+
+def oracle(g, nrows, cols):
+    """The dense z-expansion of element columns, read from the columns as
+    given, not from any matrix."""
+    return z_expansion(SimpleNamespace(
+        group=g, nrows=nrows, ncols=len(cols),
+        entries={(i, j): v for j, col in enumerate(cols)
+                 for i, v in col.items()}))
+
+
+@pytest.mark.parametrize("g", [symmetric(3), dihedral(4)],
+                         ids=["S3", "D4"])
+def test_the_stored_layout_cannot_be_seen(g):
+    rng = random.Random(g.order)
+    zero = GroupRingElement.zero(g)
+    for nrows, mid, ncols in [(3, 4, 2), (1, 3, 5), (5, 2, 3), (4, 4, 4)]:
+        a_cols = shuffled_columns(rng, g, nrows, mid)
+        b_cols = shuffled_columns(rng, g, mid, ncols)
+        a, b = ZGMatrix(g, nrows, a_cols), ZGMatrix(g, mid, b_cols)
+        a_dense = oracle(g, nrows, a_cols)
+        for j, col in enumerate(a_cols):
+            # rows come back in the order they were given
+            assert list(a.column(j).items()) == list(col.items())
+            for i in range(nrows):
+                assert a.get(i, j) == col.get(i, zero)
+        assert dict(a.entries) == {(i, j): v for j, col in enumerate(a_cols)
+                                   for i, v in col.items()}
+        for k, zcol in enumerate(a.z_columns()):
+            assert ([zcol.get(r, 0) for r in range(a_dense.nrows)]
+                    == [row[k] for row in a_dense.data])
+        prod = a.compose(b)
+        assert z_expansion(prod).data == matmul(
+            a_dense, oracle(g, mid, b_cols)).data
+        for vec in b_cols:
+            assert (flatten_vector(a.apply(vec), nrows, g.order)
+                    == a_dense.apply(flatten_vector(vec, mid, g.order)))
+        # the same entries with each column's rows reversed: stored in
+        # another order, equal all the same
+        flipped = ZGMatrix(g, nrows, [dict(reversed(col.items()))
+                                      for col in a_cols])
+        assert flipped == a and a == flipped
+        if any(len(col) > 1 for col in a_cols):
+            assert any(flipped.triples(j) != a.triples(j)
+                       for j in range(mid))
+        rebuilt = ZGMatrix(g, nrows, [dict(reversed(prod.column(k).items()))
+                                      for k in range(ncols)])
+        assert rebuilt == prod
+        changed = [dict(col) for col in a_cols]
+        j = next((j for j, col in enumerate(changed) if col), None)
+        if j is not None:
+            i = next(iter(changed[j]))
+            changed[j][i] = changed[j][i] + GroupRingElement.one(g)
+            assert ZGMatrix(g, nrows, changed) != a
