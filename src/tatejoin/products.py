@@ -33,13 +33,14 @@ Each lift keeps its own columns, and a product lifts only the columns
 reachable from its input's support.  The lifts share the factorization of
 each differential of P, which the matrix owns (``ZGMatrix.solver``);
 sharing it weakens no check, because every solution is multiplied back.
-Every chain here, the seed, the lifted columns and the product chains, is
-a Z[G] chain {index: nonzero element} (see ``zglinalg``), and each
-right-hand side is one call of the convolution kernel behind
-``ZGMatrix.apply``.  The composition pipeline's last step, the self-map
-evaluated on N.y_a, stays on ring elements (``_add_multiple``), but
-``ring_multiply`` runs the same kernel: what is independent between the
-pipelines is the chain each one builds, not the arithmetic.
+The seed and the product chains are Z[G] chains {index: nonzero element}
+(see ``zglinalg``).  A lifted column stays in the stored triples of a
+``ZGMatrix`` column, and each right-hand side is one call of the kernel
+``groups._accumulate`` on them.  Ring elements are built only to read the
+source differential and in the composition pipeline's last step, the
+self-map evaluated on N.y_a (``_add_multiple``), whose ``ring_multiply``
+runs the same kernel: what is independent between the pipelines is the
+chain each one builds, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError
-from .groups import GroupRingElement
+from .groups import GroupRingElement, _accumulate
 from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, _combine
+from .zglinalg import ZGMatrix, _elements, _triples
 
 
 class ChainMap:
@@ -114,19 +115,18 @@ class ComparisonLift:
     """Lazy chain map of degree ``shift`` from one resolution into another.
 
     Column j in degree k, psi_k(e_j), is lifted through the exact target on
-    first use and memoized as a sparse column {row: nonzero entry}.  Degree
-    0 is eps^S(e_j) . seed, lifted through d^T_shift when shift > 0; there
+    first use and memoized as a ``ZGMatrix`` column's triples.  Degree 0 is
+    eps^S(e_j) . seed, lifted through d^T_shift when shift > 0; there
     ``seed`` is a boundary, a chain of target degree shift - 1, and for
     shift 0 the constructor solves eps^T(seed) = 1 for it.  Degree k > 0
-    solves d^T_{k+shift} x = psi_{k-1}(d^S_k e_j).  That right-hand side is
-    one ``_combine`` call: the entries of d^S_k e_j are the coefficients,
-    on the left, of the memoized columns psi_{k-1}(e_i).  Every solve goes
-    through the target differential's own solver, so lifts into the same
-    target share its factorization and keep only their columns.  A column
-    with no solution raises ResolutionError naming its degree.
+    solves d^T_{k+shift} x = psi_{k-1}(d^S_k e_j), whose right-hand side is
+    one ``_accumulate`` call: the entries of d^S_k e_j multiply, on the
+    left, the memoized triples of psi_{k-1}(e_i).  Every solve goes through
+    the target differential's own solver, so lifts into one target share its
+    factorization.  A column with no solution raises ResolutionError.
     """
 
-    __slots__ = ("source", "target", "shift", "seed", "_cols")
+    __slots__ = ("source", "target", "shift", "seed", "_seed", "_cols")
 
     def __init__(self, source: Resolution, target: Resolution, shift: int = 0,
                  seed: Mapping[int, GroupRingElement] | None = None):
@@ -146,30 +146,32 @@ class ComparisonLift:
         self.target = target
         self.shift = shift
         self.seed = seed
-        self._cols: dict[tuple[int, int], dict[int, GroupRingElement]] = {}
+        self._seed = ZGMatrix(target.group, target.rank(max(shift - 1, 0)),
+                              [seed]).triples(0)  # rows and ring checked
+        self._cols: dict[tuple[int, int], tuple] = {}
 
-    def column(self, k: int, j: int) -> dict[int, GroupRingElement]:
-        """psi_k(e_j) as {row: nonzero entry}; callers must not change it."""
+    def column(self, k: int, j: int) -> tuple:
+        """psi_k(e_j) as stored triples (row * |G|, h, c)."""
         key = (k, j)
         col = self._cols.get(key)
         if col is not None:
             return col
+        if not 0 <= j < self.source.rank(k):
+            raise ValueError(f"column {j} out of range in degree {k}")
         if k == 0:
-            a = self.source.aug[j]
-            col = {i: v.scale(a) for i, v in self.seed.items() if a}
+            terms = [(0, self.source.aug[j], self._seed)]
         else:
-            order, terms = self.source.group.order, []
+            terms = []
             for i, val in self.source.differential(k).column(j).items():
-                prev = tuple((r * order, h, c) for r, v in
-                             self.column(k - 1, i).items()
-                             for h, c in v.support())
+                prev = self.column(k - 1, i)
                 terms.extend((g, ag, prev) for g, ag in val.support())
-            col = _combine(self.source.group, terms)
-        if k + self.shift:
-            col = self.target.differential(k + self.shift).solver().solve(col)
-            if col is NoSolution:
-                raise ResolutionError(
-                    f"lifting failed at degree {k}: target resolution not exact")
+        rhs: dict[int, int] = {}
+        _accumulate(rhs, self.source.group.table, terms)
+        col = (self.target.differential(k + self.shift).solver().solve(rhs)
+               if k + self.shift else _triples(rhs, self.source.group.order))
+        if col is NoSolution:
+            raise ResolutionError(
+                f"lifting failed at degree {k}: target resolution not exact")
         self._cols[key] = col
         return col
 
@@ -179,18 +181,19 @@ class ComparisonLift:
         down_vec is sparse, as ``down_vector`` returns it.  Since psi is a
         module map, augmentation factors through it.
         """
+        order = self.target.group.order
         out = [0] * self.target.rank(k + self.shift)
         for j, c in down_vec.items():
-            for i, val in self.column(k, j).items():
-                out[i] += c * val.augmentation()
+            for base, _, v in self.column(k, j):
+                out[base // order] += c * v
         return out
 
     def materialize(self, up_to: int) -> ChainMap:
         """The full chain map through the given degree, checked."""
-        comps = {k: ZGMatrix(self.source.group,
-                             self.target.rank(k + self.shift),
-                             [self.column(k, j)
-                              for j in range(self.source.rank(k))])
+        comps = {k: ZGMatrix._of_triples(self.source.group,
+                                         self.target.rank(k + self.shift),
+                                         [self.column(k, j)
+                                          for j in range(self.source.rank(k))])
                  for k in range(up_to + 1)}
         cm = ChainMap(self.source, self.target, self.shift, comps,
                       self.seed if self.shift else None)
@@ -338,7 +341,7 @@ class ProductContext:
         glift = self._g_lift(m, zb)
         out: dict[int, GroupRingElement] = {}
         for j, coeff in x.items():
-            _add_multiple(out, coeff, glift.column(n, j))
+            _add_multiple(out, coeff, _elements(P.group, glift.column(n, j)))
         # the image of an invariant cycle under a chain map is again an
         # invariant cycle; classify through the norm correspondence
         if P.apply_differential(out_deg, out):
@@ -357,7 +360,7 @@ def _add_multiple(out: dict[int, GroupRingElement], c: GroupRingElement,
 
     One ``ring_multiply`` per entry: the composition pipeline evaluates its
     self-map on N.y_a here.  ``ring_multiply`` calls the convolution kernel
-    behind ``_combine``, so this step shares arithmetic with the lifts.
+    ``_accumulate``, so this step shares arithmetic with the lifts.
     """
     for r, v in vec.items():
         p = c * v

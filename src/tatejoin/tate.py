@@ -338,13 +338,16 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
         raise ResolutionError("the correspondence is defined for degrees >= 1")
     r = res.rank(n)
     if via_solver:
-        G = res.group
+        G, order = res.group, res.group.order
         norm_mat = ZGMatrix(G, r, [{i: norm_element(G)} for i in range(r)])
-        y = norm_mat.solver().solve(x.vector)
+        y = norm_mat.solver().solve({i * order + g: c for i, a in
+                                     x.vector.items() for g, c in a.support()})
         if y is NoSolution:
             raise ResolutionError(
                 "norm equation unsolvable; input is not an invariant of a free module")
-        down = down_vector(y)
+        down = dict.fromkeys(range(r), 0)
+        for base, _, c in y:  # the augmentation of each row of y
+            down[base // order] += c
     else:
         down = {i: a.c[0] for i, a in x.vector.items()}
     return homology(res, n).classify([down.get(i, 0) for i in range(r)])

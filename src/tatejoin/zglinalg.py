@@ -7,8 +7,8 @@ of z-column (j, e) below.  Rows keep the order they were given in (or first
 touched in by a builder), h ascending within a row: the down matrices, and
 so the generator cycles, follow that order.  A matrix never changes once
 built.  GroupRingElements are built only at the API edge: ``column(j)``,
-``get``, ``entries``, and the chains ``apply`` and ``ZGSolver.solve``
-return.  Applying the map to a column vector a gives
+``get``, ``entries`` and ``apply``; ``ZGSolver.solve`` takes a flat dict
+and returns triples.  Applying the map to a column vector a gives
 
     out_i = sum_j a_j * M[i, j]
 
@@ -138,10 +138,13 @@ class ZGMatrix:
     def column(self, j: int) -> Mapping[int, GroupRingElement]:
         """Read-only {row: value} of the nonzero entries of column j, rows in
         the stored order, built on each call."""
-        return MappingProxyType(_elements(self.group, self._cols[j]))
+        return MappingProxyType(_elements(self.group, self.triples(j)))
 
     def triples(self, j: int) -> tuple:
         """Column j in the stored form, (i * |G|, h, c) with c nonzero."""
+        if not 0 <= j < self.ncols:
+            raise ValueError(f"column {j} out of range for a matrix with "
+                             f"{self.ncols} columns")
         return self._cols[j]
 
     def dense_rows(self) -> list[list[list[int]]]:
@@ -180,7 +183,11 @@ class ZGMatrix:
                 self._check_group(a.group, f"chain entry {j}")
             col = self._cols[j]
             terms.extend((g, ag, col) for g, ag in a.support())
-        return _combine(self.group, terms)
+        acc: dict[int, int] = {}
+        _accumulate(acc, self.group.table, terms)
+        order = self.group.order
+        return _elements(self.group, ((k - k % order, k % order, c)
+                                      for k, c in acc.items()))
 
     def compose(self, inner: "ZGMatrix") -> "ZGMatrix":
         """self after inner: apply inner first.  Requires self.ncols == inner.nrows.
@@ -235,15 +242,6 @@ class ZGMatrix:
                 for col in self._cols for row in self.group.table]
 
 
-def _combine(group: FiniteGroup, terms) -> dict[int, GroupRingElement]:
-    """The chain sum of a_g g * col over the terms (g, a_g, col)."""
-    acc: dict[int, int] = {}
-    _accumulate(acc, group.table, terms)
-    order = group.order
-    return _elements(group, ((k - k % order, k % order, c)
-                             for k, c in acc.items()))
-
-
 def _triples(acc: dict[int, int], order: int) -> tuple:
     """The stored column of a flat accumulator {i * |G| + u: c}: rows in the
     order first touched, coefficients that summed to zero left out."""
@@ -280,11 +278,9 @@ class ZGSolver:
     """Solve M x = b over ZG by factoring the z-expansion once.
 
     The constructor runs the Hermite factorization; ``ZGMatrix.solver()``
-    builds one per matrix and keeps it, so lifting many chains through the
-    same differential costs one factorization.  Right-hand sides and
-    solutions are chains, and cross to the integer solver as sparse
-    vectors: b through its entries' supports, x regrouped by row, with no
-    dense vector of length rank * |G|.
+    builds one per matrix and keeps it, so lifting many columns through the
+    same differential costs one factorization.  No ring element is built: b
+    is the flat dict ``_accumulate`` sums into, x the triples it reads.
     """
 
     __slots__ = ("matrix", "_solver")
@@ -294,37 +290,33 @@ class ZGSolver:
         self._solver = IntegerSolver(matrix.z_columns(),
                                      matrix.nrows * matrix.group.order)
 
-    def solve(self, b: Mapping[int, GroupRingElement]):
-        """A sparse ZG-solution {row: entry} of M x = b, or NoSolution.
+    def solve(self, b: Mapping[int, int]):
+        """x with M x = b as stored triples (j * |G|, g, c), or NoSolution.
 
-        Solving the plain integer system suffices: the expansion of a
-        ZG-column basis vector (j, g) is g times the basis chain e_j, so any
-        integer solution reassembles into ring coefficients verbatim.  The
-        solution is checked in Z[G] through the kernel, M x = b against the
-        coefficients of b; a row of b outside M is a ValueError.
+        b is flat, {i * |G| + u: c}, zeros ignored; a key outside M is a
+        ValueError naming its row i.  Solving the plain integer system
+        suffices: the expansion of a ZG-column basis vector (j, g) is g times
+        the basis chain e_j, so any integer solution reassembles into ring
+        coefficients verbatim.  It is checked in Z[G] through the kernel.
         """
         m = self.matrix
-        group, order = m.group, m.group.order
+        order = m.group.order
         try:
-            items = b.items()
+            flat = {k: c for k, c in b.items() if c}
         except AttributeError:
-            raise _not_a_chain("a right-hand side", b) from None
-        flat = {}
-        for i, a in items:
-            if not 0 <= i < m.nrows:
-                raise ValueError(f"right-hand side row {i} out of range for "
-                                 f"a matrix with {m.nrows} rows")
-            if a.group is not group:
-                m._check_group(a.group, f"right-hand side entry {i}")
-            flat.update((i * order + g, v) for g, v in a.support())
+            raise _not_a_chain("a flat right-hand side", b) from None
+        if b and (min(b) < 0 or max(b) >= m.nrows * order):
+            bad = min(b) if min(b) < 0 else max(b)
+            raise ValueError(f"right-hand side row {bad // order} out of "
+                             f"range for a matrix with {m.nrows} rows")
         z = self._solver.solve(flat)
         if z is NoSolution:
             return NoSolution
         # z is ascending in k = j * |G| + g: x in the stored column form
         x = tuple((k - k % order, k % order, v) for k, v in z.items())
         acc: dict[int, int] = {}
-        _accumulate(acc, group.table,
+        _accumulate(acc, m.group.table,
                     ((g, v, m._cols[base // order]) for base, g, v in x))
         if {k: c for k, c in acc.items() if c} != flat:
             raise InternalCheckError("ZG solver self-check failed: M x != b")
-        return _elements(group, x)
+        return x

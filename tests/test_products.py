@@ -26,6 +26,7 @@ from tatejoin import (ChainMap, ComparisonLift, GroupRingElement,
                       periodic_cyclic_resolution, phi_inverse, product_table,
                       quaternion8, run_verify, symmetric, syzygy_resolution)
 from tatejoin.tate import down_vector
+from tatejoin.zglinalg import _elements
 
 
 def test_cyclic_generator_products_have_maximal_order():
@@ -468,11 +469,59 @@ def test_lifts_take_sparse_seeds_and_return_chains():
     noisy = ComparisonLift(res, res, 2, seed=padded)
     for k in range(3):
         for j in range(res.ranks[k]):
-            col = clean.column(k, j)
+            col = _elements(res.group, clean.column(k, j))
             assert all(not v.is_zero() for v in col.values())
-            assert noisy.column(k, j) == col
+            assert _elements(res.group, noisy.column(k, j)) == col
+            assert noisy.column(k, j) == clean.column(k, j)
+            assert all(c for _, _, c in clean.column(k, j))
     noisy.materialize(2)  # the base case reads the padded seed
     J = join(res, res, 3)
     lift = ComparisonLift(J, res)
-    cols = [lift.column(3, j) for j in range(J.ranks[3])]
+    cols = [_elements(res.group, lift.column(3, j)) for j in range(J.ranks[3])]
     assert all(not v.is_zero() for col in cols for v in col.values())
+    assert all(c for j in range(J.ranks[3]) for _, _, c in lift.column(3, j))
+
+
+def test_a_lift_names_a_column_index_outside_the_rank():
+    # j = -1 once read the last column and was memoized under (k, -1)
+    res = syzygy_resolution(dihedral(4), 5)
+    lift = ComparisonLift(res, res)
+    for k in (0, 1, 2):
+        for j in (-1, res.ranks[k]):
+            with pytest.raises(ValueError, match=f"column {j} out of range"):
+                lift.column(k, j)
+    assert not any(j < 0 for _, j in lift._cols)
+    for j in (-1, res.ranks[1]):
+        with pytest.raises(ValueError, match=f"column {j} out of range"):
+            lift.transport_down(1, {j: 1})
+
+
+def test_lifting_builds_no_ring_element_between_solves(monkeypatch):
+    # every lifted column stays in the stored triple form from one solve to
+    # the next right-hand side; the only ring elements a lift builds are
+    # the source differential's columns, read through ZGMatrix.column
+    res = syzygy_resolution(dihedral(4), 7)
+    ctx = ProductContext(res)
+    ctx.join_to(2, 2)  # the join box of bidegree (2, 2), through degree 5
+    lifts = [ctx.lift(), ctx._g_lift(1, homology(res, 1).generators[0])]
+    assert lifts[1].shift == 2
+    built, read = [0], [0]
+    real_init, real_column = GroupRingElement.__init__, ZGMatrix.column
+
+    def counting_init(self, group, coeffs):
+        built[0] += 1
+        real_init(self, group, coeffs)
+
+    def counting_column(self, j):
+        col = real_column(self, j)
+        read[0] += len(col)
+        return col
+
+    monkeypatch.setattr(GroupRingElement, "__init__", counting_init)
+    monkeypatch.setattr(ZGMatrix, "column", counting_column)
+    for lift in lifts:
+        for k in range(6):
+            for j in range(lift.source.rank(k)):
+                lift.column(k, j)
+    assert read[0] > 0
+    assert built[0] == read[0]

@@ -16,7 +16,7 @@ from tatejoin import (GroupRingElement, InternalCheckError, SizeBudgetError,
                       ZGMatrix, ZGSolver, cyclic, dihedral, norm_element,
                       symmetric)
 from tatejoin.intlinalg import NoSolution
-from tatejoin.zglinalg import check_zrank
+from tatejoin.zglinalg import _elements, check_zrank
 
 
 def c2_elems():
@@ -71,11 +71,24 @@ def test_flatten_round_trip():
     assert unflatten_vector(flatten_vector(vec, 2, 6), g, 2) == vec
 
 
+def flat(b, g):
+    """A chain {i: element} in the solver's right-hand side form,
+    {i * |G| + u: c}, zero coefficients kept as explicit zeros."""
+    return {i * g.order + u: c for i, a in b.items() for u, c in enumerate(a.c)}
+
+
+def solve(m, b):
+    """ZGSolver(m) on the chain b, and its stored triples read back as a
+    chain."""
+    x = ZGSolver(m).solve(flat(b, m.group))
+    return x if x is NoSolution else _elements(m.group, x)
+
+
 def test_solver_norm_equation():
     # [N] x = [e + t] has solution x = [e] (among others); verify by product
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
-    x = ZGSolver(m).solve({0: e + t})
+    x = solve(m, {0: e + t})
     assert x is not NoSolution
     assert m.apply(x) == {0: e + t}
 
@@ -84,7 +97,7 @@ def test_solver_no_solution():
     # nothing times N hits e: augmentations of N-multiples are even
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
-    assert ZGSolver(m).solve({0: e}) is NoSolution
+    assert solve(m, {0: e}) is NoSolution
 
 
 def test_solver_two_by_two():
@@ -92,7 +105,7 @@ def test_solver_two_by_two():
     m = ZGMatrix.from_rows(g, [[t, e - t], [GroupRingElement.zero(g), e + t]])
     b = [t + e.scale(2), (e + t).scale(2)]
     x = m.apply({0: e + t, 1: e.scale(2)})
-    got = ZGSolver(m).solve(x)
+    got = solve(m, x)
     assert got is not NoSolution
     assert m.apply(got) == x
     del b
@@ -215,7 +228,12 @@ def test_shape_and_index_errors_are_named():
     with pytest.raises(ValueError):
         unflatten_vector([1, 0, 1], g, 2)
     with pytest.raises(ValueError):
-        ZGSolver(m).solve({0: e, 1: t})
+        solve(m, {0: e, 1: t})
+    # a flat key is named by its Z[G] row, zero or not
+    for key, row in ((2, 1), (3, 1), (-1, -1), (7, 3)):
+        for c in (1, 0):
+            with pytest.raises(ValueError, match=f"row {row} out of range"):
+                ZGSolver(m).solve({0: 1, key: c})
     # operands from another group ring of the same order must not be
     # multiplied through this group's table
     s3 = symmetric(3)
@@ -246,7 +264,7 @@ def test_zg_solver_check_is_not_an_assert(monkeypatch):
 
     monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", off_by_one)
     with pytest.raises(InternalCheckError):
-        ZGSolver(m).solve({0: e + t})
+        solve(m, {0: e + t})
 
 
 def test_solver_takes_and_returns_sparse_columns():
@@ -257,11 +275,14 @@ def test_solver_takes_and_returns_sparse_columns():
     b = m.apply({0: GroupRingElement.zero(g), 1: e.scale(2)})
     with_zeros = {0: GroupRingElement.zero(g), 1: GroupRingElement.zero(g),
                   **b}
-    x = ZGSolver(m).solve(with_zeros)
-    assert x == ZGSolver(m).solve(b)
+    x = solve(m, with_zeros)
+    assert x == solve(m, b)
     assert all(not v.is_zero() for v in x.values())
     assert m.apply(x) == b
-    assert ZGSolver(m).solve({}) == {}
+    assert solve(m, {}) == {}
+    # the stored triples themselves: no zero coefficient, and {} -> ()
+    assert all(c for _, _, c in ZGSolver(m).solve(flat(with_zeros, g)))
+    assert ZGSolver(m).solve({}) == ()
 
 
 def test_chain_producers_store_no_zero_entry():
@@ -272,7 +293,7 @@ def test_chain_producers_store_no_zero_entry():
     assert m.apply({}) == {}
     assert unflatten_vector([0, 0, 1, 0], g, 2) == {1: e}
     assert unflatten_vector([0, 0, 0, 0], g, 2) == {}
-    x = ZGSolver(m).solve({1: t + e})
+    x = solve(m, {1: t + e})
     assert x is not NoSolution
     assert all(not v.is_zero() for v in x.values())
     assert m.apply(x) == {1: t + e}
@@ -297,14 +318,16 @@ def test_a_dense_list_is_not_a_chain():
         m.apply([norm_element(g)])
     with pytest.raises(ValueError, match=r"mapping \{index: element\}"):
         m.solver().solve([norm_element(g)])
+    with pytest.raises(ValueError, match=r"mapping \{index: element\}"):
+        m.solver().solve([1, 1])
 
 
 def test_a_matrix_keeps_its_solver():
     g, e, t = c2_elems()
     m = ZGMatrix.from_rows(g, [[norm_element(g)]])
     assert m.solver() is m.solver()
-    assert m.apply(m.solver().solve({0: norm_element(g)})) == \
-        {0: norm_element(g)}
+    assert m.apply(_elements(g, m.solver().solve(
+        flat({0: norm_element(g)}, g)))) == {0: norm_element(g)}
 
 
 def shuffled_columns(rng, g, nrows, ncols):
@@ -376,3 +399,14 @@ def test_the_stored_layout_cannot_be_seen(g):
             i = next(iter(changed[j]))
             changed[j][i] = changed[j][i] + GroupRingElement.one(g)
             assert ZGMatrix(g, nrows, changed) != a
+
+
+def test_a_column_index_outside_the_matrix_is_named():
+    # j = -1 once read the last column, and j = ncols raised IndexError
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[e, t]])
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"column {j} out of range"):
+            m.column(j)
+        with pytest.raises(ValueError, match=f"column {j} out of range"):
+            m.triples(j)
