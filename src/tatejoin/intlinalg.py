@@ -7,12 +7,13 @@ One engine per job:
 
 * ``_sparse_eliminate`` splits +/-1 pivots off a matrix given as sparse
   columns ({row: value} dicts, the form in which resolutions hand over
-  their down complexes) and logs its row operations.  It runs until no
-  surviving row holds a unit, so what is left is a small residual with no
-  entry +/-1.  ``sparse_invariant_factors`` adds the residual's factors to
-  one per pivot; homology replays the log to classify cycles.  No dense
-  copy of the input is ever made, so this scales to bar-resolution
-  boundaries.
+  their down complexes), logs its row operations and names each pivot's
+  column.  It runs until no surviving row holds a unit, so what is left is
+  a small residual with no entry +/-1.  ``sparse_invariant_factors`` adds
+  the residual's factors to one per pivot; the ``tate`` module drops the
+  pivot columns from the next boundary, and replays the log to classify
+  cycles.  No dense copy of the input is ever made, so this scales to
+  bar-resolution boundaries.
 * ``smith_normal_form`` is the one Smith elimination loop.  With
   transforms it runs exactly over Z and tracks U*A*V = S; classify and
   generators call it on residuals only.  Without transforms it runs the
@@ -450,12 +451,18 @@ class IntegerSolver:
                               for col in cols]
         self.vcols = vcols = [{j: 1} for j in range(ncols)]
         self.pivots: list[tuple[int, int]] = []
+        first: dict[int, set[int]] = {}  # lowest row -> columns, some stale
+        moved = range(ncols)  # the columns whose lowest row may have changed
         c = 0
         for r in range(nrows):
             if c >= ncols:
                 break
+            for j in moved:
+                if hcols[j]:
+                    first.setdefault(min(hcols[j]), set()).add(j)
             # columns c.. are zero above row r: their entries are rows >= r
-            live = [j for j in range(c, ncols) if r in hcols[j]]
+            live = [j for j in first.pop(r, ()) if j >= c and r in hcols[j]]
+            moved = set(live)
             if not live:
                 continue
             # gcd-combine live columns into a single pivot at column c
@@ -476,6 +483,7 @@ class IntegerSolver:
             if j0 != c:
                 hcols[j0], hcols[c] = hcols[c], hcols[j0]
                 vcols[j0], vcols[c] = vcols[c], vcols[j0]
+                moved.add(j0)
             if hcols[c][r] < 0:
                 hcols[c] = {i: -v for i, v in hcols[c].items()}
                 vcols[c] = {i: -v for i, v in vcols[c].items()}
@@ -626,12 +634,21 @@ class Elimination(NamedTuple):
     Replaying ``ops``, each (t, s, q) meaning row[t] -= q*row[s], turns A
     into L*A, whose column lattice is spanned by unit vectors on the
     ``pivots`` rows and the ``residual`` columns on the ``rows`` rows.
+    Pivot p cleared input column ``pivot_cols[p]``.
     """
 
     pivots: list[int]
     ops: list[tuple[int, int, int]]
     rows: list[int]
     residual: IntMatrix
+    pivot_cols: list[int]
+
+
+class SparseFactors(NamedTuple):
+    """Rank, nonunit invariant factors and unit-pivot columns of a matrix."""
+    rank: int
+    factors: list[int]
+    pivot_cols: list[int]
 
 
 def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
@@ -639,10 +656,10 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
 
     Runs until no surviving row holds a +/-1 entry, however dense the
     fill-in, so no residual entry is a unit and the residual is left small
-    for a Smith form.  Deduplicates columns first and again in the
-    residual; duplicate columns never change the column lattice, hence
-    neither rank nor invariant factors.  Column operations are not logged,
-    for the same reason.
+    for a Smith form.  Deduplicates columns first (the first copy stays,
+    under its input index j) and again in the residual; duplicate columns
+    never change the column lattice, hence neither rank nor invariant
+    factors.  Column operations are not logged, for the same reason.
 
     Bookkeeping per column j: ``live[j]`` counts the surviving rows that
     hold it (the pivot rule's key), and ``holders[j]`` lists every row that
@@ -653,16 +670,14 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     seen: set[tuple[tuple[int, int], ...]] = set()
     rows: dict[int, dict[int, int]] = {}
     holders: list[list[int]] = []
-    for col in cols:
+    for j, col in enumerate(cols):
         col = {i: v for i, v in col.items() if v}
-        if not col:
-            continue
         key = tuple(sorted(col.items()))
-        if key in seen:
+        holders.append([])
+        if not col or key in seen:
             continue
         seen.add(key)
-        j = len(holders)
-        holders.append(list(col))
+        holders[j] = list(col)
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
     del seen
@@ -671,6 +686,7 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     pivots: list[int] = []
+    pivot_cols: list[int] = []
     ops: list[tuple[int, int, int]] = []
 
     while heap:
@@ -717,6 +733,7 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
         holders[j] = []
         del rows[i]
         pivots.append(i)
+        pivot_cols.append(j)
     # the surviving rows on the columns they still touch, one column per
     # +/- pair: fill-in makes many residual columns equal up to sign
     distinct: dict[tuple[int, ...], None] = {}
@@ -727,21 +744,27 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
         distinct[col] = None
     return Elimination(pivots, ops, list(rows),
                        IntMatrix([list(r) for r in zip(*distinct)],
-                                 ncols=len(distinct)))
+                                 ncols=len(distinct)), pivot_cols)
 
 
 def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int
-                             ) -> tuple[int, list[int]]:
-    """(rank, nontrivial invariant factors > 1) of the matrix with the given columns.
+                             ) -> SparseFactors:
+    """(rank, nontrivial invariant factors > 1, pivot columns) of a matrix.
 
     The unit pivots split off by sparse elimination contribute invariant
-    factor 1 each; the Smith form of the residual, taken modulo one of its
-    maximal minors, supplies the rest.
-    ``nrows`` states the row count for callers; the elimination itself
-    reads only the columns.
+    factor 1 each and name their columns; the Smith form of the residual,
+    taken modulo one of its maximal minors, supplies the rest.  ``nrows``
+    states the row count for callers; the elimination reads only columns.
     """
     elim = _sparse_eliminate(cols)
     if not elim.rows:
-        return len(elim.pivots), []
+        return SparseFactors(len(elim.pivots), [], elim.pivot_cols)
     dec = smith_normal_form(elim.residual, transforms=False)
-    return len(elim.pivots) + dec.rank, dec.nontrivial_factors()
+    return SparseFactors(len(elim.pivots) + dec.rank,
+                         dec.nontrivial_factors(), elim.pivot_cols)
+
+
+def drop_rows(cols: Iterable[dict], rows: Iterable[int]) -> list[dict]:
+    """The sparse columns without their entries on ``rows``."""
+    rows = set(rows)
+    return [{i: v for i, v in col.items() if i not in rows} for col in cols]

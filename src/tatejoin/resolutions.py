@@ -50,7 +50,7 @@ from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
                      _read_json, build_group)
 from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
-                        f2_rank, kernel_basis, lll_reduce_rows,
+                        drop_rows, f2_rank, kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
 from .zglinalg import ZGMatrix, _elements, check_zrank
 
@@ -312,7 +312,8 @@ def validate_resolution(res: Resolution,
     rank z(d_k) + rank z(d_{k+1}) = |G| r_k with all invariant factors of
     z(d_{k+1}) equal to 1.  Equal ranks make the image a finite-index
     sublattice of the kernel and unit factors make it saturated, so
-    together they force image = kernel exactly.
+    together they force image = kernel exactly.  Each z(d_k) drops the rows
+    that are pivot columns of z(d_{k-1}), as D_k does in the ``tate`` module.
     """
     report = ValidationReport()
     G = res.group
@@ -333,10 +334,11 @@ def validate_resolution(res: Resolution,
 
     ranks_z = {}
     factors_unit = {}
+    below: list[int] = []  # pivot columns of z(d_{k-1})
     for k in range(1, res.depth + 1):
-        cols = res.differential(k).z_columns()
-        rank, nontrivial = sparse_invariant_factors(cols, res.ranks[k - 1] * order)
-        ranks_z[k] = rank
+        cols = drop_rows(res.differential(k).z_columns(), below)
+        ranks_z[k], nontrivial, below = sparse_invariant_factors(
+            cols, res.ranks[k - 1] * order)
         factors_unit[k] = not nontrivial
     # exactness at degree 0: im d_1 = ker eps
     if res.depth >= 1:

@@ -3,16 +3,23 @@
 Tensoring a resolution down over the group ring (replacing every group-ring
 entry by its augmentation) gives the integer complex whose homology is the
 group homology H_n.  ``Resolution.down_matrix`` builds its boundary maps D_k
-once, as sparse integer columns, and one engine does all the work on them:
-the sparse unit-pivot eliminator of ``intlinalg``.  Invariant factors are
-read off the boundary matrices: the torsion of H_n equals the nonunit
-invariant factors of D_{n+1}, because the kernel of D_n is a saturated
-sublattice, and the free rank is rank ker D_n - rank D_{n+1}.  Classifying
-cycles and exhibiting generators replays the row operations of the
-elimination of D_{n+1} and takes a transform-tracked Smith form of its
-small residual alone, dense by design; a kernel basis of D_n is computed
-only when H_n has a free summand.  That data is built lazily, only when
-someone asks, and must reproduce the factors.
+once, as sparse integer columns, and the sparse unit-pivot eliminator of
+``intlinalg`` does the work on them.  Invariant factors are read off the
+boundary matrices: the torsion of H_n equals the nonunit invariant factors
+of D_{n+1}, because the kernel of D_n is a saturated sublattice, and the
+free rank is rank ker D_n - rank D_{n+1}.  The complex is reduced degree by
+degree first (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35,
+1998).  The elimination of D_{k-1} pivots at +/-1 on rows A and columns B,
+so D_{k-1}[A, B] is unimodular and dropping the B-coordinates maps
+ker D_{k-1} isomorphically onto a saturated lattice.  The columns of D_k
+lie in that kernel (the Resolution constructor certified d o d = 0), so
+D_k without its rows B keeps its rank and nonunit invariant factors.
+Classifying cycles and exhibiting generators replays the row operations of
+the elimination of the full D_{n+1} and takes a transform-tracked Smith
+form of its small residual alone, dense by design; a kernel basis of D_n is
+computed only when H_n has a free summand.  That data is built lazily,
+only when someone asks, and must reproduce the factors of the reduced
+complex, so the two eliminations certify each other.
 
 The degree-(-n-1) groups of the Tate theory are reached through the norm
 correspondence: an invariant chain of P_n is exactly a norm N.y, and the
@@ -32,9 +39,9 @@ from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import GroupRingElement, norm_element
-from .intlinalg import (IntMatrix, NoSolution, _sparse_eliminate,
-                        kernel_basis, smith_normal_form,
-                        sparse_invariant_factors)
+from .intlinalg import (IntMatrix, NoSolution, SparseFactors,
+                        _sparse_eliminate, drop_rows, kernel_basis,
+                        smith_normal_form, sparse_invariant_factors)
 from .resolutions import Resolution
 from .zglinalg import ZGMatrix
 
@@ -54,13 +61,19 @@ def lift_vector(res: Resolution, k: int, coords: Sequence[int]
             for i, c in enumerate(coords) if c}
 
 
-def _rank_and_factors(res: Resolution, k: int) -> tuple[int, list[int]]:
-    """(rank, nonunit invariant factors) of D_k, cached on the resolution."""
-    key = ("rf", k)
-    if key not in res._hcache:
-        res._hcache[key] = sparse_invariant_factors(res.down_matrix(k),
-                                                    res.ranks[k - 1])
-    return res._hcache[key]
+def _rank_and_factors(res: Resolution, k: int) -> SparseFactors:
+    """(rank, nonunit invariant factors, pivot columns) of the reduced D_k.
+
+    Cached; D_k drops the rows that are pivot columns of D_{k-1}."""
+    cache = res._hcache
+    low = k + 1
+    while low > 1 and ("rf", low - 1) not in cache:
+        low -= 1
+    for j in range(low, k + 1):
+        below = cache["rf", j - 1].pivot_cols if j > 1 else ()
+        cache["rf", j] = sparse_invariant_factors(
+            drop_rows(res.down_matrix(j), below), res.ranks[j - 1])
+    return cache["rf", k]
 
 
 class HomologyGroup:
@@ -89,9 +102,8 @@ class HomologyGroup:
         if n == 0:
             ker_rank = rank_n
         else:
-            rk_dn, _ = _rank_and_factors(resolution, n)
-            ker_rank = rank_n - rk_dn
-        rk_im, torsion = _rank_and_factors(resolution, n + 1)
+            ker_rank = rank_n - _rank_and_factors(resolution, n).rank
+        rk_im, torsion, _ = _rank_and_factors(resolution, n + 1)
         free = ker_rank - rk_im
         if free < 0:
             raise InternalCheckError(
@@ -176,18 +188,19 @@ class HomologyGroup:
 class _CycleCoordinates:
     """Canonical coordinates on H_n = ker D_n / im D_{n+1}.
 
-    The unit-pivot elimination of D_{n+1} is a unimodular row transform L
-    with L(im D_{n+1}) = Z^pivots + im M for its residual M, and the Smith
-    form U M V = S diagonalizes im M.  So torsion coordinate p of a cycle c
-    is (U (L c)_rows)_p mod d_p.  Its generator is L^-1 U^-1 e_p, which is
+    The unit-pivot elimination of the full D_{n+1} (the factors come from
+    the reduced one) is a unimodular row transform L with L(im D_{n+1}) =
+    Z^pivots + im M for its residual M, and the Smith form U M V = S
+    diagonalizes im M.  So torsion coordinate p of a cycle c is
+    (U (L c)_rows)_p mod d_p.  Its generator is L^-1 U^-1 e_p, which is
     U^-1 e_p on the residual rows: each logged operation adds a multiple of
     a pivot row, so L fixes every vector that vanishes on them.  U^-1 is
     never formed: M V = U^-1 S gives U^-1 e_p = M V e_p / d_p, an exact
-    division that is checked.  The rest of
-    U (L c)_rows, with L c on the rows that are neither pivot nor residual,
-    vanishes on the saturation of im D_{n+1} and is injective on the free
-    part of H_n.  Only when H_n has a free summand is it evaluated on a
-    kernel basis of D_n, whose Smith form then picks the free basis.
+    division that is checked.  The rest of U (L c)_rows, with L c on the
+    rows that are neither pivot nor residual, vanishes on the saturation of
+    im D_{n+1} and is injective on the free part of H_n.  Only when H_n has
+    a free summand is it evaluated on a kernel basis of D_n, whose Smith
+    form then picks the free basis.
     """
 
     __slots__ = ("ops", "rows", "U", "rank", "torsion", "zero_rows",

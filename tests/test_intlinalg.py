@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,7 @@ def test_sparse_matches_dense():
                         for _ in range(nc)] for _ in range(nr)])
         cols = [{i: a[i, j] for i in range(nr) if a[i, j]} for j in range(nc)]
         want = [d for d in smith_normal_form(a).invariant_factors if d != 1]
-        rank, factors = sparse_invariant_factors(cols, nr)
+        rank, factors = sparse_invariant_factors(cols, nr)[:2]
         assert factors == want
         assert rank == len(smith_normal_form(a).invariant_factors)
         assert sparse_invariant_factors(cols, nr)[0] == rank
@@ -205,8 +206,29 @@ def test_sparse_residual_has_no_unit_entry():
         dense = smith_normal_form(
             IntMatrix([[c.get(i, 0) for c in cols] for i in range(nr)],
                       ncols=nc), transforms=False)
-        assert sparse_invariant_factors(cols, nr) == \
+        assert sparse_invariant_factors(cols, nr)[:2] == \
             (dense.rank, dense.nontrivial_factors())
+
+
+def test_sparse_pivot_columns_carry_a_unimodular_minor():
+    # pivot p cleared input column pivot_cols[p]: A[pivots, pivot_cols] is
+    # unimodular, and of equal columns only the first is ever named
+    rng = random.Random(11)
+    for _ in range(60):
+        nr, nc = rng.randrange(1, 12), rng.randrange(1, 12)
+        cols = [{i: v for i in range(nr)
+                 if (v := rng.choice([-2, -1, 0, 0, 0, 1, 1, 3]))}
+                for _ in range(nc)]
+        cols += [dict(rng.choice(cols)) for _ in range(3)]
+        elim = _sparse_eliminate(cols)
+        got = sparse_invariant_factors(cols, nr)
+        assert got.pivot_cols == elim.pivot_cols
+        assert len(set(elim.pivot_cols)) == len(elim.pivots)
+        for j in elim.pivot_cols:
+            assert cols[j] and cols[j] not in cols[:j]
+        minor = IntMatrix([[cols[j].get(i, 0) for j in elim.pivot_cols]
+                           for i in elim.pivots], ncols=len(elim.pivots))
+        assert abs(det_bareiss(minor)) == 1
 
 
 def test_invariant_factor_engines_agree_fuzz():
@@ -228,7 +250,7 @@ def test_invariant_factor_engines_agree_fuzz():
         assert full.invariant_factors == minor_gcd_invariant_factors(a)
         cols = [{i: r[j] for i, r in enumerate(rows) if r[j]}
                 for j in range(a.ncols)]
-        assert sparse_invariant_factors(cols, a.nrows) == \
+        assert sparse_invariant_factors(cols, a.nrows)[:2] == \
             (full.rank, full.nontrivial_factors())
 
     agree()
@@ -333,6 +355,19 @@ def test_solver_stores_only_nonzero_entries():
     solver = IntegerSolver(norm.z_columns(), r * g.order)
     stored = [v for col in solver.hcols + solver.vcols for v in col.values()]
     assert len(stored) <= 896 and all(stored)
+
+
+def test_solver_factorization_scales_with_the_entries():
+    # each row reads its live columns from a lowest-row index; a scan of
+    # every column for every row made 18 million lookups (0.8 s on a
+    # 2-vCPU VM)
+    n = 6000
+    cols = [{j: 1, j + 1: -1} for j in range(n - 1)] + [{n - 1: 1}]
+    start = time.perf_counter()
+    solver = IntegerSolver(cols, n)
+    assert time.perf_counter() - start < 0.2
+    assert solver.pivots == [(j, j) for j in range(n)]
+    assert solver.solve({n - 1: 1}) == {n - 1: 1}
 
 
 def test_engines_leave_their_arguments_unchanged():

@@ -361,3 +361,107 @@ def test_a_dense_list_is_not_an_invariant_cycle():
         with pytest.raises(ResolutionError,
                            match=r"mapping \{index: element\}"):
             include_cycle_tensor(J, *args)
+
+
+# -- the reduced down complex ---------------------------------------------------
+#
+# D_k is eliminated without its rows that are pivot columns of D_{k-1}, and
+# validate_resolution does the same on the z-expansion.  Both must keep every
+# rank and every nonunit invariant factor of the full matrices.
+
+def _d4_join_box():
+    from tatejoin import join
+    res = syzygy_resolution(dihedral(4), 7)
+    return join(res.truncated(3), res.truncated(3), 7)
+
+
+def _c2_cubed():
+    from tatejoin import from_permutations
+    return from_permutations(6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5],
+                                 [0, 1, 2, 3, 5, 4]])
+
+
+REDUCED_CASES = {
+    **{f"bar C{n}": (lambda n=n: bar_resolution(cyclic(n), 6 if n == 5
+                                                else 5)) for n in range(2, 7)},
+    "bar S3/4": lambda: bar_resolution(symmetric(3), 4),
+    "D4/9": lambda: syzygy_resolution(dihedral(4), 9),
+    "S3/10": lambda: syzygy_resolution(symmetric(3), 10),
+    "C2^3/5": lambda: syzygy_resolution(_c2_cubed(), 5),
+    "S4/6": lambda: syzygy_resolution(symmetric(4), 6),
+    "Q8 fixture": lambda: load_resolution(
+        os.path.join(FIXTURES, "q8_periodic.json")),
+    "D4/7 join box": _d4_join_box,
+}
+
+
+@pytest.mark.parametrize("name", REDUCED_CASES)
+def test_reduced_down_complex_keeps_ranks_and_factors(name):
+    from tatejoin.intlinalg import sparse_invariant_factors
+    from tatejoin.tate import _rank_and_factors
+    res = REDUCED_CASES[name]()
+    for k in range(1, res.depth + 1):
+        full = sparse_invariant_factors(res.down_matrix(k), res.ranks[k - 1])
+        assert _rank_and_factors(res, k)[:2] == full[:2], (name, k)
+
+
+@pytest.mark.parametrize("name", REDUCED_CASES)
+def test_validation_reduces_the_expansion_keeping_ranks_and_factors(
+        monkeypatch, name):
+    from tatejoin import resolutions, validate_resolution
+    from tatejoin.intlinalg import sparse_invariant_factors
+    res = REDUCED_CASES[name]()
+    seen = []
+
+    def recording(cols, nrows):
+        out = sparse_invariant_factors(cols, nrows)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(resolutions, "sparse_invariant_factors", recording)
+    assert validate_resolution(res).passed
+    assert len(seen) == res.depth
+    for k, got in enumerate(seen, start=1):
+        full = sparse_invariant_factors(res.differential(k).z_columns(),
+                                        res.ranks[k - 1] * res.group.order)
+        assert got[:2] == full[:2], (name, k)
+
+
+def test_reduction_reaches_the_eliminator(monkeypatch):
+    # a structural guard on the gain: D_6 of bar(C5) has 1,024 rows, and
+    # the 204 pivot columns of D_5 are dropped before it is eliminated
+    from tatejoin.intlinalg import sparse_invariant_factors
+    rows = {}
+
+    def recording(cols, nrows):
+        rows[len(cols)] = len({i for col in cols for i in col})
+        return sparse_invariant_factors(cols, nrows)
+
+    monkeypatch.setattr(tatejoin.tate, "sparse_invariant_factors", recording)
+    res = bar_resolution(cyclic(5), 6)
+    assert homology(res, 5).invariant_factors == [5]
+    assert rows[res.ranks[6]] <= 820
+
+
+def test_a_doctored_pivot_column_never_passes_silently():
+    # drop one row too many from D_{n+1}, trying the non-pivot columns of
+    # D_n in order: the answer stays right (the row was redundant) until
+    # the generators, which eliminate the full D_{n+1}, refuse one
+    from tatejoin.tate import _rank_and_factors
+    res = bar_resolution(cyclic(5), 6)
+    truth = {n: homology(res, n).invariant_factors for n in range(1, 6)}
+    for n in range(1, 6):
+        pivots = _rank_and_factors(res, n).pivot_cols
+        for extra in sorted(set(range(res.ranks[n])) - set(pivots))[:3]:
+            res._hcache.clear()
+            entry = _rank_and_factors(res, n)
+            res._hcache["rf", n] = entry._replace(
+                pivot_cols=entry.pivot_cols + [extra])
+            try:
+                h = homology(res, n)
+                h.generators
+            except InternalCheckError:
+                break
+            assert h.invariant_factors == truth[n], (n, extra)
+        else:
+            pytest.fail(f"no doctored pivot column refused in degree {n}")
