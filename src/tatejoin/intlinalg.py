@@ -10,9 +10,9 @@ One engine per job:
   their down complexes), logs its row operations and names each pivot's
   column.  It runs until no surviving row holds a unit, so what is left is
   a small residual with no entry +/-1.  ``sparse_invariant_factors`` adds
-  the residual's factors to one per pivot; the ``tate`` module drops the
-  pivot columns from the next boundary, and replays the log to classify
-  cycles.  No dense copy of the input is ever made, so this scales to
+  the residual's factors to one per pivot; the ``tate`` module leaves the
+  pivot columns out of the next boundary's rows, and replays the log to
+  classify cycles.  No dense copy of the input is ever made, so this scales to
   bar-resolution boundaries.
 * ``smith_normal_form`` is the one Smith elimination loop.  With
   transforms it runs exactly over Z and tracks U*A*V = S; classify and
@@ -129,8 +129,7 @@ class SmithDecomposition:
 
 def _find_pivot(S: list[list[int]], k: int, nrows: int, ncols: int):
     """Smallest |value| in S[k:, k:], ties by lowest (row, col).  None if all zero."""
-    best = None
-    best_val = None
+    best = best_val = None
     for i in range(k, nrows):
         row = S[i]
         for j in range(k, ncols):
@@ -155,8 +154,7 @@ def _rank_and_minor(A: IntMatrix) -> tuple[int, int]:
     """
     nrows, ncols = A.nrows, A.ncols
     m = [row[:] for row in A.data]
-    prev = 1
-    r = 0
+    prev, r = 1, 0
     while r < min(nrows, ncols):
         pos = _find_pivot(m, r, nrows, ncols)
         if pos is None:
@@ -587,10 +585,7 @@ class IntegerLattice:
                 v = row.get(jm)
                 if v:
                     p = self.rows[jm][jm]
-                    r = v % p
-                    if 2 * r > p:
-                        r -= p
-                    q = (v - r) // p
+                    q = (v - _balanced(v, p)) // p
                     if q:
                         _sub_multiple(row, q, self.rows[jm])
 
@@ -651,12 +646,14 @@ class SparseFactors(NamedTuple):
     pivot_cols: list[int]
 
 
-def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
+def _sparse_eliminate(cols: Iterable[dict[int, int]],
+                      drop: Iterable[int] = ()) -> Elimination:
     """Split off +/-1 pivots from a sparse matrix given by columns.
 
     Runs until no surviving row holds a +/-1 entry, however dense the
     fill-in, so no residual entry is a unit and the residual is left small
-    for a Smith form.  Deduplicates columns first (the first copy stays,
+    for a Smith form.  Columns are read without their rows in ``drop`` and
+    never changed.  Deduplicates columns first (the first copy stays,
     under its input index j) and again in the residual; duplicate columns
     never change the column lattice, hence neither rank nor invariant
     factors.  Column operations are not logged, for the same reason.
@@ -667,11 +664,12 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
     gone or no longer holds j.  A heap entry (length, row) is stale unless
     the row still has that length.
     """
+    drop = set(drop)
     seen: set[tuple[tuple[int, int], ...]] = set()
     rows: dict[int, dict[int, int]] = {}
     holders: list[list[int]] = []
     for j, col in enumerate(cols):
-        col = {i: v for i, v in col.items() if v}
+        col = {i: v for i, v in col.items() if v and i not in drop}
         key = tuple(sorted(col.items()))
         holders.append([])
         if not col or key in seen:
@@ -747,24 +745,23 @@ def _sparse_eliminate(cols: Iterable[dict[int, int]]) -> Elimination:
                                  ncols=len(distinct)), pivot_cols)
 
 
-def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int
-                             ) -> SparseFactors:
+def sparse_invariant_factors(cols: Iterable[dict[int, int]], nrows: int,
+                             drop: Iterable[int] = ()) -> SparseFactors:
     """(rank, nontrivial invariant factors > 1, pivot columns) of a matrix.
 
     The unit pivots split off by sparse elimination contribute invariant
     factor 1 each and name their columns; the Smith form of the residual,
     taken modulo one of its maximal minors, supplies the rest.  ``nrows``
-    states the row count for callers; the elimination reads only columns.
+    states the row count; the elimination reads only columns.  Rows in
+    ``drop`` are left out, which reduces a complex (Kaczynski, Mrozek and
+    Slusarek, Comput. Math. Appl. 35, 1998): if B A = 0 and ``drop`` is
+    B's ``pivot_cols`` C, B[pivots, C] is unimodular, so leaving out the
+    C-coordinates maps ker B, which holds A's columns, isomorphically onto
+    a saturated lattice, and A keeps its rank and nonunit factors.
     """
-    elim = _sparse_eliminate(cols)
+    elim = _sparse_eliminate(cols, drop)
     if not elim.rows:
         return SparseFactors(len(elim.pivots), [], elim.pivot_cols)
     dec = smith_normal_form(elim.residual, transforms=False)
     return SparseFactors(len(elim.pivots) + dec.rank,
                          dec.nontrivial_factors(), elim.pivot_cols)
-
-
-def drop_rows(cols: Iterable[dict], rows: Iterable[int]) -> list[dict]:
-    """The sparse columns without their entries on ``rows``."""
-    rows = set(rows)
-    return [{i: v for i, v in col.items() if i not in rows} for col in cols]

@@ -273,6 +273,8 @@ class ProductContext:
         Every entry is computed by both pipelines; the agree flag records
         exact equality of the classified outputs.
         """
+        for n, m in pairs:
+            _require_bidegree(self.P, n, m)
         if pairs:
             # size the join once; rebuilding it per pair order would redo lifts
             self.join_for(pairs)
@@ -298,8 +300,7 @@ class ProductContext:
         """Class of the join-chain product of cycles za (deg n) and zb (deg m)."""
         P = self.P
         out_deg = n + m + 1
-        _require_depth(P, out_deg + 1)
-        _require_lengths(P, n, za, m, zb)
+        _require_factors(P, n, za, m, zb)
         x = phi_inverse(P, n, za)  # N . y_a, checked invariant cycle
         y = lift_vector(P, m, zb)
         if not is_cycle(P, m, zb):
@@ -335,8 +336,7 @@ class ProductContext:
         """Class of the composition (Yoneda) product of za (deg n) and zb (deg m)."""
         P = self.P
         out_deg = n + m + 1
-        _require_depth(P, out_deg + 1)
-        _require_lengths(P, n, za, m, zb)
+        _require_factors(P, n, za, m, zb)
         x = phi_inverse(P, n, za).vector  # N . y_a, checked invariant cycle
         glift = self._g_lift(m, zb)
         out: dict[int, GroupRingElement] = {}
@@ -367,14 +367,20 @@ def _add_multiple(out: dict[int, GroupRingElement], c: GroupRingElement,
         out[r] = out[r] + p if r in out else p
 
 
-def _require_depth(P: Resolution, need: int) -> None:
-    if P.depth < need:
+def _require_bidegree(P: Resolution, n: int, m: int) -> None:
+    """The product of H_n and H_m is defined for n, m >= 1, in H_{n+m+1}."""
+    if n < 1 or m < 1:
         raise ResolutionError(
-            f"product needs the resolution to degree {need}, depth is {P.depth}")
+            f"the product is defined for degrees >= 1, got ({n}, {m})")
+    if P.depth < n + m + 2:
+        raise ResolutionError(f"product needs the resolution to degree "
+                              f"{n + m + 2}, depth is {P.depth}")
 
 
-def _require_lengths(P: Resolution, n: int, za: Sequence[int], m: int,
+def _require_factors(P: Resolution, n: int, za: Sequence[int], m: int,
                      zb: Sequence[int]) -> None:
+    """The precondition both pipelines share, checked before any work."""
+    _require_bidegree(P, n, m)
     for what, k, z in (("first", n, za), ("second", m, zb)):
         if len(z) != P.rank(k):
             raise ResolutionError(

@@ -8,16 +8,14 @@ once, as sparse integer columns, and the sparse unit-pivot eliminator of
 boundary matrices: the torsion of H_n equals the nonunit invariant factors
 of D_{n+1}, because the kernel of D_n is a saturated sublattice, and the
 free rank is rank ker D_n - rank D_{n+1}.  The complex is reduced degree by
-degree first (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35,
-1998).  The elimination of D_{k-1} pivots at +/-1 on rows A and columns B,
-so D_{k-1}[A, B] is unimodular and dropping the B-coordinates maps
-ker D_{k-1} isomorphically onto a saturated lattice.  The columns of D_k
-lie in that kernel (the Resolution constructor certified d o d = 0), so
-D_k without its rows B keeps its rank and nonunit invariant factors.
-Classifying cycles and exhibiting generators replays the row operations of
-the elimination of the full D_{n+1} and takes a transform-tracked Smith
-form of its small residual alone, dense by design; a kernel basis of D_n is
-computed only when H_n has a free summand.  That data is built lazily,
+degree first: D_k is eliminated without its rows that are pivot columns of
+D_{k-1}, which keeps its rank and nonunit invariant factors because the
+Resolution constructor certified d o d = 0 (the argument is stated in
+``intlinalg.sparse_invariant_factors``).  Classifying cycles and
+exhibiting generators replays the row operations of the elimination of
+the full D_{n+1} and takes a transform-tracked Smith form of its small
+residual alone, dense by design; a kernel basis of D_n is computed only
+when H_n has a free summand.  That data is built lazily,
 only when someone asks, and must reproduce the factors of the reduced
 complex, so the two eliminations certify each other.
 
@@ -40,7 +38,7 @@ from typing import Mapping, Sequence
 from .errors import InternalCheckError, ResolutionError, SchemaError
 from .groups import GroupRingElement, norm_element
 from .intlinalg import (IntMatrix, NoSolution, SparseFactors,
-                        _sparse_eliminate, drop_rows, kernel_basis,
+                        _sparse_eliminate, kernel_basis,
                         smith_normal_form, sparse_invariant_factors)
 from .resolutions import Resolution
 from .zglinalg import ZGMatrix
@@ -64,7 +62,7 @@ def lift_vector(res: Resolution, k: int, coords: Sequence[int]
 def _rank_and_factors(res: Resolution, k: int) -> SparseFactors:
     """(rank, nonunit invariant factors, pivot columns) of the reduced D_k.
 
-    Cached; D_k drops the rows that are pivot columns of D_{k-1}."""
+    Cached; D_k is read without its rows that are pivot columns of D_{k-1}."""
     cache = res._hcache
     low = k + 1
     while low > 1 and ("rf", low - 1) not in cache:
@@ -72,7 +70,7 @@ def _rank_and_factors(res: Resolution, k: int) -> SparseFactors:
     for j in range(low, k + 1):
         below = cache["rf", j - 1].pivot_cols if j > 1 else ()
         cache["rf", j] = sparse_invariant_factors(
-            drop_rows(res.down_matrix(j), below), res.ranks[j - 1])
+            res.down_matrix(j), res.ranks[j - 1], below)
     return cache["rf", k]
 
 
@@ -171,7 +169,11 @@ class HomologyGroup:
         return self._coordinates().generators
 
     def class_order(self, coords: Sequence[int]) -> int:
-        """Order of the class with the given canonical coordinates (0 = infinite)."""
+        """Order of the class with the given coordinates (0 = infinite)."""
+        if len(coords) != len(self.invariant_factors):
+            raise ResolutionError(
+                f"coordinates of H_{self.degree} have length "
+                f"{len(self.invariant_factors)}, got {len(coords)}")
         order = 1
         for d, c in zip(self.invariant_factors, coords):
             if d == 0:
@@ -182,7 +184,7 @@ class HomologyGroup:
         return order
 
     def is_zero_class(self, coords: Sequence[int]) -> bool:
-        return not any(coords)
+        return self.class_order(coords) == 1
 
 
 class _CycleCoordinates:

@@ -459,6 +459,32 @@ def test_wrong_length_factor_is_a_named_error(pipeline, factor, delta):
         getattr(ctx, pipeline)(3, factors["first"], 3, factors["second"])
 
 
+def test_a_degree_zero_factor_is_refused_before_any_join(monkeypatch):
+    # the product is defined for n, m >= 1; a degree-0 factor is bad input
+    # in both pipelines, both positions and the one-shot wrappers, and is
+    # refused before a join is built
+    import tatejoin.products as products
+
+    def no_join(*args, **kwargs):
+        pytest.fail("a join was built for a degree-0 factor")
+
+    monkeypatch.setattr(products, "join", no_join)
+    res = syzygy_resolution(symmetric(3), 6)
+    z3 = homology(res, 3).generators[0]
+    z0 = homology(res, 0).generators[0]
+    ctx = ProductContext(res)
+    calls = [ctx.join_product, ctx.composition_product,
+             lambda *a: join_product(res, *a),
+             lambda *a: composition_product(res, *a)]
+    for args in ((3, z3, 0, z0), (0, z0, 3, z3), (0, z0, 0, z0)):
+        for call in calls:
+            with pytest.raises(ResolutionError, match="degrees >= 1"):
+                call(*args)
+    for pairs in ([(3, 0)], [(0, 3)], [(1, 1), (0, 1)]):
+        with pytest.raises(ResolutionError, match="degrees >= 1"):
+            product_table(res, pairs)
+
+
 def test_lifts_take_sparse_seeds_and_return_chains():
     res = syzygy_resolution(dihedral(4), 6)
     zb = homology(res, 1).generators[0]

@@ -131,6 +131,33 @@ def test_validate_flags_inexactness_with_degree():
     assert "degree 1" in rep.first_failure
 
 
+def _c2_complex(*maps):
+    """The C2 complex of rank-1 modules with differentials d_1, d_2, ..."""
+    g = cyclic(2)
+    e, t = GroupRingElement.basis(g, 0), GroupRingElement.basis(g, 1)
+    named = {"t-1": t - e, "2(t-1)": (t - e).scale(2), "N": norm_element(g)}
+    return Resolution(g, [1] * (len(maps) + 1),
+                      [ZGMatrix.from_rows(g, [[named[d]]]) for d in maps], [1])
+
+
+@pytest.mark.parametrize("maps, degree", [
+    # im 2(t-1) has index 2 in ker eps = (t-1), exact everywhere above
+    (("2(t-1)", "N", "t-1", "N"), 0),
+    # im 2(t-1) has index 2 in ker N = (t-1) at degree 2 only
+    (("t-1", "N", "2(t-1)", "N", "t-1"), 2),
+])
+def test_validate_fails_exactly_the_inexact_degree(maps, degree):
+    rep = validate_resolution(_c2_complex(*maps))
+    failed = [c["name"] for c in rep.checks if not c["passed"]]
+    assert failed == [f"exact at degree {degree}"]
+    assert [c["name"] for c in rep.checks if c["name"].startswith("exact")] \
+        == [f"exact at degree {k}" for k in range(len(maps))]
+    assert rep.first_failure == (
+        f"exact at degree {degree}: rank z(d_{degree}) + "
+        f"rank z(d_{degree + 1}) = 1 + 1 != 2 or nonunit factors in "
+        f"z(d_{degree + 1})")
+
+
 def test_save_load_round_trip(tmp_path):
     res = syzygy_resolution(quaternion8(), 5)
     path = str(tmp_path / "q8.json")

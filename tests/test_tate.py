@@ -221,6 +221,18 @@ def test_class_order():
     assert h.class_order((0, 0, 0)) == 1
 
 
+def test_wrong_length_coordinates_are_refused():
+    # H_3(S3) = Z/6 takes one coordinate; no other length names a class
+    h = homology(syzygy_resolution(symmetric(3), 4), 3)
+    assert h.invariant_factors == [6]
+    assert h.class_order((2,)) == 3 and h.is_zero_class((6,))
+    for coords in ((), (1, 2), (1, 2, 3)):
+        for query in (h.class_order, h.is_zero_class):
+            with pytest.raises(ResolutionError, match="have length 1, got "
+                               f"{len(coords)}"):
+                query(coords)
+
+
 def test_lift_then_down_is_identity():
     res = periodic_cyclic_resolution(3, 3)
     assert down_vector(lift_vector(res, 1, [7])) == {0: 7}
@@ -413,8 +425,8 @@ def test_validation_reduces_the_expansion_keeping_ranks_and_factors(
     res = REDUCED_CASES[name]()
     seen = []
 
-    def recording(cols, nrows):
-        out = sparse_invariant_factors(cols, nrows)
+    def recording(cols, nrows, drop):
+        out = sparse_invariant_factors(cols, nrows, drop)
         seen.append(out)
         return out
 
@@ -429,13 +441,15 @@ def test_validation_reduces_the_expansion_keeping_ranks_and_factors(
 
 def test_reduction_reaches_the_eliminator(monkeypatch):
     # a structural guard on the gain: D_6 of bar(C5) has 1,024 rows, and
-    # the 204 pivot columns of D_5 are dropped before it is eliminated
+    # the 204 pivot columns of D_5 are dropped as it is eliminated
     from tatejoin.intlinalg import sparse_invariant_factors
     rows = {}
 
-    def recording(cols, nrows):
-        rows[len(cols)] = len({i for col in cols for i in col})
-        return sparse_invariant_factors(cols, nrows)
+    def recording(cols, nrows, drop):
+        drop = set(drop)
+        rows[len(cols)] = len({i for col in cols for i in col
+                               if i not in drop})
+        return sparse_invariant_factors(cols, nrows, drop)
 
     monkeypatch.setattr(tatejoin.tate, "sparse_invariant_factors", recording)
     res = bar_resolution(cyclic(5), 6)
