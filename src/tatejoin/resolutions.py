@@ -308,7 +308,7 @@ def validate_resolution(res: Resolution,
         ... -> P_1 -> P_0 -> Z -> 0
 
     is exact, certified on the integer expansion in one walk up the
-    degrees: with z(d_0) = eps, of rank 1 as eps is onto Z, degree k - 1 is
+    degrees: with z(d_0) = eps, of rank 1 unless eps = 0, degree k - 1 is
     exact when rank z(d_{k-1}) + rank z(d_k) = |G| r_{k-1} and all invariant
     factors of z(d_k) are 1.  Equal ranks make the image a finite-index
     sublattice of the kernel and unit factors make it saturated, so
@@ -334,7 +334,8 @@ def validate_resolution(res: Resolution,
                   "" if g == 1 else f"gcd of augmentation entries is {g}")
 
     # exactness at degree k - 1, once z(d_k) is known
-    rank_below, below = 1, []  # rank and pivot columns of z(d_{k-1})
+    # rank and pivot columns of z(d_{k-1}), starting from eps
+    rank_below, below = int(any(res.aug)), []
     for k in range(1, res.depth + 1):
         middle = res.ranks[k - 1] * order
         rank, nontrivial, below = sparse_invariant_factors(

@@ -264,7 +264,7 @@ def test_dropping_rows_on_load_equals_dropping_them_first(monkeypatch):
 
     monkeypatch.setattr(tate, "sparse_invariant_factors", recording)
     for n in range(5):
-        assert homology(res, n).generators is not None
+        homology(res, n).generators
     assert [id(c) for c in passed] == [id(c) for c in down]
     assert [res.down_matrix(k) for k in range(1, 6)] == saved == down
 

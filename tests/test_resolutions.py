@@ -158,6 +158,16 @@ def test_validate_fails_exactly_the_inexact_degree(maps, degree):
         f"z(d_{degree + 1})")
 
 
+def test_a_zero_augmentation_is_not_exact_at_degree_zero():
+    # eps = 0 kills everything, so the image of d_1 = t - 1 is not its kernel
+    g = cyclic(2)
+    d1 = ZGMatrix.from_rows(g, [[GroupRingElement.basis(g, 1)
+                                 - GroupRingElement.basis(g, 0)]])
+    rep = validate_resolution(Resolution(g, [1, 1], [d1], [0]))
+    assert [c["name"] for c in rep.checks if not c["passed"]] == [
+        "augmentation onto Z", "exact at degree 0"]
+
+
 def test_save_load_round_trip(tmp_path):
     res = syzygy_resolution(quaternion8(), 5)
     path = str(tmp_path / "q8.json")
