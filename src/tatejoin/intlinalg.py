@@ -24,7 +24,8 @@ One engine per job:
 * ``IntegerSolver`` factors sparse columns once (column Hermite form, kept
   sparse) and answers many A x = b queries on sparse vectors; a particular
   solution comes from back substitution, with no size minimization, so
-  results are deterministic.  It and ``IntegerLattice`` change sparse
+  results are deterministic.  It does not keep A: the caller that holds A
+  multiplies x back, once.  It and ``IntegerLattice`` change sparse
   vectors by one in-place operation, ``_sub_multiple``.
 
 The minor-gcd oracle that cross-checks these engines lives with the tests
@@ -431,20 +432,18 @@ class IntegerSolver:
     """Factor A once (column Hermite form A*V = H), then solve A x = b repeatedly.
 
     A is given by its row count and sparse columns ({row: value} dicts, as
-    ``z_columns`` and ``down_matrix`` return them), kept unchanged for the
-    multiply-back check.  ``hcols`` / ``vcols`` hold H and V in the same
-    form, with no stored zeros; ``kernel_basis`` reads them, and a solve
-    walks pivot column c only when the residual at its pivot row is
-    nonzero.  solve() maps a sparse b to a sparse particular solution or
-    NoSolution.  Every returned solution is verified by multiplying back;
-    failure to verify is a bug.
+    ``z_columns`` and ``down_matrix`` return them) and is not kept.
+    ``hcols`` / ``vcols`` hold H and V in the same form, with no stored
+    zeros; ``kernel_basis`` reads them, and a solve walks pivot column c
+    only when the residual at its pivot row is nonzero.  solve() maps a
+    sparse b to a sparse particular solution or NoSolution.
     """
 
-    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots", "_acols")
+    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots")
 
     def __init__(self, cols: Sequence[dict[int, int]], nrows: int):
         ncols = len(cols)
-        self.nrows, self.ncols, self._acols = nrows, ncols, cols
+        self.nrows, self.ncols = nrows, ncols
         self.hcols = hcols = [{i: v for i, v in col.items() if v}
                               for col in cols]
         self.vcols = vcols = [{j: 1} for j in range(ncols)]
@@ -489,7 +488,10 @@ class IntegerSolver:
             c += 1
 
     def solve(self, b: dict[int, int]):
-        """x with A x = b as {column: nonzero}, or NoSolution; b is {row: value}."""
+        """x with A x = b as {column: nonzero}, columns ascending, or
+        NoSolution; b is {row: value}.  Not multiplied back here: its
+        caller certifies x, ``ZGSolver.solve`` over Z[G], the shift-0
+        seed of ``products.ComparisonLift`` against the augmentation."""
         nrows, hcols, vcols = self.nrows, self.hcols, self.vcols
         resid = [0] * nrows
         for i, v in b.items():
@@ -497,7 +499,6 @@ class IntegerSolver:
                 raise ValueError(f"right-hand side row {i} out of range for "
                                  f"a matrix with {nrows} rows")
             resid[i] = v
-        want = resid[:]
         x = [0] * self.ncols
         for r, c in self.pivots:
             t = resid[r]
@@ -512,16 +513,7 @@ class IntegerSolver:
                     x[i] += t * v
         if any(resid):
             return NoSolution
-        # re-multiply; a wrong particular solution is an internal bug
-        out, ax = {}, [0] * nrows
-        for j, xv in enumerate(x):
-            if xv:
-                out[j] = xv
-                for i, a in self._acols[j].items():
-                    ax[i] += a * xv
-        if ax != want:
-            raise InternalCheckError("integer solver self-check failed: A x != b")
-        return out
+        return {j: xv for j, xv in enumerate(x) if xv}
 
 
 # -- sparse elimination ------------------------------------------------------

@@ -32,7 +32,8 @@ Both pipelines lift into P with one lazy lifter, ``ComparisonLift``: shift
 Each lift keeps its own columns, and a product lifts only the columns
 reachable from its input's support.  The lifts share the factorization of
 each differential of P, which the matrix owns (``ZGMatrix.solver``);
-sharing it weakens no check, because every solution is multiplied back.
+sharing it weakens no check, because ``ZGSolver.solve`` multiplies every
+solution back in Z[G], and the shift-0 seed is checked where it is built.
 The seed and the product chains are Z[G] chains {index: nonzero element}
 (see ``zglinalg``).  A lifted column stays in the stored triples of a
 ``ZGMatrix`` column, and each right-hand side is one call of the kernel
@@ -118,7 +119,7 @@ class ComparisonLift:
     first use and memoized as a ``ZGMatrix`` column's triples.  Degree 0 is
     eps^S(e_j) . seed, lifted through d^T_shift when shift > 0; there
     ``seed`` is a boundary, a chain of target degree shift - 1, and for
-    shift 0 the constructor solves eps^T(seed) = 1 for it.  Degree k > 0
+    shift 0 the constructor solves and checks eps^T(seed) = 1.  Degree k > 0
     solves d^T_{k+shift} x = psi_{k-1}(d^S_k e_j), whose right-hand side is
     one ``_accumulate`` call: the entries of d^S_k e_j multiply, on the
     left, the memoized triples of psi_{k-1}(e_i).  Every solve goes through
@@ -140,6 +141,8 @@ class ComparisonLift:
             if z is NoSolution:
                 raise ResolutionError(
                     "target augmentation is not onto; invalid resolution")
+            if sum(target.aug[i] * v for i, v in z.items()) != 1:
+                raise InternalCheckError("seed check failed: eps(seed) != 1")
             seed = {i: GroupRingElement.basis(target.group, 0, v)
                     for i, v in z.items()}
         self.source = source

@@ -282,9 +282,9 @@ def homology(res: Resolution, n: int) -> HomologyGroup:
 
 
 def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
-    if n == 0:
-        return len(coords) == res.ranks[0]
-    return not any(res.down_boundary(n, coords))
+    if len(coords) != res.rank(n):
+        return False
+    return n == 0 or not any(res.down_boundary(n, coords))
 
 
 class InvariantCycle:

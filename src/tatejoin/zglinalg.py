@@ -297,7 +297,8 @@ class ZGSolver:
         ValueError naming its row i.  Solving the plain integer system
         suffices: the expansion of a ZG-column basis vector (j, g) is g times
         the basis chain e_j, so any integer solution reassembles into ring
-        coefficients verbatim.  It is checked in Z[G] through the kernel.
+        coefficients verbatim.  x is multiplied back in Z[G] through the
+        kernel, the only check on the solve: InternalCheckError on a miss.
         """
         m = self.matrix
         order = m.group.order

@@ -508,6 +508,23 @@ def test_lifts_take_sparse_seeds_and_return_chains():
     assert all(c for j in range(J.ranks[3]) for _, _, c in lift.column(3, j))
 
 
+def test_a_wrong_shift_zero_seed_is_caught_where_it_is_built(monkeypatch):
+    # the seed solves eps(s) = 1 outside any ZGSolver, so no multiply-back
+    # covers it: the constructor checks it, and a doubled one must raise
+    res = syzygy_resolution(dihedral(4), 4)
+    J = join(res, res, 2)
+    real = tatejoin.intlinalg.IntegerSolver.solve
+
+    def doubled(self, b):
+        return {j: 2 * v for j, v in real(self, b).items()}
+
+    monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", doubled)
+    for call in (lambda: ComparisonLift(J, res),
+                 lambda: lift_comparison(J, res, 2)):
+        with pytest.raises(InternalCheckError, match="eps\\(seed\\) != 1"):
+            call()
+
+
 def test_a_lift_names_a_column_index_outside_the_rank():
     # j = -1 once read the last column and was memoized under (k, -1)
     res = syzygy_resolution(dihedral(4), 5)

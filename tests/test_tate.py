@@ -210,6 +210,15 @@ def test_classify_rejects_non_cycles():
     h = homology(res, 2)
     with pytest.raises(ResolutionError):
         h.classify([1])  # d_2 = norm, so [1] is not a cycle
+    # a wrong length is no cycle in any degree, not a bare ValueError
+    res = syzygy_resolution(dihedral(4), 4)
+    assert res.ranks[1] == 2
+    for n in (1, 2):
+        for coords in ([], [1], [0] * (res.ranks[n] + 1)):
+            with pytest.raises(ResolutionError, match="not a cycle"):
+                homology(res, n).classify(coords)
+            with pytest.raises(ResolutionError, match="not a cycle"):
+                phi_inverse(res, n, coords)
 
 
 def test_class_order():

@@ -12,9 +12,10 @@ import pytest
 
 import tatejoin.intlinalg
 from oracles import flatten_vector, matmul, unflatten_vector, z_expansion
-from tatejoin import (GroupRingElement, InternalCheckError, SizeBudgetError,
-                      ZGMatrix, ZGSolver, cyclic, dihedral, norm_element,
-                      symmetric)
+from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
+                      SizeBudgetError, ZGMatrix, ZGSolver, cyclic, dihedral,
+                      homology, norm_element, phi, phi_inverse, symmetric,
+                      syzygy_resolution)
 from tatejoin.intlinalg import NoSolution
 from tatejoin.zglinalg import _elements, check_zrank
 
@@ -265,6 +266,42 @@ def test_zg_solver_check_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", off_by_one)
     with pytest.raises(InternalCheckError):
         solve(m, {0: e + t})
+
+
+def double_v(zg_solver):
+    """Double every transform column V of a ZGSolver's factorization, so
+    each nonzero solution it returns is twice a right one."""
+    vcols = zg_solver._solver.vcols
+    vcols[:] = [{i: 2 * v for i, v in col.items()} for col in vcols]
+
+
+def test_a_doctored_factorization_is_caught_on_every_solve_path(monkeypatch):
+    # the integer solver keeps no copy of A, so a wrong V is seen only by
+    # the Z[G] multiply-back in ZGSolver.solve: for a plain solve, for a
+    # lifted comparison column and for phi through the norm equation; it
+    # must raise, not assert, so python -O cannot switch it off
+    res = syzygy_resolution(dihedral(4), 4)  # its own: its solvers change
+    d1 = res.differential(1)
+    b = d1.apply({0: GroupRingElement.one(res.group)})
+    assert ComparisonLift(res, res).column(1, 0)  # a nonzero right-hand side
+    assert d1.solver().solve(flat(b, res.group))
+    double_v(d1.solver())
+    with pytest.raises(InternalCheckError, match="M x != b"):
+        d1.solver().solve(flat(b, res.group))
+    with pytest.raises(InternalCheckError, match="M x != b"):
+        ComparisonLift(res, res).column(1, 0)
+
+    x = phi_inverse(res, 1, homology(res, 1).generators[0])
+    assert phi(x, via_solver=True) == phi(x) == (1, 0)
+    real_init = ZGSolver.__init__
+
+    def doctored(self, matrix):
+        real_init(self, matrix)
+        double_v(self)
+
+    monkeypatch.setattr(ZGSolver, "__init__", doctored)
+    with pytest.raises(InternalCheckError, match="M x != b"):
+        phi(x, via_solver=True)
 
 
 def test_solver_takes_and_returns_sparse_columns():
