@@ -9,17 +9,13 @@ products once classes are transported.
 Run:  python3 demos/05_resolution_independence.py
 """
 
-from tatejoin import (ProductContext, bar_resolution, cyclic, homology,
-                      lift_comparison, periodic_cyclic_resolution)
+from tatejoin import (ComparisonLift, ProductContext, bar_resolution, cyclic,
+                      homology, periodic_cyclic_resolution)
 
 
-def transport(cm, k, vec):
-    # entrywise augmentation of the chain map component gives the induced
-    # map on the tensored-down complexes
-    comp = cm.components[k]
-    return [sum(comp.get(i, j).augmentation() * vec[j]
-                for j in range(len(vec)))
-            for i in range(comp.nrows)]
+def transport(lift, k, vec):
+    # the induced map on the tensored-down complexes, applied to a cycle
+    return lift.transport_down(k, {j: c for j, c in enumerate(vec) if c})
 
 
 def cycle_of(h, coords, res):
@@ -36,10 +32,10 @@ def main():
     print(f"bar ranks:      {bar.ranks}")
     print(f"periodic ranks: {per.ranks}")
 
-    to_per = lift_comparison(bar, per, 4)
-    to_bar = lift_comparison(per, bar, 4)
-    print("comparison maps lifted in both directions "
-          "(exact commutation with the differentials is checked)")
+    to_per = ComparisonLift(bar, per)
+    to_bar = ComparisonLift(per, bar)
+    print("comparison maps in both directions: each column is lifted on "
+          "first use and certified by multiplying it back in Z[G]")
 
     print()
     print("homology matches degree by degree:")

@@ -24,9 +24,8 @@ from .resolutions import (JoinResolution, Resolution, ValidationReport,
 from .tate import (HomologyGroup, InvariantCycle, ZERO, down_vector, homology,
                    is_cycle, is_stably_zero, lift_vector, phi, phi_inverse,
                    random_cycle, tate_group)
-from .products import (ChainMap, ComparisonLift, ProductContext, ProductTable,
-                       composition_product, join_product, lift_comparison,
-                       product_table)
+from .products import (ComparisonLift, ProductContext, ProductTable,
+                       composition_product, join_product, product_table)
 from .selfcheck import run_verify
 
 __version__ = "0.1.0"
@@ -46,7 +45,7 @@ __all__ = [
     "HomologyGroup", "homology", "down_vector", "lift_vector",
     "is_cycle", "InvariantCycle", "phi", "phi_inverse", "is_stably_zero",
     "ZERO", "tate_group", "random_cycle",
-    "ChainMap", "ComparisonLift", "lift_comparison", "ProductContext",
+    "ComparisonLift", "ProductContext",
     "join_product", "composition_product", "ProductTable", "product_table",
     "run_verify",
 ]

@@ -27,13 +27,15 @@ lift on the invariant chain N . y_a, and classify the result.  The two
 pipelines realize the same stable composition, so their classified outputs
 must agree exactly; ``product_table`` records both and flags any mismatch.
 
-Both pipelines lift into P with one lazy lifter, ``ComparisonLift``: shift
-0 for the join's comparison map, shift m+1 seeded by N.y_b for the self-map.
-Each lift keeps its own columns, and a product lifts only the columns
-reachable from its input's support.  The lifts share the factorization of
-each differential of P, which the matrix owns (``ZGMatrix.solver``);
-sharing it weakens no check, because ``ZGSolver.solve`` multiplies every
-solution back in Z[G], and the shift-0 seed is checked where it is built.
+Both pipelines lift into P with one lazy lifter, ``ComparisonLift``, the
+one chain-map type: shift 0 for the join's comparison map, shift m+1 seeded
+by N.y_b for the self-map.  Each lift keeps its own columns, and a product
+lifts only the columns reachable from its input's support.  Each column is
+certified once, as it is lifted: ``ZGSolver.solve`` multiplies every
+solution back in Z[G], and the shift-0 seed is checked where it is built;
+``tests/oracles.py`` re-checks commutation on the lifts the tests build.
+The lifts share the factorization of each differential of P, which the
+matrix owns (``ZGMatrix.solver``); sharing it weakens no check.
 The seed and the product chains are Z[G] chains {index: nonzero element}
 (see ``zglinalg``).  A lifted column stays in the stored triples of a
 ``ZGMatrix`` column, and each right-hand side is one call of the kernel
@@ -54,62 +56,7 @@ from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
                           join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, _elements, _triples
-
-
-class ChainMap:
-    """A degree-shift family of ZGMatrices commuting strictly with differentials.
-
-    components[k] maps source degree k to target degree k + shift.  check()
-    verifies the commutation squares and the base case: for shift 0,
-    augmentation compatibility; for shift > 0, d^T_shift o psi_0 =
-    seed . eps^S, where ``seed`` is the boundary (a chain) of target degree
-    shift - 1 that the lift started from.  Lift constructors guarantee them.
-    """
-
-    __slots__ = ("source", "target", "shift", "components", "seed")
-
-    def __init__(self, source: Resolution, target: Resolution, shift: int,
-                 components: dict[int, ZGMatrix],
-                 seed: Mapping[int, GroupRingElement] | None = None):
-        if (seed is None) != (shift == 0):
-            raise ValueError("a chain map of shift > 0 needs a seed, "
-                             "a chain map of shift 0 takes none")
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.components = dict(components)
-        self.seed = seed
-
-    def check(self) -> None:
-        """Raise InternalCheckError unless every stored identity holds."""
-        degrees = sorted(self.components)
-        psi0 = self.components.get(0)
-        if psi0 is not None and self.seed is None:
-            for j in range(psi0.ncols):
-                want = self.source.aug[j]
-                got = sum(self.target.aug[i] * v.augmentation()
-                          for i, v in psi0.column(j).items())
-                if got != want:
-                    raise InternalCheckError(
-                        f"comparison map does not respect augmentations at column {j}")
-        elif psi0 is not None:
-            want = ZGMatrix(self.source.group, self.target.rank(self.shift - 1),
-                            [{i: s.scale(a) for i, s in self.seed.items()}
-                             for a in self.source.aug])
-            if self.target.differential(self.shift).compose(psi0) != want:
-                raise InternalCheckError(
-                    "chain map fails its base case d o psi_0 = seed . eps")
-        for k in degrees:
-            if k == 0 or k - 1 not in self.components:
-                continue
-            lhs = self.target.differential(k + self.shift).compose(
-                self.components[k])
-            rhs = self.components[k - 1].compose(self.source.differential(k))
-            # compose never stores a zero entry, so equal maps compare equal
-            if lhs != rhs:
-                raise InternalCheckError(
-                    f"chain map fails to commute with differentials at degree {k}")
+from .zglinalg import ZGMatrix, _elements, _not_a_chain, _triples
 
 
 class ComparisonLift:
@@ -124,7 +71,9 @@ class ComparisonLift:
     one ``_accumulate`` call: the entries of d^S_k e_j multiply, on the
     left, the memoized triples of psi_{k-1}(e_i).  Every solve goes through
     the target differential's own solver, so lifts into one target share its
-    factorization.  A column with no solution raises ResolutionError.
+    factorization.  A column with no solution raises ResolutionError.  Any
+    two comparison maps are chain homotopic, so a class crosses from one
+    resolution to another through ``transport_down``.
     """
 
     __slots__ = ("source", "target", "shift", "seed", "_seed", "_cols")
@@ -181,33 +130,20 @@ class ComparisonLift:
     def transport_down(self, k: int, down_vec: Mapping[int, int]) -> list[int]:
         """Down-image of psi applied to a chain whose down-image is down_vec.
 
-        down_vec is sparse, as ``down_vector`` returns it.  Since psi is a
-        module map, augmentation factors through it.
+        down_vec is sparse, {index: integer}, as ``down_vector`` returns it;
+        anything else is a ValueError.  Augmentation factors through psi, a
+        module map.
         """
+        if not isinstance(down_vec, Mapping):
+            raise _not_a_chain("a down vector", down_vec)
         order = self.target.group.order
         out = [0] * self.target.rank(k + self.shift)
         for j, c in down_vec.items():
+            if not (isinstance(j, int) and isinstance(c, int)):
+                raise ValueError(f"down vector entry {j!r}: {c!r} not integral")
             for base, _, v in self.column(k, j):
                 out[base // order] += c * v
         return out
-
-    def materialize(self, up_to: int) -> ChainMap:
-        """The full chain map through the given degree, checked."""
-        comps = {k: ZGMatrix._of_triples(self.source.group,
-                                         self.target.rank(k + self.shift),
-                                         [self.column(k, j)
-                                          for j in range(self.source.rank(k))])
-                 for k in range(up_to + 1)}
-        cm = ChainMap(self.source, self.target, self.shift, comps,
-                      self.seed if self.shift else None)
-        cm.check()
-        return cm
-
-
-def lift_comparison(source: Resolution, target: Resolution,
-                    up_to: int) -> ChainMap:
-    """A degree-0 chain map source -> target lifting the identity of Z."""
-    return ComparisonLift(source, target).materialize(up_to)
 
 
 class ProductContext:

@@ -55,6 +55,8 @@ def lift_vector(res: Resolution, k: int, coords: Sequence[int]
     if len(coords) != res.rank(k):
         raise ResolutionError(f"vector has length {len(coords)}, "
                               f"rank in degree {k} is {res.rank(k)}")
+    if not all(isinstance(c, int) for c in coords):
+        raise ResolutionError(f"vector in degree {k} is not integral")
     return {i: GroupRingElement.basis(res.group, 0, int(c))
             for i, c in enumerate(coords) if c}
 
@@ -174,6 +176,9 @@ class HomologyGroup:
             raise ResolutionError(
                 f"coordinates of H_{self.degree} have length "
                 f"{len(self.invariant_factors)}, got {len(coords)}")
+        if not all(isinstance(c, int) for c in coords):
+            raise ResolutionError(f"coordinates of H_{self.degree} are not "
+                                  f"integers: {tuple(coords)}")
         order = 1
         for d, c in zip(self.invariant_factors, coords):
             if d == 0:
@@ -282,7 +287,8 @@ def homology(res: Resolution, n: int) -> HomologyGroup:
 
 
 def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
-    if len(coords) != res.rank(n):
+    if len(coords) != res.rank(n) or \
+            not all(isinstance(c, int) for c in coords):
         return False
     return n == 0 or not any(res.down_boundary(n, coords))
 

@@ -4,9 +4,10 @@ None of these functions shares code with ``tatejoin.intlinalg`` or
 ``tatejoin.zglinalg``: the determinant is its own fraction-free elimination,
 the invariant factors come from the minor-gcd characterization
 (d_1 * ... * d_k = gcd of all k x k minors), the dense product multiplies
-entry by entry, and the z-expansion is built from the group table rather
-than from ``ZGMatrix.z_columns``, so an engine bug cannot cancel out against
-its oracle.
+entry by entry, the z-expansion is built from the group table rather than
+from ``ZGMatrix.z_columns``, and the chain-map check sums every commutation
+square from the group table rather than with ``groups._accumulate``, so an
+engine bug cannot cancel out against its oracle.
 """
 
 import math
@@ -111,3 +112,51 @@ def minor_gcd_invariant_factors(A: IntMatrix) -> list[int]:
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def _left_sum(table, order: int, terms) -> dict:
+    """Sum of (c g) . x over terms (g, c, x), each x a chain in stored
+    triples (row * |G|, h, v), as {(row, element): coefficient}."""
+    out = {}
+    for g, c, col in terms:
+        for base, h, v in col:
+            key = (base // order, table[g][h])
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def chain_map_failure(f, up_to: int) -> str:
+    """The first identity that a chain map breaks through degree up_to, or "".
+
+    f is read as a ``ComparisonLift``: source S, target T, shift s, seed and
+    column(k, j), the image of e_j in T_{k+s} as triples.  The base case is
+    eps^T psi_0 = eps^S for s = 0, and d^T_s psi_0(e_j) = eps^S(e_j) seed for
+    s > 0.  Each square d^T_{k+s} psi_k(e_j) = psi_{k-1}(d^S_k e_j) for
+    1 <= k <= up_to multiplies ring entries on the left, as the lifts do.
+    """
+    S, T, s = f.source, f.target, f.shift
+    order, table = S.group.order, S.group.table
+    for j in range(S.rank(0)):
+        col = f.column(0, j)
+        if s == 0:
+            got = sum(T.aug[base // order] * v for base, _, v in col)
+            if got != S.aug[j]:
+                return f"augmentation not respected at column {j}"
+            continue
+        d = T.differential(s)
+        lhs = _left_sum(table, order,
+                        ((h, v, d.triples(base // order)) for base, h, v in col))
+        rhs = {(i, g): S.aug[j] * c for i, a in f.seed.items()
+               for g, c in enumerate(a.c) if S.aug[j] * c}
+        if lhs != rhs:
+            return f"base case d o psi_0 = seed . eps fails at column {j}"
+    for k in range(1, up_to + 1):
+        d_t, d_s = T.differential(k + s), S.differential(k)
+        for j in range(S.rank(k)):
+            lhs = _left_sum(table, order, ((h, v, d_t.triples(base // order))
+                                           for base, h, v in f.column(k, j)))
+            rhs = _left_sum(table, order, ((g, c, f.column(k - 1, base // order))
+                                           for base, g, c in d_s.triples(j)))
+            if lhs != rhs:
+                return f"fails to commute at degree {k}, column {j}"
+    return ""

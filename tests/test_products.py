@@ -13,20 +13,21 @@ import hashlib
 import json
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import tatejoin
-from tatejoin import (ChainMap, ComparisonLift, GroupRingElement,
-                      InternalCheckError, ProductContext, ResolutionError,
-                      ZGMatrix, bar_resolution, composition_product, cyclic,
-                      dihedral, from_permutations, homology,
-                      include_cycle_tensor, join, join_product,
-                      lift_comparison, lift_vector, load_resolution,
+from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
+                      ProductContext, ResolutionError, ZGMatrix,
+                      bar_resolution, composition_product, cyclic, dihedral,
+                      from_permutations, homology, include_cycle_tensor, join,
+                      join_product, lift_vector, load_resolution,
                       periodic_cyclic_resolution, phi_inverse, product_table,
                       quaternion8, run_verify, symmetric, syzygy_resolution)
 from tatejoin.tate import down_vector
 from tatejoin.zglinalg import _elements
+from oracles import chain_map_failure
 
 
 def test_cyclic_generator_products_have_maximal_order():
@@ -155,37 +156,43 @@ def test_both_orders_recorded_not_asserted():
 
 # -- comparison maps -----------------------------------------------------------
 
+def _transport(lift, k, vec):
+    """A down-complex cycle carried along a comparison lift."""
+    return lift.transport_down(k, {j: c for j, c in enumerate(vec) if c})
+
+
 def test_lift_comparison_bar_to_periodic():
     bar = bar_resolution(cyclic(3), 4)
     per = periodic_cyclic_resolution(3, 4)
-    cm = lift_comparison(bar, per, 3)  # ChainMap.check() runs inside
-    assert isinstance(cm, ChainMap)
+    lift = ComparisonLift(bar, per)
+    assert not chain_map_failure(lift, 3)
     # transported bar generators classify like periodic ones
     hb = homology(bar, 1)
     hp = homology(per, 1)
-    gen = hb.generators[0]
-    moved = [sum(cm.components[1].get(i, j).augmentation() * gen[j]
-                 for j in range(len(gen)))
-             for i in range(per.ranks[1])]
+    moved = _transport(lift, 1, hb.generators[0])
     assert hp.classify(moved) in {(1,), (2,)}  # a generator either way
     assert hp.class_order(hp.classify(moved)) == 3
 
 
 def test_lift_comparison_over_s3_both_ways():
     # S3 is nonabelian, so a lift that multiplies a differential entry on
-    # the wrong side of a lifted column fails ChainMap.check()
+    # the wrong side of a lifted column fails the commutation oracle
     s3 = symmetric(3)
     bar = bar_resolution(s3, 3)
     syz = syzygy_resolution(s3, 3)
     for src, tgt in ((bar, syz), (syz, bar)):
-        cm = lift_comparison(src, tgt, 3)  # ChainMap.check() runs inside
+        lift = ComparisonLift(src, tgt)
+        assert not chain_map_failure(lift, 3)
         for k in (1, 2):
             h_src, h_tgt = homology(src, k), homology(tgt, k)
             for gen in h_src.generators:
-                comp = cm.components[k]
-                moved = [sum(comp.get(i, j).augmentation() * gen[j]
-                             for j in range(len(gen)))
-                         for i in range(tgt.ranks[k])]
+                moved = _transport(lift, k, gen)
+                # transport_down is entrywise augmentation of the columns
+                cols = [_elements(src.group, lift.column(k, j))
+                        for j in range(len(gen))]
+                assert moved == [sum(c.get(i).augmentation() * g
+                                     for c, g in zip(cols, gen) if i in c)
+                                 for i in range(tgt.ranks[k])]
                 # a comparison map is an isomorphism on homology
                 assert h_tgt.class_order(h_tgt.classify(moved)) == \
                     h_src.class_order(h_src.classify(gen))
@@ -207,20 +214,16 @@ def test_resolution_independence_of_products():
     # with the product computed natively there from the transported inputs
     bar = bar_resolution(cyclic(3), 5)
     per = periodic_cyclic_resolution(3, 5)
-    cm = lift_comparison(bar, per, 4)
+    lift = ComparisonLift(bar, per)
+    assert not chain_map_failure(lift, 4)
     hb1, hb3 = homology(bar, 1), homology(bar, 3)
     hp1, hp3 = homology(per, 1), homology(per, 3)
 
-    def transport(k, vec):
-        comp = cm.components[k]
-        return [sum(comp.get(i, j).augmentation() * vec[j]
-                    for j in range(len(vec)))
-                for i in range(per.ranks[k])]
-
     gen_b = hb1.generators[0]
     prod_b = ProductContext(bar).join_product(1, gen_b, 1, gen_b)
-    moved_gen_cls = hp1.classify(transport(1, gen_b))
-    moved_prod_cls = hp3.classify(transport(3, _cycle_of(hb3, prod_b, bar)))
+    moved_gen_cls = hp1.classify(_transport(lift, 1, gen_b))
+    moved_prod_cls = hp3.classify(
+        _transport(lift, 3, _cycle_of(hb3, prod_b, bar)))
 
     rep = _cycle_of(hp1, moved_gen_cls, per)
     want = ProductContext(per).join_product(1, rep, 1, rep)
@@ -238,14 +241,13 @@ def test_lift_before_join_is_a_named_error():
 
 def test_chain_map_check_catches_broken_commutation():
     per = periodic_cyclic_resolution(2, 3)
-    g = per.group
-    e = GroupRingElement.basis(g, 0)
-    ident = ZGMatrix.from_rows(g, [[e]])
-    # doubling only degree 2 breaks commutation: d_2 (2 id) = 2N != N
-    bad = ZGMatrix.from_rows(g, [[e.scale(2)]])
-    cm = ChainMap(per, per, 0, {0: ident, 1: ident, 2: bad})
-    with pytest.raises(InternalCheckError):
-        cm.check()
+    # a hand-built map, the identity in degrees 0 and 1; doubling only
+    # degree 2 breaks commutation: d_2 (2 id) = 2N != N
+    hand = SimpleNamespace(source=per, target=per, shift=0, seed=None,
+                           column=lambda k, j: ((0, 0, 2 if k == 2 else 1),))
+    assert not chain_map_failure(hand, 1)
+    assert chain_map_failure(hand, 2) == \
+        "fails to commute at degree 2, column 0"
 
 
 def test_non_cycle_factor_is_bad_input_in_both_pipelines():
@@ -258,6 +260,15 @@ def test_non_cycle_factor_is_bad_input_in_both_pipelines():
         ctx.join_product(1, za, 2, e0)
     with pytest.raises(ResolutionError):
         ctx.composition_product(1, za, 2, e0)
+    # half the H_1 generator of C6 is no cycle either; both pipelines read
+    # it as a cycle once and answered (0,), where the generator squares to (1,)
+    per = periodic_cyclic_resolution(3, 6)
+    ctx = ProductContext(per)
+    for pipeline in (ctx.join_product, ctx.composition_product):
+        assert pipeline(1, [1], 1, [1]) == (1,)
+        for za, zb in (([0.5], [1]), ([1], [0.5]), ([0.5], [0.5])):
+            with pytest.raises(ResolutionError):
+                pipeline(1, za, 1, zb)
 
 
 @pytest.mark.parametrize("group, depth", [(symmetric(3), 8), (dihedral(4), 7)],
@@ -266,13 +277,13 @@ def test_composition_lift_is_a_chain_map(group, depth):
     res = syzygy_resolution(group, depth)
     ctx = ProductContext(res)
     for zb in homology(res, 1).generators:
-        cm = ctx._g_lift(1, zb).materialize(depth - 2)  # runs ChainMap.check()
-        assert cm.shift == 2
+        lift = ctx._g_lift(1, zb)
+        assert lift.shift == 2
+        assert not chain_map_failure(lift, depth - 2)
         # base case: d_2 o psi_0 = (1 -> N.y_b) o eps, column by column
         seed = phi_inverse(res, 1, zb).vector
-        psi0 = cm.components[0]
         for j in range(res.ranks[0]):
-            col = psi0.column(j)
+            col = _elements(group, lift.column(0, j))
             assert res.apply_differential(2, col) == \
                 {i: v.scale(res.aug[j]) for i, v in seed.items()}
 
@@ -281,14 +292,13 @@ def test_doctored_seed_fails_the_base_case():
     res = periodic_cyclic_resolution(3, 5)
     zb = homology(res, 1).generators[0]
     lift = ProductContext(res)._g_lift(1, zb)
-    lift.materialize(2)  # the true seed passes
+    assert not chain_map_failure(lift, 2)  # the true seed passes
     # the degree-0 columns are memoized, so after the seed changes only
     # the base case d_2 o psi_0 = seed . eps can notice
     lift.seed = {i: v.scale(2) for i, v in lift.seed.items()}
-    with pytest.raises(InternalCheckError, match="base case"):
-        lift.materialize(2)
+    assert "base case" in chain_map_failure(lift, 2)
     with pytest.raises(ValueError, match="needs a seed"):
-        ChainMap(res, res, 2, {})
+        ComparisonLift(res, res, 2)
 
 
 def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
@@ -367,27 +377,31 @@ def test_product_context_grows_its_box_componentwise(monkeypatch):
 
 # The digests pin the lifted columns themselves, not only the classes they
 # give: a change of either is a change of the chain maps, to be announced.
-def _chain_map_digest(cm):
-    """sha256 of every component's entries, column by column, row-sorted."""
-    comps = {str(k): [mat.nrows, [[[i, list(v.c)] for i, v in
-                                   sorted(mat.column(j).items())]
-                                  for j in range(mat.ncols)]]
-             for k, mat in cm.components.items()}
+def _lift_digest(lift, up_to):
+    """sha256 of every component's entries through degree up_to, column by
+    column, row-sorted; each component is built from lift.column(k, j)."""
+    assert not chain_map_failure(lift, up_to)
+    G = lift.source.group
+    comps = {str(k): [lift.target.rank(k + lift.shift),
+                      [[[i, list(v.c)] for i, v in
+                        sorted(_elements(G, lift.column(k, j)).items())]
+                       for j in range(lift.source.rank(k))]]
+             for k in range(up_to + 1)}
     text = json.dumps(comps, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_lifted_comparison_columns_are_byte_identical():
     s3 = symmetric(3)
-    cm = lift_comparison(bar_resolution(s3, 4), syzygy_resolution(s3, 6), 4)
-    assert _chain_map_digest(cm) == \
+    lift = ComparisonLift(bar_resolution(s3, 4), syzygy_resolution(s3, 6))
+    assert _lift_digest(lift, 4) == \
         "e11aae2141f89a0038101826d5d708c1c5ab4cae6e8ead11ee11c40bf15041c5"
 
 
 def test_lifted_self_map_columns_are_byte_identical():
     res = syzygy_resolution(dihedral(4), 7)
     ctx = ProductContext(res)
-    got = [_chain_map_digest(ctx._g_lift(1, zb).materialize(4))
+    got = [_lift_digest(ctx._g_lift(1, zb), 4)
            for zb in homology(res, 1).generators]
     assert got == [
         "0246daaaaa783a6051717b0d9b11fe22306d6ecb30b21e90355a7b26c7c8d5a0",
@@ -500,7 +514,7 @@ def test_lifts_take_sparse_seeds_and_return_chains():
             assert _elements(res.group, noisy.column(k, j)) == col
             assert noisy.column(k, j) == clean.column(k, j)
             assert all(c for _, _, c in clean.column(k, j))
-    noisy.materialize(2)  # the base case reads the padded seed
+    assert not chain_map_failure(noisy, 2)  # the base case reads the padded seed
     J = join(res, res, 3)
     lift = ComparisonLift(J, res)
     cols = [_elements(res.group, lift.column(3, j)) for j in range(J.ranks[3])]
@@ -519,10 +533,8 @@ def test_a_wrong_shift_zero_seed_is_caught_where_it_is_built(monkeypatch):
         return {j: 2 * v for j, v in real(self, b).items()}
 
     monkeypatch.setattr(tatejoin.intlinalg.IntegerSolver, "solve", doubled)
-    for call in (lambda: ComparisonLift(J, res),
-                 lambda: lift_comparison(J, res, 2)):
-        with pytest.raises(InternalCheckError, match="eps\\(seed\\) != 1"):
-            call()
+    with pytest.raises(InternalCheckError, match="eps\\(seed\\) != 1"):
+        ComparisonLift(J, res)
 
 
 def test_a_lift_names_a_column_index_outside_the_rank():
@@ -537,6 +549,20 @@ def test_a_lift_names_a_column_index_outside_the_rank():
     for j in (-1, res.ranks[1]):
         with pytest.raises(ValueError, match=f"column {j} out of range"):
             lift.transport_down(1, {j: 1})
+
+
+def test_transport_down_names_bad_input():
+    res = syzygy_resolution(dihedral(4), 5)
+    lift = ComparisonLift(res, res)
+    for vec in ([1, 0], None, (0, 1)):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            lift.transport_down(1, vec)
+    for vec in ({"0": 1}, {0.0: 1}, {0: 1.5}, {0: "1"}, {1: None}):
+        with pytest.raises(ValueError, match="not integral"):
+            lift.transport_down(1, vec)
+    assert not lift._cols  # refused before any column was lifted
+    # the identity's lift carries every vector to itself
+    assert lift.transport_down(1, {0: 2, 1: -1}) == [2, -1]
 
 
 def test_lifting_builds_no_ring_element_between_solves(monkeypatch):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from tatejoin import (FiniteGroup, GroupRingElement, Resolution,
-                      SizeBudgetError, ZGMatrix, bar_resolution, cyclic,
-                      norm_element, periodic_cyclic_resolution, run_verify,
-                      syzygy_resolution, symmetric)
-from tatejoin import selfcheck
+from tatejoin import (FiniteGroup, GroupRingElement, InternalCheckError,
+                      Resolution, SizeBudgetError, ZGMatrix, bar_resolution,
+                      cyclic, norm_element, periodic_cyclic_resolution,
+                      run_verify, syzygy_resolution, symmetric)
+from tatejoin import resolutions
 from tatejoin.products import ProductContext
 
 
@@ -61,11 +61,14 @@ def test_verify_checks_the_join_it_builds(monkeypatch):
     rep = run_verify(res, rounds=1)
     line = next(c for c in rep.checks if c["name"] == "join:ranks")
     assert line["passed"] and line["detail"] == "degrees 0..5 of P<=3 * P<=3"
-    real = selfcheck.join_rank
-    monkeypatch.setattr(selfcheck, "join_rank",
-                        lambda P, Q, d: real(P, Q, d) + (d == 4))
-    rep = run_verify(res, rounds=1)
-    assert not rep.passed and "degree 4" in rep.first_failure
+    # the line reads the certificate of join(), which proves each rank
+    # against join_rank and its basis: a basis short of one tuple raises
+    real = resolutions._join_basis
+    monkeypatch.setattr(resolutions, "_join_basis",
+                        lambda P, Q, d: real(P, Q, d)[:-1] if d == 4
+                        else real(P, Q, d))
+    with pytest.raises(InternalCheckError, match="degree 4"):
+        run_verify(res, rounds=1)
 
 
 def test_verify_charges_validation_to_the_budget():

@@ -219,6 +219,20 @@ def test_classify_rejects_non_cycles():
                 homology(res, n).classify(coords)
             with pytest.raises(ResolutionError, match="not a cycle"):
                 phi_inverse(res, n, coords)
+    # nor is a non-integer vector: half the H_1 generator of C6 was read as
+    # a cycle of class (0.5,), and its lift stored a zero entry
+    per = periodic_cyclic_resolution(3, 6)
+    for coords in ([0.5], [1.0], ["1"], [None]):
+        assert not is_cycle(per, 1, coords)
+        with pytest.raises(ResolutionError, match="not a cycle"):
+            homology(per, 1).classify(coords)
+        with pytest.raises(ResolutionError, match="not a cycle"):
+            phi_inverse(per, 1, coords)
+        with pytest.raises(ResolutionError, match="not integral"):
+            lift_vector(per, 1, coords)
+        with pytest.raises(ResolutionError, match="not integers"):
+            homology(per, 1).class_order(tuple(coords))
+    assert is_cycle(per, 1, [2]) and lift_vector(per, 1, [0]) == {}
 
 
 def test_class_order():
