@@ -18,7 +18,9 @@ degree (see ``resolutions``), so a comparison map from it exists, and it is
 a subcomplex of P*P on the same basis tuples that holds the product chain.
 The boundary certificate and every comparison column the product reads stay
 inside it, so the lifted columns and the classes are those of the whole
-join.
+join.  A ``ProductContext`` holds one such join, sized by ``join_for`` to
+the bounding box of the bidegrees asked for; a box that grows builds a new
+join with a fresh lift.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -149,62 +151,41 @@ class ComparisonLift:
 class ProductContext:
     """Shared caches for computing many products over one resolution.
 
-    Holds one join P_{<=N} * P_{<=M} through degree D, grown lazily to the
-    componentwise maximum (N, M, D) of what the products ask for; a union of
-    boxes is not the join of two resolutions, so the box is the bounding
-    one.  Also holds the lazy comparison lift join -> P and the lazy chain
-    self-maps of the composition pipeline.  Each keeps its own columns; all
-    of them solve through the differentials of P, which keep their
+    Holds one join P_{<=N} * P_{<=M} through degree D and its lazy
+    comparison lift to P, both grown by ``join_for``, and the lazy chain
+    self-maps of the composition pipeline.  Each lift keeps its own columns;
+    all of them solve through the differentials of P, which keep their
     factorizations.  All methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_box", "_join", "_lift", "_glifts")
+    __slots__ = ("P", "max_zrank", "_join", "_lift", "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
         self.max_zrank = max_zrank
-        self._box: tuple[int, int, int] | None = None
         self._join: JoinResolution | None = None
         self._lift: ComparisonLift | None = None
         self._glifts: dict[tuple, ComparisonLift] = {}
 
-    def join_to(self, n: int, m: int | None = None,
-                degree: int | None = None) -> JoinResolution:
-        """The join of P_{<=n} with P_{<=m} through ``degree``, or a larger one.
+    def join_for(self, pairs: Sequence[tuple[int, int]]) -> JoinResolution:
+        """The one join that the products of all the given bidegrees read.
 
-        m defaults to n and degree to n + m + 1, the output degree of a
-        product of bidegree (n, m).  The join is rebuilt only when the box
-        (n, m, degree) grows it.  The old join is then a subcomplex of the
-        new one on the same basis tuples, so its lifted columns are the
-        same P-chains: the new lift keeps them, re-keyed from each old
-        basis tuple to its new index.
+        Its box (N, M, D) is the componentwise maximum of (n, m, n + m + 1)
+        over the pairs and the join already held; a union of boxes is not
+        the join of two resolutions, so the box is the bounding one.  A box
+        that grows builds a new join and a fresh comparison lift.
         """
-        m = n if m is None else m
-        want = (n, m, n + m + 1 if degree is None else degree)
-        box = want if self._box is None else tuple(map(max, self._box, want))
-        if box != self._box:
-            N, M, D = box
+        J = self._join
+        boxes = [(n, m, n + m + 1) for n, m in pairs]
+        if J is not None:
+            boxes.append((J.P.depth, J.Q.depth, J.depth))
+        N, M, D = map(max, zip(*boxes))
+        if J is None or (N, M, D) != boxes[-1]:  # boxes[-1]: the one held
             Pn = self.P.truncated(N)
             Pm = Pn if M == N else self.P.truncated(M)
-            old, old_lift = self._join, self._lift
             J = self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
             self._lift = ComparisonLift(J, self.P)
-            if old_lift is not None:
-                self._lift._cols.update(
-                    ((k, J.index[k][old.bases[k][j]]), col)
-                    for (k, j), col in old_lift._cols.items())
-            self._box = box
-        return self._join
-
-    def join_for(self, pairs: Sequence[tuple[int, int]]) -> JoinResolution:
-        """The one join that the products of all the given bidegrees read."""
-        return self.join_to(max(n for n, _ in pairs), max(m for _, m in pairs),
-                            max(n + m + 1 for n, m in pairs))
-
-    def lift(self) -> ComparisonLift:
-        if self._lift is None:
-            raise ResolutionError("no join built yet: join_to must run first")
-        return self._lift
+        return J
 
     def table(self, pairs: Sequence[tuple[int, int]]) -> list[dict]:
         """Products of all homology generators for each (n, m) in pairs.
@@ -238,20 +219,18 @@ class ProductContext:
                      zb: Sequence[int]) -> tuple[int, ...]:
         """Class of the join-chain product of cycles za (deg n) and zb (deg m)."""
         P = self.P
-        out_deg = n + m + 1
         _require_factors(P, n, za, m, zb)
+        out_deg = n + m + 1
         x = phi_inverse(P, n, za)  # N . y_a, checked invariant cycle
         y = lift_vector(P, m, zb)
-        if not is_cycle(P, m, zb):
-            raise ResolutionError("second factor is not a cycle")
-        J = self.join_to(n, m)
+        J = self.join_for([(n, m)])
         w = include_cycle_tensor(J, x.vector, n, y, m)
         # the boundary must die after tensoring down (norm against the
         # augmentation ideal); anything else is a sign bug, not bad input
         if down_vector(J.apply_differential(out_deg, w)):
             raise InternalCheckError(
                 "down-image of the product chain's boundary is nonzero")
-        t = self.lift().transport_down(out_deg, down_vector(w))
+        t = self._lift.transport_down(out_deg, down_vector(w))
         if not is_cycle(P, out_deg, t):
             raise InternalCheckError("transported product chain is not a cycle")
         return homology(P, out_deg).classify(t)
@@ -274,8 +253,8 @@ class ProductContext:
                             zb: Sequence[int]) -> tuple[int, ...]:
         """Class of the composition (Yoneda) product of za (deg n) and zb (deg m)."""
         P = self.P
-        out_deg = n + m + 1
         _require_factors(P, n, za, m, zb)
+        out_deg = n + m + 1
         x = phi_inverse(P, n, za).vector  # N . y_a, checked invariant cycle
         glift = self._g_lift(m, zb)
         out: dict[int, GroupRingElement] = {}
@@ -308,9 +287,9 @@ def _add_multiple(out: dict[int, GroupRingElement], c: GroupRingElement,
 
 def _require_bidegree(P: Resolution, n: int, m: int) -> None:
     """The product of H_n and H_m is defined for n, m >= 1, in H_{n+m+1}."""
-    if n < 1 or m < 1:
+    if not all(isinstance(k, int) and k >= 1 for k in (n, m)):
         raise ResolutionError(
-            f"the product is defined for degrees >= 1, got ({n}, {m})")
+            f"the product is defined for degrees >= 1, got ({n!r}, {m!r})")
     if P.depth < n + m + 2:
         raise ResolutionError(f"product needs the resolution to degree "
                               f"{n + m + 2}, depth is {P.depth}")
@@ -325,6 +304,9 @@ def _require_factors(P: Resolution, n: int, za: Sequence[int], m: int,
             raise ResolutionError(
                 f"{what} factor has length {len(z)}, but degree {k} has "
                 f"rank {P.rank(k)}")
+    # before the self-map cache, whose key tuple(zb) reads [1.0] as [1]
+    if not is_cycle(P, m, zb):
+        raise ResolutionError("second factor is not a cycle")
 
 
 def join_product(P: Resolution, n: int, za: Sequence[int], m: int,

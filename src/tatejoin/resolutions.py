@@ -121,13 +121,14 @@ class Resolution:
         return len(self.ranks) - 1
 
     def rank(self, k: int) -> int:
-        if not 0 <= k <= self.depth:
-            raise ResolutionError(f"degree {k} outside 0..{self.depth}")
+        if not (isinstance(k, int) and 0 <= k <= self.depth):
+            raise ResolutionError(f"degree {k!r} outside 0..{self.depth}")
         return self.ranks[k]
 
     def differential(self, k: int) -> ZGMatrix:
-        if not 1 <= k <= self.depth:
-            raise ResolutionError(f"no differential at degree {k} (depth {self.depth})")
+        if not (isinstance(k, int) and 1 <= k <= self.depth):
+            raise ResolutionError(
+                f"no differential at degree {k!r} (depth {self.depth})")
         return self.diffs[k - 1]
 
     def truncated(self, k: int) -> "Resolution":
@@ -340,12 +341,14 @@ def validate_resolution(res: Resolution,
         middle = res.ranks[k - 1] * order
         rank, nontrivial, below = sparse_invariant_factors(
             res.differential(k).z_columns(), middle, below)
-        ok = rank_below + rank == middle and not nontrivial
-        report.record(f"exact at degree {k - 1}", ok,
-                      "" if ok else
-                      f"rank z(d_{k - 1}) + rank z(d_{k}) = "
-                      f"{rank_below} + {rank} != {middle} "
-                      f"or nonunit factors in z(d_{k})")
+        detail = ""
+        if rank_below + rank != middle:
+            detail = (f"rank z(d_{k - 1}) + rank z(d_{k}) = "
+                      f"{rank_below} + {rank} != {middle}")
+        elif nontrivial:
+            detail = (f"nonunit invariant factors "
+                      f"{', '.join(map(str, nontrivial))} of z(d_{k})")
+        report.record(f"exact at degree {k - 1}", not detail, detail)
         rank_below = rank
     return report
 

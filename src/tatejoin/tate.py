@@ -55,6 +55,8 @@ def lift_vector(res: Resolution, k: int, coords: Sequence[int]
     if len(coords) != res.rank(k):
         raise ResolutionError(f"vector has length {len(coords)}, "
                               f"rank in degree {k} is {res.rank(k)}")
+    if isinstance(coords, Mapping):
+        raise ResolutionError(f"vector in degree {k} is a mapping, not a list")
     if not all(isinstance(c, int) for c in coords):
         raise ResolutionError(f"vector in degree {k} is not integral")
     return {i: GroupRingElement.basis(res.group, 0, int(c))
@@ -89,8 +91,9 @@ class HomologyGroup:
     __slots__ = ("resolution", "degree", "invariant_factors", "_cls")
 
     def __init__(self, resolution: Resolution, degree: int):
-        if degree < 0:
-            raise ResolutionError("homology degree must be nonnegative")
+        if not isinstance(degree, int) or degree < 0:
+            raise ResolutionError("homology degree must be a nonnegative "
+                                  f"integer, got {degree!r}")
         if degree + 1 > resolution.depth:
             raise ResolutionError(
                 f"homology in degree {degree} needs the resolution valid "
@@ -281,13 +284,13 @@ class _CycleCoordinates:
 def homology(res: Resolution, n: int) -> HomologyGroup:
     """H_n of the resolution's tensored-down complex (cached per degree)."""
     key = ("homology", n)
-    if key not in res._hcache:
+    if not isinstance(n, int) or key not in res._hcache:  # 1.0 hashes as 1
         res._hcache[key] = HomologyGroup(res, n)
     return res._hcache[key]
 
 
 def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
-    if len(coords) != res.rank(n) or \
+    if isinstance(coords, Mapping) or len(coords) != res.rank(n) or \
             not all(isinstance(c, int) for c in coords):
         return False
     return n == 0 or not any(res.down_boundary(n, coords))
@@ -336,8 +339,9 @@ def phi_inverse(res: Resolution, n: int, cycle: Sequence[int]
     because the lift's boundary lands in the augmentation ideal, which the
     norm kills.
     """
-    if n < 1:
-        raise ResolutionError("the correspondence is defined for degrees >= 1")
+    if not (isinstance(n, int) and n >= 1):
+        raise ResolutionError(
+            f"the correspondence is defined for degrees >= 1, got {n!r}")
     if not is_cycle(res, n, cycle):
         raise ResolutionError("input is not a cycle of the down complex")
     w = res.group.order
@@ -358,17 +362,15 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
     if n < 1:
         raise ResolutionError("the correspondence is defined for degrees >= 1")
     r = res.rank(n)
-    if via_solver:
-        G, order = res.group, res.group.order
-        norm_mat = ZGMatrix(G, r, [{i: norm_element(G)} for i in range(r)])
-        y = norm_mat.solver().solve({i * order + g: c for i, a in
-                                     x.vector.items() for g, c in a.support()})
-        if y is NoSolution:
-            raise ResolutionError(
-                "norm equation unsolvable; input is not an invariant of a free module")
-        down = dict.fromkeys(range(r), 0)
-        for base, _, c in y:  # the augmentation of each row of y
-            down[base // order] += c
+    if via_solver:  # N.I_r is diagonal: one 1x1 norm equation per row
+        norm = ZGMatrix(res.group, 1, [{0: norm_element(res.group)}]).solver()
+        down = {}
+        for i, a in x.vector.items():
+            y = norm.solve(dict(a.support()))
+            if y is NoSolution:
+                raise ResolutionError("norm equation unsolvable; input is "
+                                      "not an invariant of a free module")
+            down[i] = sum(c for _, _, c in y)  # the augmentation of y_i
     else:
         down = {i: a.c[0] for i, a in x.vector.items()}
     return homology(res, n).classify([down.get(i, 0) for i in range(r)])

@@ -69,7 +69,7 @@ def test_cyclic_generator_products_generate():
         t0 = time.perf_counter()
         res = periodic_cyclic_resolution(m, 8)
         ctx = ProductContext(res)
-        ctx.join_to(8)
+        ctx.join_for([(8, 8)])
         for n, md in ((1, 1), (1, 3), (3, 3)):
             a = homology(res, n).generators[0]
             b = homology(res, md).generators[0]

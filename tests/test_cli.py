@@ -470,6 +470,9 @@ CORRUPT_RESOLUTION_FILES = [
     ("augmentation entry null", _doctor(["augmentation", 0], None),
      "'augmentation' must be a list of integers"),
     ("group null", _doctor(["group"], None), "cannot build a group"),
+    # d_2 = 2N still composes to zero, but its image is half of ker d_1
+    ("inexact", _doctor(["differentials", 1, 0, 0], [2, 2, 2, 2]),
+     "exact at degree 1: nonunit invariant factors 2 of z(d_2)"),
 ]
 
 

@@ -373,8 +373,8 @@ def test_solver_takes_sparse_columns_with_stored_zeros():
 
 
 def test_solver_stores_only_nonzero_entries():
-    # the norm matrix that phi(via_solver=True) factors on bar(C5) in
-    # degree 3: integer rank 320, 896 nonzeros in H and V together
+    # the diagonal norm matrix N.I_r on bar(C5) in degree 3: integer rank
+    # 320, 896 nonzeros in H and V together
     from tatejoin import norm_element
     from tatejoin.zglinalg import ZGMatrix
     g = cyclic(5)

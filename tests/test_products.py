@@ -19,12 +19,13 @@ import pytest
 
 import tatejoin
 from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
-                      ProductContext, ResolutionError, ZGMatrix,
+                      ProductContext, Resolution, ResolutionError, ZGMatrix,
                       bar_resolution, composition_product, cyclic, dihedral,
                       from_permutations, homology, include_cycle_tensor, join,
                       join_product, lift_vector, load_resolution,
                       periodic_cyclic_resolution, phi_inverse, product_table,
-                      quaternion8, run_verify, symmetric, syzygy_resolution)
+                      quaternion8, random_cycle, run_verify, symmetric,
+                      syzygy_resolution)
 from tatejoin.tate import down_vector
 from tatejoin.zglinalg import _elements
 from oracles import chain_map_failure
@@ -231,14 +232,6 @@ def test_resolution_independence_of_products():
     assert hp3.class_order(moved_prod_cls) == 3  # still a generator
 
 
-def test_lift_before_join_is_a_named_error():
-    ctx = ProductContext(periodic_cyclic_resolution(2, 4))
-    with pytest.raises(ResolutionError, match="join_to"):
-        ctx.lift()
-    ctx.join_to(2)
-    assert ctx.lift().target is ctx.P
-
-
 def test_chain_map_check_catches_broken_commutation():
     per = periodic_cyclic_resolution(2, 3)
     # a hand-built map, the identity in degrees 0 and 1; doubling only
@@ -261,12 +254,15 @@ def test_non_cycle_factor_is_bad_input_in_both_pipelines():
     with pytest.raises(ResolutionError):
         ctx.composition_product(1, za, 2, e0)
     # half the H_1 generator of C6 is no cycle either; both pipelines read
-    # it as a cycle once and answered (0,), where the generator squares to (1,)
+    # it as a cycle once and answered (0,), where the generator squares to
+    # (1,); nor is a mapping, once read as the list of its keys, nor [1.0],
+    # once a hit in the self-map cache filled by [1]
     per = periodic_cyclic_resolution(3, 6)
     ctx = ProductContext(per)
     for pipeline in (ctx.join_product, ctx.composition_product):
         assert pipeline(1, [1], 1, [1]) == (1,)
-        for za, zb in (([0.5], [1]), ([1], [0.5]), ([0.5], [0.5])):
+        for za, zb in (([0.5], [1]), ([1], [0.5]), ([0.5], [0.5]),
+                       ({0: 1}, [1]), ([1], {0: 1}), ([1], [1.0])):
             with pytest.raises(ResolutionError):
                 pipeline(1, za, 1, zb)
 
@@ -409,33 +405,19 @@ def test_lifted_self_map_columns_are_byte_identical():
     ]
 
 
-def test_growing_join_keeps_its_lifted_columns(monkeypatch):
+def test_a_grown_join_gives_the_classes_of_one_sized_up_front():
     res = syzygy_resolution(dihedral(4), 9)
     pairs = [(1, 1), (3, 3), (2, 5)]
-    lifted = []
-    real_column = ComparisonLift.column
-
-    def counting_column(self, k, j):
-        if (k, j) not in self._cols:
-            lifted.append((k, j))
-        return real_column(self, k, j)
-
-    monkeypatch.setattr(ComparisonLift, "column", counting_column)
 
     def products_of(ctx):
         return [ctx.join_product(n, za, m, zb) for n, m in pairs
                 for za in homology(res, n).generators
                 for zb in homology(res, m).generators]
 
-    grown = ProductContext(res)
-    grown_classes = products_of(grown)  # the box grows twice
-    grown_count = len(lifted)
-    del lifted[:]
+    grown = products_of(ProductContext(res))  # the box grows twice
     sized = ProductContext(res)
     sized.join_for(pairs)
-    assert products_of(sized) == grown_classes
-    assert grown_count == len(lifted) > 0
-    assert grown.lift()._cols == sized.lift()._cols
+    assert products_of(sized) == grown
 
 
 def test_a_product_table_factors_each_differential_once(monkeypatch):
@@ -497,6 +479,53 @@ def test_a_degree_zero_factor_is_refused_before_any_join(monkeypatch):
     for pairs in ([(3, 0)], [(0, 3)], [(1, 1), (0, 1)]):
         with pytest.raises(ResolutionError, match="degrees >= 1"):
             product_table(res, pairs)
+
+
+BAD_DEGREE_CALLS = [
+    ("homology '1'", lambda per: homology(per, "1"), "got '1'"),
+    ("homology 1.5", lambda per: homology(per, 1.5), "got 1.5"),
+    ("join_product 1.0",
+     lambda per: ProductContext(per).join_product(1.0, [1], 1, [1]),
+     r"got \(1\.0, 1\)"),
+    ("join_product '1'",
+     lambda per: ProductContext(per).join_product("1", [1], 1, [1]),
+     r"got \('1', 1\)"),
+    ("composition_product 1.0",
+     lambda per: composition_product(per, 1, [1], 1.0, [1]),
+     r"got \(1, 1\.0\)"),
+    ("random_cycle 1.0", lambda per: random_cycle(per, 1.0, random.Random(0)),
+     "got 1.0"),
+    ("phi_inverse 1.0", lambda per: phi_inverse(per, 1.0, [1]), "got 1.0"),
+    ("product_table 1.0", lambda per: product_table(per, [(1.0, 1)]),
+     r"got \(1\.0, 1\)"),
+    ("rank 1.0", lambda per: per.rank(1.0), "degree 1.0 outside 0..6"),
+    ("differential 1.0", lambda per: per.differential(1.0),
+     "no differential at degree 1.0"),
+    # an integer bidegree past the depth: H_7 reads D_8
+    ("product past the depth",
+     lambda per: ProductContext(per).join_product(3, [1], 3, [1]),
+     "needs the resolution to degree 8, depth is 6"),
+]
+
+
+@pytest.mark.parametrize("call, match", [c[1:] for c in BAD_DEGREE_CALLS],
+                         ids=[c[0] for c in BAD_DEGREE_CALLS])
+def test_a_bad_degree_is_a_named_error(call, match):
+    # a degree that is not an int raised a bare TypeError deep inside; H_1
+    # is cached first, so a degree equal to 1 must not read the cache
+    per = periodic_cyclic_resolution(3, 6)
+    assert homology(per, 1).invariant_factors == [3]
+    with pytest.raises(ResolutionError, match=match):
+        call(per)
+
+
+@pytest.mark.parametrize("target, match", [
+    (lambda: periodic_cyclic_resolution(3, 3), "matching groups"),
+    (lambda: Resolution(cyclic(2), [1], [], [2]), "augmentation is not onto"),
+], ids=["group mismatch", "augmentation not onto"])
+def test_a_lift_into_an_unfit_target_is_a_named_error(target, match):
+    with pytest.raises(ResolutionError, match=match):
+        ComparisonLift(periodic_cyclic_resolution(2, 3), target())
 
 
 def test_lifts_take_sparse_seeds_and_return_chains():
@@ -571,8 +600,8 @@ def test_lifting_builds_no_ring_element_between_solves(monkeypatch):
     # the source differential's columns, read through ZGMatrix.column
     res = syzygy_resolution(dihedral(4), 7)
     ctx = ProductContext(res)
-    ctx.join_to(2, 2)  # the join box of bidegree (2, 2), through degree 5
-    lifts = [ctx.lift(), ctx._g_lift(1, homology(res, 1).generators[0])]
+    ctx.join_for([(2, 2)])  # the join box of bidegree (2, 2), to degree 5
+    lifts = [ctx._lift, ctx._g_lift(1, homology(res, 1).generators[0])]
     assert lifts[1].shift == 2
     built, read = [0], [0]
     real_init, real_column = GroupRingElement.__init__, ZGMatrix.column

@@ -90,6 +90,27 @@ def test_constructor_rejects_broken_complex():
     assert "degree 2" in str(err.value)
 
 
+def _t_minus_1(order, ncols=1):
+    g = cyclic(order)
+    d = GroupRingElement.basis(g, 1) - GroupRingElement.basis(g, 0)
+    return ZGMatrix(g, 1, [{0: d}] * ncols)
+
+
+@pytest.mark.parametrize("ranks, diffs, aug, match", [
+    ([], [], [], "ranks must be a nonempty list"),
+    ([1, -1], [], [1], "ranks must be a nonempty list"),
+    ([1, 1], [], [1], "expected 1 differentials for 2 ranks, got 0"),
+    ([1], [], [1, 1], "augmentation length must equal rank in degree 0"),
+    ([1, 1], [_t_minus_1(3)], [1], "differential 1 has the wrong group"),
+    ([1, 1], [_t_minus_1(2, 2)], [1],
+     "differential 1 has shape 1x2, expected 1x1"),
+], ids=["no ranks", "negative rank", "differential count",
+        "augmentation length", "wrong group", "wrong shape"])
+def test_constructor_names_shape_errors(ranks, diffs, aug, match):
+    with pytest.raises(ResolutionError, match=match):
+        Resolution(cyclic(2), ranks, diffs, aug)
+
+
 def test_constructor_rejects_augmentation_not_killing_d1():
     # d_1 = [e] on C2: eps o d_1 sends the basis vector to 1, not 0
     g = cyclic(2)
@@ -152,9 +173,9 @@ def test_validate_fails_exactly_the_inexact_degree(maps, degree):
     assert failed == [f"exact at degree {degree}"]
     assert [c["name"] for c in rep.checks if c["name"].startswith("exact")] \
         == [f"exact at degree {k}" for k in range(len(maps))]
+    # the ranks add up (1 + 1 = 2); the factor 2 is what fails
     assert rep.first_failure == (
-        f"exact at degree {degree}: rank z(d_{degree}) + "
-        f"rank z(d_{degree + 1}) = 1 + 1 != 2 or nonunit factors in "
+        f"exact at degree {degree}: nonunit invariant factors 2 of "
         f"z(d_{degree + 1})")
 
 
@@ -166,6 +187,8 @@ def test_a_zero_augmentation_is_not_exact_at_degree_zero():
     rep = validate_resolution(Resolution(g, [1, 1], [d1], [0]))
     assert [c["name"] for c in rep.checks if not c["passed"]] == [
         "augmentation onto Z", "exact at degree 0"]
+    assert rep.checks[-1]["detail"] == \
+        "rank z(d_0) + rank z(d_1) = 0 + 1 != 2"
 
 
 def test_save_load_round_trip(tmp_path):

@@ -232,6 +232,14 @@ def test_classify_rejects_non_cycles():
             lift_vector(per, 1, coords)
         with pytest.raises(ResolutionError, match="not integers"):
             homology(per, 1).class_order(tuple(coords))
+    # nor is a mapping: {0: 1} was read as the list of its keys, [0]
+    assert not is_cycle(per, 1, {0: 1})
+    with pytest.raises(ResolutionError, match="not a cycle"):
+        homology(per, 1).classify({0: 1})
+    with pytest.raises(ResolutionError, match="not a cycle"):
+        phi_inverse(per, 1, {0: 1})
+    with pytest.raises(ResolutionError, match="a mapping, not a list"):
+        lift_vector(per, 1, {0: 1})
     assert is_cycle(per, 1, [2]) and lift_vector(per, 1, [0]) == {}
 
 
