@@ -30,6 +30,7 @@ from .resolutions import (Resolution, bar_resolution, load_resolution,
                           write_atomically)
 from .selfcheck import run_verify
 from .tate import homology, tate_group
+from .zglinalg import charge
 
 DEFAULT_MAX_ZRANK = 50000
 ENV_MAX_ZRANK = "TATEJOIN_MAX_ZRANK"
@@ -57,11 +58,7 @@ def _parse_degrees(text: str, budget: int) -> list[int]:
         if b < a:
             raise SchemaError(f"empty degree range {tok!r}")
         worst = max(abs(a), abs(b))
-        if worst >= budget:
-            raise SizeBudgetError(
-                f"degree token {tok!r} needs depth >= {worst}, so integer "
-                f"rank >= {worst + 1}, budget is {budget}",
-                needed=worst + 1, budget=budget)
+        charge(worst + 1, budget, f"degree token {tok!r} at depth >= {worst}")
         out.extend(range(a, b + 1))
     return out
 
@@ -115,12 +112,8 @@ def build_resolution(group: FiniteGroup, group_spec: str, choice: str,
     elements per degree, so |G| * (depth + 1) is charged against the budget
     before anything is built: the budget bounds depth as well as rank.
     """
-    needed = group.order * (depth + 1)
-    if needed > max_zrank:
-        raise SizeBudgetError(
-            f"depth {depth} needs integer rank {needed} "
-            f"(|{group.label}| = {group.order} x {depth + 1} degrees), "
-            f"budget is {max_zrank}", needed=needed, budget=max_zrank)
+    charge(group.order * (depth + 1), max_zrank, f"depth {depth} "
+           f"(|{group.label}| = {group.order} x {depth + 1} degrees)")
     name, _, arg = choice.partition(":")
     name = name.strip().lower()
     if name == "auto":

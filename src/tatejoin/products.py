@@ -55,8 +55,8 @@ from typing import Mapping, Sequence
 from .errors import InternalCheckError, ResolutionError
 from .groups import GroupRingElement, _accumulate
 from .intlinalg import IntegerSolver, NoSolution
-from .resolutions import (JoinResolution, Resolution, include_cycle_tensor,
-                          join)
+from .resolutions import (JoinResolution, Resolution, check_vector,
+                          include_cycle_tensor, join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
 from .zglinalg import ZGMatrix, _elements, _not_a_chain, _triples
 
@@ -173,12 +173,16 @@ class ProductContext:
         Its box (N, M, D) is the componentwise maximum of (n, m, n + m + 1)
         over the pairs and the join already held; a union of boxes is not
         the join of two resolutions, so the box is the bounding one.  A box
-        that grows builds a new join and a fresh comparison lift.
+        that grows builds a new join and a fresh comparison lift.  Each pair
+        must be two integers; no pairs and no join held is an error.
         """
         J = self._join
-        boxes = [(n, m, n + m + 1) for n, m in pairs]
+        boxes = [(n, m, n + m + 1) for n, m in
+                 (check_vector(p, 2, "bidegree") for p in pairs)]
         if J is not None:
             boxes.append((J.P.depth, J.Q.depth, J.depth))
+        elif not boxes:
+            raise ResolutionError("a join needs at least one bidegree")
         N, M, D = map(max, zip(*boxes))
         if J is None or (N, M, D) != boxes[-1]:  # boxes[-1]: the one held
             Pn = self.P.truncated(N)
@@ -193,8 +197,8 @@ class ProductContext:
         Every entry is computed by both pipelines; the agree flag records
         exact equality of the classified outputs.
         """
-        for n, m in pairs:
-            _require_bidegree(self.P, n, m)
+        for pair in pairs:
+            _require_bidegree(self.P, *check_vector(pair, 2, "bidegree"))
         if pairs:
             # size the join once; rebuilding it per pair order would redo lifts
             self.join_for(pairs)
@@ -300,10 +304,7 @@ def _require_factors(P: Resolution, n: int, za: Sequence[int], m: int,
     """The precondition both pipelines share, checked before any work."""
     _require_bidegree(P, n, m)
     for what, k, z in (("first", n, za), ("second", m, zb)):
-        if len(z) != P.rank(k):
-            raise ResolutionError(
-                f"{what} factor has length {len(z)}, but degree {k} has "
-                f"rank {P.rank(k)}")
+        check_vector(z, P.rank(k), f"{what} factor in degree {k}")
     # before the self-map cache, whose key tuple(zb) reads [1.0] as [1]
     if not is_cycle(P, m, zb):
         raise ResolutionError("second factor is not a cycle")

@@ -4,7 +4,9 @@ A Resolution holds ranks r_0..r_n, differentials d_k: P_k -> P_{k-1} as
 ZGMatrices of shape r_{k-1} x r_k, and an integer augmentation row for
 eps: P_0 -> Z.  The constructor insists on d o d = 0 and eps o d_1 = 0;
 ``validate_resolution`` additionally certifies exactness degree by degree
-from ranks and invariant factors of the integer expansions.
+from ranks and invariant factors of the integer expansions.  Library input
+meets one gate per rule, each raising ResolutionError: ``check_degree`` for
+a degree or depth, ``check_vector`` for an integer list or tuple.
 
 Three constructors are provided:
 
@@ -44,6 +46,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
@@ -53,6 +56,29 @@ from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
                         f2_rank, kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
 from .zglinalg import ZGMatrix, _elements, check_zrank
+
+
+def check_degree(k, lo, hi, what: str):
+    """k itself if it is an int with lo <= k <= hi, else ResolutionError.
+
+    The one check of a degree or depth given to the library; hi may be
+    ``math.inf``.
+    """
+    if not (isinstance(k, int) and lo <= k <= hi):
+        raise ResolutionError(
+            f"{what} must be an integer in {lo}..{hi}, got {k!r}")
+    return k
+
+
+def check_vector(v, length: int, what: str):
+    """v itself if it is a list or tuple of length integers, else
+    ResolutionError: the one check of a down-complex vector, a class's
+    coordinates or a bidegree given to the library."""
+    if not (isinstance(v, (list, tuple)) and len(v) == length
+            and all(isinstance(c, int) for c in v)):
+        raise ResolutionError(f"{what} must be a list or tuple of {length} "
+                              f"integers, got {reprlib.repr(v)}")
+    return v
 
 
 def write_atomically(path: str, text: str) -> None:
@@ -121,14 +147,10 @@ class Resolution:
         return len(self.ranks) - 1
 
     def rank(self, k: int) -> int:
-        if not (isinstance(k, int) and 0 <= k <= self.depth):
-            raise ResolutionError(f"degree {k!r} outside 0..{self.depth}")
-        return self.ranks[k]
+        return self.ranks[check_degree(k, 0, self.depth, "degree")]
 
     def differential(self, k: int) -> ZGMatrix:
-        if not (isinstance(k, int) and 1 <= k <= self.depth):
-            raise ResolutionError(
-                f"no differential at degree {k!r} (depth {self.depth})")
+        check_degree(k, 1, self.depth, "differential degree")
         return self.diffs[k - 1]
 
     def truncated(self, k: int) -> "Resolution":
@@ -137,9 +159,8 @@ class Resolution:
         Those maps are immutable and passed this resolution's constructor
         checks, so the view does not run them again.
         """
-        if k == self.depth:
+        if check_degree(k, 0, self.depth, "truncation degree") == self.depth:
             return self
-        self.rank(k)  # a named error outside 0..depth
         view = Resolution.__new__(Resolution)
         view._fill(self.group, self.ranks[:k + 1], self.diffs[:k], self.aug,
                    f"{self.label}<={k}")
@@ -166,12 +187,10 @@ class Resolution:
 
     def down_boundary(self, k: int, vec: Sequence[int]) -> list[int]:
         """D_k applied to an integer vector of the degree-k down complex."""
+        d = self.differential(k)  # names a bad k that hashes as a good one
         cols = self.down_matrix(k)
-        if len(vec) != len(cols):
-            raise ValueError(f"vector of length {len(vec)} for D_{k}, "
-                             f"which has {len(cols)} columns")
-        out = [0] * self.ranks[k - 1]
-        for col, c in zip(cols, vec):
+        out = [0] * d.nrows
+        for col, c in zip(cols, check_vector(vec, d.ncols, f"vector of D_{k}")):
             if c:
                 for i, a in col.items():
                     out[i] += c * a
@@ -361,10 +380,8 @@ def periodic_cyclic_resolution(m: int, n: int) -> Resolution:
     d_k = t - 1 for odd k and the norm for even k; exact because multiples
     of the norm are exactly the elements killed by t - 1 and vice versa.
     """
-    if m < 2:
-        raise ResolutionError("periodic resolution needs a cyclic group of order >= 2")
-    if n < 0:
-        raise ResolutionError("depth must be nonnegative")
+    check_degree(m, 2, math.inf, "periodic resolution's cyclic order")
+    check_degree(n, 0, math.inf, "depth")
     G = build_group(f"cyclic:{m}")
     t_minus_1 = (GroupRingElement.basis(G, 1)
                  - GroupRingElement.one(G))
@@ -387,8 +404,7 @@ def bar_resolution(group: FiniteGroup, n: int,
 
     with any bracket containing the identity dropped (the normalization).
     """
-    if n < 0:
-        raise ResolutionError("depth must be nonnegative")
+    check_degree(n, 0, math.inf, "depth")
     w = group.order
     ranks = [(w - 1) ** k for k in range(n + 1)]
     check_zrank(group, ranks, max_zrank, what=f"bar resolution of {group.label}")
@@ -437,8 +453,7 @@ def syzygy_resolution(group: FiniteGroup, n: int,
     exactness, so the result passes the same certificate as any other
     resolution.  Generator counts are not guaranteed minimal, only small.
     """
-    if n < 0:
-        raise ResolutionError("depth must be nonnegative")
+    check_degree(n, 0, math.inf, "depth")
     order = group.order
     ranks = [1]
     diffs: list[ZGMatrix] = []
@@ -616,10 +631,7 @@ def join(P: Resolution, Q: Resolution, n: int,
     """
     if P.group != Q.group:
         raise ResolutionError("join factors must resolve the same group")
-    if n > P.depth + Q.depth + 1:
-        raise ResolutionError(
-            f"join to degree {n} needs factor depths summing to at least "
-            f"{n - 1} (have {P.depth} and {Q.depth})")
+    check_degree(n, 0, P.depth + Q.depth + 1, "join degree")
     G = P.group
     order = G.order
     inv = G.inverse
@@ -691,10 +703,6 @@ def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],
     row that gets a term is nonzero.
     """
     P, Q, G = J.P, J.Q, J.group
-    d = n + m + 1
-    if d > J.depth:
-        raise ResolutionError(
-            f"join is built to degree {J.depth}, need degree {d}")
     for what, vec, rank in (("first", x, P.rank(n)), ("second", y, Q.rank(m))):
         if not isinstance(vec, Mapping):
             raise ResolutionError(f"{what} tensor factor is not a chain, a "
@@ -702,6 +710,7 @@ def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],
         if any(not 0 <= i < rank for i in vec):
             raise ResolutionError(f"{what} tensor factor has an index "
                                   f"outside its rank {rank}")
+    d = check_degree(n + m + 1, 0, J.depth, "degree of x (x) y")
     order, table, inv, idx = G.order, G.table, G.inverse, J.index[d]
     return _elements(G, [
         (idx[n + 1, i, table[inv[u]][v], j] * order, u, av * bv)

@@ -15,11 +15,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .errors import SizeBudgetError
 from .products import ProductContext
 from .resolutions import ValidationReport, Resolution, validate_resolution
 from .tate import (homology, is_stably_zero, phi, phi_inverse, random_cycle,
                    tate_group)
+from .zglinalg import charge
 
 
 def _check_group_laws(rep: ValidationReport, group) -> None:
@@ -89,12 +89,8 @@ def _feasible_pairs(res: Resolution, max_zrank: int | None
     depth d >= 3; |G| per bidegree is charged to the budget before listing."""
     d, group = res.depth, res.group
     count = (d - 3) * (d - 2) // 2 if d >= 3 else 0
-    needed = group.order * count
-    if max_zrank is not None and needed > max_zrank:
-        raise SizeBudgetError(
-            f"verify at depth {d} checks {count} bidegrees and needs {needed} "
-            f"(|{group.label}| = {group.order} x {count}), budget is "
-            f"{max_zrank}", needed=needed, budget=max_zrank)
+    charge(group.order * count, max_zrank, f"verify at depth {d} "
+           f"(|{group.label}| = {group.order} x {count} bidegrees)")
     return [(n, m) for n in range(1, d) for m in range(1, d - n - 1)]
 
 

@@ -40,7 +40,7 @@ from .groups import GroupRingElement, norm_element
 from .intlinalg import (IntMatrix, NoSolution, SparseFactors,
                         _sparse_eliminate, kernel_basis,
                         smith_normal_form, sparse_invariant_factors)
-from .resolutions import Resolution
+from .resolutions import Resolution, check_degree, check_vector
 from .zglinalg import ZGMatrix
 
 
@@ -52,13 +52,7 @@ def down_vector(vec: Mapping[int, GroupRingElement]) -> dict[int, int]:
 def lift_vector(res: Resolution, k: int, coords: Sequence[int]
                 ) -> dict[int, GroupRingElement]:
     """The chain lifting a down-complex vector: each coordinate on the identity."""
-    if len(coords) != res.rank(k):
-        raise ResolutionError(f"vector has length {len(coords)}, "
-                              f"rank in degree {k} is {res.rank(k)}")
-    if isinstance(coords, Mapping):
-        raise ResolutionError(f"vector in degree {k} is a mapping, not a list")
-    if not all(isinstance(c, int) for c in coords):
-        raise ResolutionError(f"vector in degree {k} is not integral")
+    check_vector(coords, res.rank(k), f"vector in degree {k}")
     return {i: GroupRingElement.basis(res.group, 0, int(c))
             for i, c in enumerate(coords) if c}
 
@@ -91,13 +85,8 @@ class HomologyGroup:
     __slots__ = ("resolution", "degree", "invariant_factors", "_cls")
 
     def __init__(self, resolution: Resolution, degree: int):
-        if not isinstance(degree, int) or degree < 0:
-            raise ResolutionError("homology degree must be a nonnegative "
-                                  f"integer, got {degree!r}")
-        if degree + 1 > resolution.depth:
-            raise ResolutionError(
-                f"homology in degree {degree} needs the resolution valid "
-                f"through degree {degree + 1} (depth is {resolution.depth})")
+        # H_n reads D_{n+1}
+        check_degree(degree, 0, resolution.depth - 1, "homology degree")
         self.resolution = resolution
         self.degree = degree
         n = degree
@@ -175,13 +164,8 @@ class HomologyGroup:
 
     def class_order(self, coords: Sequence[int]) -> int:
         """Order of the class with the given coordinates (0 = infinite)."""
-        if len(coords) != len(self.invariant_factors):
-            raise ResolutionError(
-                f"coordinates of H_{self.degree} have length "
-                f"{len(self.invariant_factors)}, got {len(coords)}")
-        if not all(isinstance(c, int) for c in coords):
-            raise ResolutionError(f"coordinates of H_{self.degree} are not "
-                                  f"integers: {tuple(coords)}")
+        check_vector(coords, len(self.invariant_factors),
+                     f"coordinates of H_{self.degree}")
         order = 1
         for d, c in zip(self.invariant_factors, coords):
             if d == 0:
@@ -290,8 +274,12 @@ def homology(res: Resolution, n: int) -> HomologyGroup:
 
 
 def is_cycle(res: Resolution, n: int, coords: Sequence[int]) -> bool:
-    if isinstance(coords, Mapping) or len(coords) != res.rank(n) or \
-            not all(isinstance(c, int) for c in coords):
+    """Whether coords is an integer cycle of the degree-n down complex; a
+    bad degree is an error, a malformed vector is no cycle."""
+    rank = res.rank(n)
+    try:
+        check_vector(coords, rank, f"cycle in degree {n}")
+    except ResolutionError:
         return False
     return n == 0 or not any(res.down_boundary(n, coords))
 
@@ -339,9 +327,7 @@ def phi_inverse(res: Resolution, n: int, cycle: Sequence[int]
     because the lift's boundary lands in the augmentation ideal, which the
     norm kills.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ResolutionError(
-            f"the correspondence is defined for degrees >= 1, got {n!r}")
+    check_degree(n, 1, res.depth, "correspondence degree")
     if not is_cycle(res, n, cycle):
         raise ResolutionError("input is not a cycle of the down complex")
     w = res.group.order
@@ -358,9 +344,7 @@ def phi(x: InvariantCycle, via_solver: bool = False) -> tuple[int, ...]:
     kept as an independent slow path for cross-checking.
     """
     res = x.resolution
-    n = x.degree
-    if n < 1:
-        raise ResolutionError("the correspondence is defined for degrees >= 1")
+    n = check_degree(x.degree, 1, res.depth, "correspondence degree")
     r = res.rank(n)
     if via_solver:  # N.I_r is diagonal: one 1x1 norm equation per row
         norm = ZGMatrix(res.group, 1, [{0: norm_element(res.group)}]).solver()
@@ -403,9 +387,11 @@ def tate_group(res: Resolution, k: int):
     k = -1 vanishes for every finite group; k <= -2 is homology in degree
     -k-1 via the norm correspondence.  Nonnegative k is out of scope.
     """
-    if k >= 0:
+    if isinstance(k, int) and k >= 0:
         raise SchemaError(
             "only negative degrees are supported (degrees >= 0 are out of scope)")
+    # degree -depth reads H_{depth-1}; -1 vanishes at any depth
+    check_degree(k, -max(res.depth, 1), -1, "Tate degree")
     if k == -1:
         return ZERO
     return homology(res, -k - 1)

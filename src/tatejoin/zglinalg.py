@@ -33,6 +33,8 @@ and the integer matrix has the coefficient of g^{-1} u in M[i, j] in block
 ((i, u), (j, g)).  The expansion is functorial, so kernels, ranks and
 solutions of the integer system answer questions about the ZG-map.  The
 dense oracle that checks it is ``z_expansion`` in ``tests/oracles.py``.
+The size budget is enforced in one place, ``charge``; ``check_zrank``
+charges the largest expanded rank |G| * r to it.
 """
 
 from __future__ import annotations
@@ -46,18 +48,24 @@ from .groups import FiniteGroup, GroupRingElement, _accumulate
 from .intlinalg import IntegerSolver, NoSolution
 
 
+def charge(needed: int, budget: int | None, what: str) -> None:
+    """Raise SizeBudgetError if needed exceeds the budget (None: no budget).
+
+    The one place the size budget is enforced: every charge, whether an
+    expanded rank, a resolution's depth, a degree token or verify's
+    bidegree count, comes through here, and ``what`` names the work.
+    """
+    if budget is not None and needed > budget:
+        raise SizeBudgetError(f"{what} needs {needed}, budget is {budget}",
+                              needed=needed, budget=budget)
+
+
 def check_zrank(group: FiniteGroup, ranks: Iterable[int],
                 max_zrank: int | None, what: str = "matrix") -> None:
-    """Raise SizeBudgetError if |G| * max(ranks) exceeds the budget."""
-    if max_zrank is None:
-        return
+    """Charge |G| * max(ranks), the largest integer rank, to the budget."""
     worst = max(ranks, default=0)
-    needed = group.order * worst
-    if needed > max_zrank:
-        raise SizeBudgetError(
-            f"{what} needs integer rank {needed} "
-            f"(|{group.label}| = {group.order} x rank {worst}), "
-            f"budget is {max_zrank}", needed=needed, budget=max_zrank)
+    charge(group.order * worst, max_zrank,
+           f"{what} (|{group.label}| = {group.order} x rank {worst})")
 
 
 class ZGMatrix:

@@ -25,7 +25,7 @@ from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
                       join_product, lift_vector, load_resolution,
                       periodic_cyclic_resolution, phi_inverse, product_table,
                       quaternion8, random_cycle, run_verify, symmetric,
-                      syzygy_resolution)
+                      syzygy_resolution, tate_group)
 from tatejoin.tate import down_vector
 from tatejoin.zglinalg import _elements
 from oracles import chain_map_failure
@@ -498,9 +498,10 @@ BAD_DEGREE_CALLS = [
     ("phi_inverse 1.0", lambda per: phi_inverse(per, 1.0, [1]), "got 1.0"),
     ("product_table 1.0", lambda per: product_table(per, [(1.0, 1)]),
      r"got \(1\.0, 1\)"),
-    ("rank 1.0", lambda per: per.rank(1.0), "degree 1.0 outside 0..6"),
+    ("rank 1.0", lambda per: per.rank(1.0),
+     "degree must be an integer in 0..6, got 1.0"),
     ("differential 1.0", lambda per: per.differential(1.0),
-     "no differential at degree 1.0"),
+     "differential degree must be an integer in 1..6, got 1.0"),
     # an integer bidegree past the depth: H_7 reads D_8
     ("product past the depth",
      lambda per: ProductContext(per).join_product(3, [1], 3, [1]),
@@ -508,8 +509,53 @@ BAD_DEGREE_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("call, match", [c[1:] for c in BAD_DEGREE_CALLS],
-                         ids=[c[0] for c in BAD_DEGREE_CALLS])
+# malformed library input, each once a bare TypeError or ValueError, or an
+# InternalCheckError (the engine-bug class) for join(per, per, -1)
+BAD_INPUT_CALLS = [
+    ("classify 5", lambda per: homology(per, 1).classify(5), "not a cycle"),
+    ("phi_inverse None", lambda per: phi_inverse(per, 1, None),
+     "not a cycle"),
+    ("join_product 5", lambda per: ProductContext(per).join_product(
+        1, 5, 1, [1]), "first factor in degree 1 .* got 5"),
+    ("composition_product 5", lambda per: composition_product(
+        per, 1, [1], 1, 5), "second factor in degree 1 .* got 5"),
+    ("class_order 7", lambda per: homology(per, 1).class_order(7), "got 7"),
+    ("is_zero_class 7", lambda per: homology(per, 1).is_zero_class(7),
+     "got 7"),
+    ("lift_vector 5", lambda per: lift_vector(per, 1, 5), "got 5"),
+    ("bar_resolution '2'", lambda per: bar_resolution(per.group, "2"),
+     "depth must be an integer in 0..inf, got '2'"),
+    ("syzygy_resolution 2.0", lambda per: syzygy_resolution(per.group, 2.0),
+     "depth must be an integer in 0..inf, got 2.0"),
+    ("periodic_cyclic_resolution '2'",
+     lambda per: periodic_cyclic_resolution(3, "2"), "got '2'"),
+    ("join '3'", lambda per: join(per, per, "3"),
+     "join degree must be an integer in 0..13, got '3'"),
+    ("join -1", lambda per: join(per, per, -1), "got -1"),
+    ("down_boundary 5", lambda per: per.down_boundary(1, 5),
+     "vector of D_1 .* got 5"),
+    # D_1 is cached by H_1, and 1.0 hashes as 1
+    ("down_boundary 1.0", lambda per: per.down_boundary(1.0, [1]),
+     "differential degree .* got 1.0"),
+    ("join_for []", lambda per: ProductContext(per).join_for([]),
+     "at least one bidegree"),
+    ("join_for [(1,)]", lambda per: ProductContext(per).join_for([(1,)]),
+     r"bidegree .* got \(1,\)"),
+    ("product_table [(1,)]", lambda per: product_table(per, [(1,)]),
+     r"bidegree .* got \(1,\)"),
+    ("product_table [1]", lambda per: product_table(per, [1]),
+     "bidegree .* got 1"),
+    ("tate_group '-2'", lambda per: tate_group(per, "-2"),
+     "Tate degree must be an integer in -6..-1, got '-2'"),
+    ("tate_group -2.0", lambda per: tate_group(per, -2.0),
+     "Tate degree .* got -2.0"),
+]
+
+
+@pytest.mark.parametrize("call, match",
+                         [c[1:] for c in BAD_DEGREE_CALLS + BAD_INPUT_CALLS],
+                         ids=[c[0] for c in BAD_DEGREE_CALLS
+                              + BAD_INPUT_CALLS])
 def test_a_bad_degree_is_a_named_error(call, match):
     # a degree that is not an int raised a bare TypeError deep inside; H_1
     # is cached first, so a degree equal to 1 must not read the cache
@@ -517,6 +563,12 @@ def test_a_bad_degree_is_a_named_error(call, match):
     assert homology(per, 1).invariant_factors == [3]
     with pytest.raises(ResolutionError, match=match):
         call(per)
+
+
+def test_an_empty_table_builds_no_join():
+    # verify reads an empty table where no bidegree is feasible
+    ctx = ProductContext(periodic_cyclic_resolution(3, 6))
+    assert ctx.table([]) == [] and ctx._join is None
 
 
 @pytest.mark.parametrize("target, match", [
