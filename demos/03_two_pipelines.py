@@ -3,7 +3,8 @@
 Negative-degree products are computed here as maps on ordinary homology:
 the class pairing H_{n-1} x H_{m-1} -> H_{n+m-1}.  The join pipeline
 includes a tensor of cycles into the join of the resolution with itself
-and pulls the class back through a comparison map.  The composition
+and carries it back by a chain map from a contraction of the resolution
+(the basic perturbation lemma).  The composition
 pipeline lifts one cycle to a chain map shifting degrees by n and composes
 it with the other.  The two never share intermediate data, so agreement
 is strong evidence that both are right.

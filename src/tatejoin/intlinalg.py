@@ -439,14 +439,16 @@ class IntegerSolver:
     sparse b to a sparse particular solution or NoSolution.
     """
 
-    __slots__ = ("nrows", "ncols", "hcols", "vcols", "pivots")
+    __slots__ = ("nrows", "ncols", "hcols", "_vcols", "_vlog", "pivots")
 
     def __init__(self, cols: Sequence[dict[int, int]], nrows: int):
         ncols = len(cols)
         self.nrows, self.ncols = nrows, ncols
         self.hcols = hcols = [{i: v for i, v in col.items() if v}
                               for col in cols]
-        self.vcols = vcols = [{j: 1} for j in range(ncols)]
+        # (j, q, k): column j -= q * column k; q = 0 swaps j, k or negates j = k
+        self._vcols, self._vlog = None, []
+        log = self._vlog.append
         self.pivots: list[tuple[int, int]] = []
         first: dict[int, set[int]] = {}  # lowest row -> columns, some stale
         moved = range(ncols)  # the columns whose lowest row may have changed
@@ -466,32 +468,47 @@ class IntegerSolver:
             while len(live) > 1:
                 live.sort(key=lambda j: (abs(hcols[j][r]), j))
                 j0 = live[0]
-                h0, v0 = hcols[j0], vcols[j0]
+                h0 = hcols[j0]
                 nxt = []
                 for j in live[1:]:
                     q = hcols[j][r] // h0[r]
                     if q:
                         _sub_multiple(hcols[j], q, h0)
-                        _sub_multiple(vcols[j], q, v0)
+                        log((j, q, j0))
                     if r in hcols[j]:
                         nxt.append(j)
                 live = [j0] + nxt
             j0 = live[0]
             if j0 != c:
                 hcols[j0], hcols[c] = hcols[c], hcols[j0]
-                vcols[j0], vcols[c] = vcols[c], vcols[j0]
+                log((j0, 0, c))
                 moved.add(j0)
             if hcols[c][r] < 0:
                 hcols[c] = {i: -v for i, v in hcols[c].items()}
-                vcols[c] = {i: -v for i, v in vcols[c].items()}
+                log((c, 0, c))
             self.pivots.append((r, c))
             c += 1
+
+    @property
+    def vcols(self) -> list[dict[int, int]]:
+        """V, built on first read from the log of H's column operations."""
+        if self._vcols is None:
+            v = [{j: 1} for j in range(self.ncols)]
+            for j, q, k in self._vlog:
+                if q:
+                    _sub_multiple(v[j], q, v[k])
+                elif j != k:
+                    v[j], v[k] = v[k], v[j]
+                else:
+                    v[j] = {i: -x for i, x in v[j].items()}
+            self._vcols, self._vlog = v, None
+        return self._vcols
 
     def solve(self, b: dict[int, int]):
         """x with A x = b as {column: nonzero}, columns ascending, or
         NoSolution; b is {row: value}.  Not multiplied back here: its
-        caller certifies x, ``ZGSolver.solve`` over Z[G], the shift-0
-        seed of ``products.ComparisonLift`` against the augmentation."""
+        caller certifies x, ``ZGSolver.solve`` over Z[G], the seed of
+        ``products._augmentation_seed`` against the augmentation."""
         nrows, hcols, vcols = self.nrows, self.hcols, self.vcols
         resid = [0] * nrows
         for i, v in b.items():
@@ -514,6 +531,20 @@ class IntegerSolver:
         if any(resid):
             return NoSolution
         return {j: xv for j, xv in enumerate(x) if xv}
+
+    def reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """v less the vector of A's column lattice that balances, pivot by
+        pivot, each pivot row's entry into (-h/2, h/2], h the pivot."""
+        x = [v.get(i, 0) for i in range(self.nrows)]
+        for r, c in self.pivots:
+            t = x[r]
+            if t:
+                hc = self.hcols[c]
+                q = (t - _balanced(t, hc[r])) // hc[r]
+                if q:
+                    for i, h in hc.items():
+                        x[i] -= q * h
+        return {i: c for i, c in enumerate(x) if c}
 
 
 # -- sparse elimination ------------------------------------------------------

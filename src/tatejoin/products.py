@@ -3,24 +3,24 @@
 Production path (the join): for classes a in H_n and b in H_m with chain
 representatives y_a, y_b, the product is carried by the chain
 
-    (N . y_a) (x) y_b   in degree n+m+1 of the join P*P,
+    w = (N . y_a) (x) y_b   in degree n+m+1 of the join P*P,
 
 whose down-image is a cycle (the boundary's only surviving term is killed by
-the norm against the augmentation ideal).  A degree-0 comparison map from
-the join back to P transports the class, and the answer is classified in
-H_{n+m+1}(P).  P itself must reach degree n+m+2, since classifying in
-degree n+m+1 reads D_{n+m+2}.
-
-The product reads only the join of the n- and m-skeleta, P_{<=n} * P_{<=m}
-through degree n+m+1, which is built, certified and charged to the size
-budget in place of the whole P*P.  It is a free resolution through that
-degree (see ``resolutions``), so a comparison map from it exists, and it is
-a subcomplex of P*P on the same basis tuples that holds the product chain.
-The boundary certificate and every comparison column the product reads stay
-inside it, so the lifted columns and the classes are those of the whole
-join.  A ``ProductContext`` holds one such join, sized by ``join_for`` to
-the bounding box of the bidegrees asked for; a box that grows builds a new
-join with a fresh lift.
+the norm against the augmentation ideal).  A chain map f from the join to P
+carries w back, and the answer is classified in H_{n+m+1}(P).  f is the
+basic perturbation lemma's (R. Brown 1965; G. Ellis, J. Symb. Comp. 38,
+2004): the join is the total complex of rows a >= -1, row a being
+P_a (x) (P -> Z) in the basis e_i (x) g.f_j of ``resolutions.join`` and row
+-1 being P.  A Z-linear contraction h of P -> Z (``Contraction``) contracts
+each row a >= 0 as H = id (x) h, and with delta_P, the map between rows,
+f = (-1)^{n(n+1)/2} (delta_P H)^{n+1} on row n lifts the identity of Z.
+H and delta_P are Z[G]-maps, so f runs on the down complex of the rows.  P
+must reach degree n+m+2: the class is read through D_{n+m+2}, and h_{n+m}
+is reduced modulo the image of d_{n+m+2}.  The join itself is built for the
+skeleta, P_{<=n} * P_{<=m} through degree n+m+1, a subcomplex of P*P that
+is certified and charged to the size budget in its place and holds w and
+the certificate that the down-image of d w is 0; ``ProductContext.join_for``
+sizes it to the bounding box of the bidegrees asked for.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -29,23 +29,14 @@ lift on the invariant chain N . y_a, and classify the result.  The two
 pipelines realize the same stable composition, so their classified outputs
 must agree exactly; ``product_table`` records both and flags any mismatch.
 
-Both pipelines lift into P with one lazy lifter, ``ComparisonLift``, the
-one chain-map type: shift 0 for the join's comparison map, shift m+1 seeded
-by N.y_b for the self-map.  Each lift keeps its own columns, and a product
-lifts only the columns reachable from its input's support.  Each column is
-certified once, as it is lifted: ``ZGSolver.solve`` multiplies every
-solution back in Z[G], and the shift-0 seed is checked where it is built;
-``tests/oracles.py`` re-checks commutation on the lifts the tests build.
-The lifts share the factorization of each differential of P, which the
-matrix owns (``ZGMatrix.solver``); sharing it weakens no check.
-The seed and the product chains are Z[G] chains {index: nonzero element}
-(see ``zglinalg``).  A lifted column stays in the stored triples of a
-``ZGMatrix`` column, and each right-hand side is one call of the kernel
-``groups._accumulate`` on them.  Ring elements are built only to read the
-source differential and in the composition pipeline's last step, the
-self-map evaluated on N.y_a (``_add_multiple``), whose ``ring_multiply``
-runs the same kernel: what is independent between the pipelines is the
-chain each one builds, not the arithmetic.
+The self-map is a lazy ``ComparisonLift``, the one chain-map type.  Every
+solve of both pipelines goes through the factorization of a differential of
+P, kept by the matrix (``ZGMatrix.solver``), and is certified once:
+``ZGSolver.solve`` multiplies each solution back in Z[G], and the seed s
+with eps(s) = 1 is checked where it is built.  Lifted columns and
+contraction values are stored as ``ZGMatrix`` column triples, and both
+pipelines sum with the one kernel ``groups._accumulate``: they are
+independent in the chains they build, not in their arithmetic.
 """
 
 from __future__ import annotations
@@ -58,7 +49,8 @@ from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, check_vector,
                           include_cycle_tensor, join)
 from .tate import (down_vector, homology, is_cycle, lift_vector, phi_inverse)
-from .zglinalg import ZGMatrix, _elements, _not_a_chain, _triples
+from .zglinalg import (ZGMatrix, _elements, _not_a_chain, _triples,
+                       check_index)
 
 
 class ComparisonLift:
@@ -68,7 +60,7 @@ class ComparisonLift:
     first use and memoized as a ``ZGMatrix`` column's triples.  Degree 0 is
     eps^S(e_j) . seed, lifted through d^T_shift when shift > 0; there
     ``seed`` is a boundary, a chain of target degree shift - 1, and for
-    shift 0 the constructor solves and checks eps^T(seed) = 1.  Degree k > 0
+    shift 0 it is ``_augmentation_seed``, with eps^T(seed) = 1.  Degree k > 0
     solves d^T_{k+shift} x = psi_{k-1}(d^S_k e_j), whose right-hand side is
     one ``_accumulate`` call: the entries of d^S_k e_j multiply, on the
     left, the memoized triples of psi_{k-1}(e_i).  Every solve goes through
@@ -88,17 +80,8 @@ class ComparisonLift:
             raise ValueError("a lift of shift > 0 needs a seed, "
                              "a lift of shift 0 takes none")
         if seed is None:
-            z = IntegerSolver([{0: a} for a in target.aug], 1).solve({0: 1})
-            if z is NoSolution:
-                raise ResolutionError(
-                    "target augmentation is not onto; invalid resolution")
-            if sum(target.aug[i] * v for i, v in z.items()) != 1:
-                raise InternalCheckError("seed check failed: eps(seed) != 1")
-            seed = {i: GroupRingElement.basis(target.group, 0, v)
-                    for i, v in z.items()}
-        self.source = source
-        self.target = target
-        self.shift = shift
+            seed = _elements(target.group, _augmentation_seed(target))
+        self.source, self.target, self.shift = source, target, shift
         self.seed = seed
         self._seed = ZGMatrix(target.group, target.rank(max(shift - 1, 0)),
                               [seed]).triples(0)  # rows and ring checked
@@ -106,12 +89,10 @@ class ComparisonLift:
 
     def column(self, k: int, j: int) -> tuple:
         """psi_k(e_j) as stored triples (row * |G|, h, c)."""
-        key = (k, j)
+        key = (k, check_index(j, self.source.rank(k), "column"))
         col = self._cols.get(key)
         if col is not None:
             return col
-        if not 0 <= j < self.source.rank(k):
-            raise ValueError(f"column {j} out of range in degree {k}")
         if k == 0:
             terms = [(0, self.source.aug[j], self._seed)]
         else:
@@ -148,23 +129,74 @@ class ComparisonLift:
         return out
 
 
+def _augmentation_seed(P: Resolution) -> tuple:
+    """Triples of s in P_0 with eps(s) = 1, checked: no ZGSolver solves it."""
+    z = IntegerSolver([{0: a} for a in P.aug], 1).solve({0: 1})
+    if z is NoSolution:
+        raise ResolutionError(
+            "target augmentation is not onto; invalid resolution")
+    if sum(P.aug[i] * v for i, v in z.items()) != 1:
+        raise InternalCheckError("seed check failed: eps(seed) != 1")
+    return tuple((i * P.group.order, 0, v) for i, v in z.items())
+
+
+class Contraction:
+    """Lazy Z-linear contraction h of the augmented resolution P -> Z.
+
+    h_{-1}(1) = s, the seed with eps(s) = 1, and h_b(v) = solve(d_{b+1},
+    v - h_{b-1}(d_b v)) for v = g.e_j in P_b (d_0 = eps): d h + h d = 1.  h
+    is Z-linear, memoized per (b, j*|G| + g); each value is reduced modulo
+    im d_{b+2}, keeping the identity and small entries, before
+    ``ZGSolver.solve`` multiplies it back.
+    """
+
+    __slots__ = ("P", "_h")
+
+    def __init__(self, P: Resolution):
+        self.P = P
+        self._h = {(-1, 0): _augmentation_seed(P)}
+
+    def value(self, b: int, k: int) -> tuple:
+        """h_b(g.e_j) for k = j * |G| + g, as triples (i * |G|, h, c)."""
+        P, G = self.P, self.P.group
+        key = (b, check_index(k, P.rank(b) * G.order, "basis vector"))
+        val = self._h.get(key)
+        if val is not None:
+            return val
+        j, g = divmod(k, G.order)
+        rhs = {k: 1}
+        if b == 0:
+            terms = [(0, -P.aug[j], self._h[-1, 0])]
+        else:
+            row = G.table[g]  # d_b(g.e_j) is g times column j
+            terms = [(0, -c, self.value(b - 1, base + row[h]))
+                     for base, h, c in P.differential(b).triples(j)]
+        _accumulate(rhs, G.table, terms)
+        val = P.differential(b + 1).solver().solve(
+            rhs, modulo=P.differential(b + 2).solver())
+        if val is NoSolution:
+            raise ResolutionError(f"resolution not exact in degree {b}")
+        self._h[key] = val
+        return val
+
+
 class ProductContext:
     """Shared caches for computing many products over one resolution.
 
-    Holds one join P_{<=N} * P_{<=M} through degree D and its lazy
-    comparison lift to P, both grown by ``join_for``, and the lazy chain
-    self-maps of the composition pipeline.  Each lift keeps its own columns;
-    all of them solve through the differentials of P, which keep their
-    factorizations.  All methods are deterministic.
+    Holds one join P_{<=N} * P_{<=M} through degree D, grown by
+    ``join_for``, the lazy contraction of P that carries join chains back
+    to P, and the lazy chain self-maps of the composition pipeline.  The
+    contraction and the self-maps solve through the differentials of P,
+    which keep their factorizations.  All methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_join", "_lift", "_glifts")
+    __slots__ = ("P", "max_zrank", "_join", "_h", "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
         self.max_zrank = max_zrank
         self._join: JoinResolution | None = None
-        self._lift: ComparisonLift | None = None
+        self._h: Contraction | None = None
         self._glifts: dict[tuple, ComparisonLift] = {}
 
     def join_for(self, pairs: Sequence[tuple[int, int]]) -> JoinResolution:
@@ -173,8 +205,8 @@ class ProductContext:
         Its box (N, M, D) is the componentwise maximum of (n, m, n + m + 1)
         over the pairs and the join already held; a union of boxes is not
         the join of two resolutions, so the box is the bounding one.  A box
-        that grows builds a new join and a fresh comparison lift.  Each pair
-        must be two integers; no pairs and no join held is an error.
+        that grows builds a new join.  Each pair must be two integers; no
+        pairs and no join held is an error.
         """
         J = self._join
         boxes = [(n, m, n + m + 1) for n, m in
@@ -188,7 +220,6 @@ class ProductContext:
             Pn = self.P.truncated(N)
             Pm = Pn if M == N else self.P.truncated(M)
             J = self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
-            self._lift = ComparisonLift(J, self.P)
         return J
 
     def table(self, pairs: Sequence[tuple[int, int]]) -> list[dict]:
@@ -200,7 +231,7 @@ class ProductContext:
         for pair in pairs:
             _require_bidegree(self.P, *check_vector(pair, 2, "bidegree"))
         if pairs:
-            # size the join once; rebuilding it per pair order would redo lifts
+            # size the join once, not once per growth in pair order
             self.join_for(pairs)
         entries = []
         for n, m in pairs:
@@ -234,10 +265,40 @@ class ProductContext:
         if down_vector(J.apply_differential(out_deg, w)):
             raise InternalCheckError(
                 "down-image of the product chain's boundary is nonzero")
-        t = self._lift.transport_down(out_deg, down_vector(w))
+        t = self._carry_down(J, n, m, down_vector(w))
         if not is_cycle(P, out_deg, t):
             raise InternalCheckError("transported product chain is not a cycle")
         return homology(P, out_deg).classify(t)
+
+    def _carry_down(self, J: JoinResolution, n: int, m: int,
+                    down: Mapping[int, int]) -> list[int]:
+        """f(w) tensored down, w in row n of J with down-image ``down``.
+        On e_i (x) g.f_j, read as {i: {j*|G| + g: c}}, delta_P sums alpha
+        e_r (x) u^{-1}g.f_j for (r, u, alpha) in d_a's column i; d_0 = eps."""
+        P = self.P
+        order, table, inv = P.group.order, P.group.table, P.group.inverse
+        h = self._h = self._h or Contraction(P)
+        rows: dict[int, dict[int, int]] = {}
+        for idx, c in down.items():
+            _, i, g, j = J.bases[n + m + 1][idx]
+            rows.setdefault(i, {})[j * order + g] = c
+        for a in range(n, -1, -1):
+            below: dict[int, dict[int, int]] = {}
+            for i, t in rows.items():
+                acc: dict[int, int] = {}
+                _accumulate(acc, table, [(0, c, h.value(n + m - a, k))
+                                         for k, c in t.items()])
+                col = [(k - k % order, k % order, c) for k, c in acc.items()]
+                delta = (P.differential(a).triples(i) if a
+                         else ((0, 0, P.aug[i]),))
+                for base, u, alpha in delta:
+                    _accumulate(below.setdefault(base // order, {}), table,
+                                ((inv[u], alpha, col),))
+            rows = below
+        out = [0] * P.rank(n + m + 1)
+        for k, c in rows.get(0, {}).items():
+            out[k // order] += c
+        return [-c for c in out] if n * (n + 1) // 2 % 2 else out
 
     def _g_lift(self, m: int, zb: Sequence[int]) -> ComparisonLift:
         """Strictly commuting lift of the degree-(m+1) stable map given by zb.

@@ -43,7 +43,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .errors import InternalCheckError, SizeBudgetError
+from .errors import InternalCheckError, ResolutionError, SizeBudgetError
 from .groups import FiniteGroup, GroupRingElement, _accumulate
 from .intlinalg import IntegerSolver, NoSolution
 
@@ -55,9 +55,19 @@ def charge(needed: int, budget: int | None, what: str) -> None:
     expanded rank, a resolution's depth, a degree token or verify's
     bidegree count, comes through here, and ``what`` names the work.
     """
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise ResolutionError(f"a size budget must be a positive integer, "
+                              f"got {budget!r}")
     if budget is not None and needed > budget:
         raise SizeBudgetError(f"{what} needs {needed}, budget is {budget}",
                               needed=needed, budget=budget)
+
+
+def check_index(j, n: int, what: str) -> int:
+    """j itself if an int in 0..n-1, else ValueError: the one index gate."""
+    if not (isinstance(j, int) and 0 <= j < n):
+        raise ValueError(f"{what} {j!r} out of range, not an index below {n}")
+    return j
 
 
 def check_zrank(group: FiniteGroup, ranks: Iterable[int],
@@ -129,9 +139,7 @@ class ZGMatrix:
                              f"matrix is over Z[{self.group.label}]")
 
     def get(self, i: int, j: int) -> GroupRingElement:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise ValueError(f"index ({i}, {j}) out of range for a "
-                             f"{self.nrows}x{self.ncols} matrix")
+        check_index(i, self.nrows, "row")
         return self.column(j).get(i) or GroupRingElement.zero(self.group)
 
     @property
@@ -150,10 +158,7 @@ class ZGMatrix:
 
     def triples(self, j: int) -> tuple:
         """Column j in the stored form, (i * |G|, h, c) with c nonzero."""
-        if not 0 <= j < self.ncols:
-            raise ValueError(f"column {j} out of range for a matrix with "
-                             f"{self.ncols} columns")
-        return self._cols[j]
+        return self._cols[check_index(j, self.ncols, "column")]
 
     def dense_rows(self) -> list[list[list[int]]]:
         """M as rows of entries, each entry its |G| coefficients; one pass."""
@@ -298,15 +303,16 @@ class ZGSolver:
         self._solver = IntegerSolver(matrix.z_columns(),
                                      matrix.nrows * matrix.group.order)
 
-    def solve(self, b: Mapping[int, int]):
+    def solve(self, b: Mapping[int, int], modulo: "ZGSolver | None" = None):
         """x with M x = b as stored triples (j * |G|, g, c), or NoSolution.
 
         b is flat, {i * |G| + u: c}, zeros ignored; a key outside M is a
         ValueError naming its row i.  Solving the plain integer system
         suffices: the expansion of a ZG-column basis vector (j, g) is g times
         the basis chain e_j, so any integer solution reassembles into ring
-        coefficients verbatim.  x is multiplied back in Z[G] through the
-        kernel, the only check on the solve: InternalCheckError on a miss.
+        coefficients verbatim.  Given ``modulo``, N's solver with M N = 0, x
+        is reduced modulo N's image, and the x returned is multiplied back in
+        Z[G] through the kernel, the only check: InternalCheckError on a miss.
         """
         m = self.matrix
         order = m.group.order
@@ -321,6 +327,8 @@ class ZGSolver:
         z = self._solver.solve(flat)
         if z is NoSolution:
             return NoSolution
+        if modulo is not None:
+            z = modulo._solver.reduce(z)
         # z is ascending in k = j * |G| + g: x in the stored column form
         x = tuple((k - k % order, k % order, v) for k, v in z.items())
         acc: dict[int, int] = {}

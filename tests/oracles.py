@@ -7,7 +7,8 @@ the invariant factors come from the minor-gcd characterization
 entry by entry, the z-expansion is built from the group table rather than
 from ``ZGMatrix.z_columns``, and the chain-map check sums every commutation
 square from the group table rather than with ``groups._accumulate``, so an
-engine bug cannot cancel out against its oracle.
+engine bug cannot cancel out against its oracle; so does the check of a
+contraction's identity d h + h d = 1.
 """
 
 import math
@@ -159,4 +160,37 @@ def chain_map_failure(f, up_to: int) -> str:
                                            for base, g, c in d_s.triples(j)))
             if lhs != rhs:
                 return f"fails to commute at degree {k}, column {j}"
+    return ""
+
+
+def contraction_failure(h) -> str:
+    """The first stored value of a contraction that breaks d h + h d = 1,
+    or "".
+
+    h is read as a ``products.Contraction``: resolution P, the memo ``_h``,
+    whose key (-1, 0) holds h_{-1}(1), and value(b, k), h_b of basis vector
+    k = j * |G| + g of P_b as triples.  The base case is eps(h_{-1}(1)) = 1;
+    for b >= 0 each basis vector v = g.e_j must satisfy
+    d_{b+1} h_b(v) + h_{b-1}(d_b v) = v, with d_0 = eps, summed from the
+    group table.
+    """
+    P = h.P
+    order, table = P.group.order, P.group.table
+    seed = h._h[-1, 0]
+    if sum(P.aug[base // order] * v for base, _, v in seed) != 1:
+        return "base case eps(h(1)) = 1 fails"
+    for b, k in sorted(h._h):
+        if b < 0:
+            continue
+        j, g = divmod(k, order)
+        d = P.differential(b + 1)
+        terms = [(u, v, d.triples(base // order))
+                 for base, u, v in h.value(b, k)]
+        if b:
+            terms += [(0, c, h.value(b - 1, base + table[g][u]))
+                      for base, u, c in P.differential(b).triples(j)]
+        else:
+            terms.append((0, P.aug[j], seed))
+        if _left_sum(table, order, terms) != {(j, g): 1}:
+            return f"d h + h d = 1 fails in degree {b} at basis vector {k}"
     return ""

@@ -25,10 +25,10 @@ from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
                       join_product, lift_vector, load_resolution,
                       periodic_cyclic_resolution, phi_inverse, product_table,
                       quaternion8, random_cycle, run_verify, symmetric,
-                      syzygy_resolution, tate_group)
+                      syzygy_resolution, tate_group, validate_resolution)
 from tatejoin.tate import down_vector
 from tatejoin.zglinalg import _elements
-from oracles import chain_map_failure
+from oracles import chain_map_failure, contraction_failure
 
 
 def test_cyclic_generator_products_have_maximal_order():
@@ -325,14 +325,108 @@ def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
     assert depths == [4]
 
 
-def _full_join_product(P, n, za, m, zb):
-    """Test oracle: the join pipeline through the whole join P*P."""
-    d = n + m + 1
-    J = join(P, P, d)
-    w = include_cycle_tensor(J, phi_inverse(P, n, za).vector, n,
-                             lift_vector(P, m, zb), m)
-    t = ComparisonLift(J, P).transport_down(d, down_vector(w))
-    return homology(P, d).classify(t)
+def _lifted_join_classes(P, J, cases):
+    """Test oracle: the join pipeline with the comparison lift of the join J
+    in place of the contraction walk, one class per (n, za, m, zb)."""
+    lift = ComparisonLift(J, P)
+    out = []
+    for n, za, m, zb in cases:
+        d = n + m + 1
+        w = include_cycle_tensor(J, phi_inverse(P, n, za).vector, n,
+                                 lift_vector(P, m, zb), m)
+        out.append(homology(P, d).classify(
+            lift.transport_down(d, down_vector(w))))
+    return out
+
+
+def _generator_cases(P, pairs, rng=None):
+    """(n, za, m, zb) for every generator pair of each bidegree, and one
+    pair of random cycles per bidegree when rng is given."""
+    cases = []
+    for n, m in pairs:
+        zas, zbs = homology(P, n).generators, homology(P, m).generators
+        if rng is not None:
+            zas = zas + [random_cycle(P, n, rng)]
+            zbs = zbs + [random_cycle(P, m, rng)]
+        cases += [(n, za, m, zb) for za in zas for zb in zbs]
+    return cases
+
+
+def _q8_fixture():
+    return load_resolution(os.path.join(os.path.dirname(tatejoin.__file__),
+                                        "fixtures", "q8_periodic.json"))
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: syzygy_resolution(dihedral(4), 9), [(2, 5), (1, 1)]),
+    (lambda: syzygy_resolution(symmetric(3), 10), [(3, 3), (3, 5)]),
+    (_q8_fixture, [(3, 3), (1, 5), (3, 4), (4, 3)]),
+    (lambda: bar_resolution(cyclic(3), 7), [(1, 1), (1, 3), (3, 1)]),
+    (lambda: periodic_cyclic_resolution(5, 10), [(1, 1), (1, 7), (5, 1)]),
+], ids=["D4/9", "S3/10", "Q8", "bar(C3)/7", "C5/10"])
+def test_the_contraction_walk_matches_a_lift_of_the_full_join(build, pairs):
+    # random cycles as well as generators; the sign (-1)^{n(n+1)/2}
+    # differs from (-1)^{n+1} at n = 1 and 5, which an odd-order
+    # H_{n+m+1} (C3, C5) tells apart
+    P = build()
+    ctx = ProductContext(P)
+    cases = _generator_cases(P, pairs, random.Random(5))
+    assert cases
+    J = join(P, P, max(n + m + 1 for n, m in pairs))
+    assert [ctx.join_product(*c) for c in cases] == \
+        _lifted_join_classes(P, J, cases)
+    assert not contraction_failure(ctx._h)
+
+
+@pytest.fixture(scope="module")
+def s4_verify():
+    """S4 to depth 8, a context and the generator cases of its verify pairs,
+    each joined by the walk."""
+    P = syzygy_resolution(symmetric(4), 8)
+    ctx = ProductContext(P)
+    pairs = [(n, m) for n in range(1, 8) for m in range(1, 7 - n)]
+    cases = _generator_cases(P, pairs)
+    return P, ctx, pairs, cases, [ctx.join_product(*c) for c in cases]
+
+
+def test_s4_verify_products_match_the_box_lift(s4_verify):
+    P, ctx, pairs, cases, walked = s4_verify
+    assert len(cases) == 26
+    assert walked == _lifted_join_classes(P, ctx.join_for(pairs), cases)
+
+
+def test_s4_contraction_entries_stay_small(s4_verify):
+    # unreduced, the stored values of S4/8 reach about 2,000 bits; reduced
+    # modulo the next image, about 10
+    P, ctx, _, _, _ = s4_verify
+    values = ctx._h._h
+    assert {b for b, _ in values} == set(range(-1, 7))
+    bits = max(abs(c).bit_length() for v in values.values() for _, _, c in v)
+    assert bits < 64
+    assert not contraction_failure(ctx._h)
+
+
+@pytest.mark.parametrize("key, doctor, caught", [
+    ((1, 0), lambda v: tuple((b, u, 2 * c) for b, u, c in v), "disagree"),
+    ((2, 1), lambda v: tuple((b, u, -c) for b, u, c in v), "disagree"),
+    ((2, 2), lambda v: v + ((0, 0, 1),), "disagree"),
+    # the walk then needs h_2(e_0), whose right-hand side is no cycle
+    ((1, 0), lambda v: v + ((0, 0, 1),), ResolutionError),
+])
+def test_a_doctored_contraction_value_is_caught(key, doctor, caught):
+    # a stored value that breaks d h + h d = 1 must end in a failed check
+    # or a pipeline disagreement, never in a class nobody doubts
+    per = periodic_cyclic_resolution(3, 6)
+    ctx = ProductContext(per)
+    assert ctx.table([(1, 1)])[0]["agree"]
+    h = ctx._h._h
+    h[key] = doctor(h[key])
+    assert contraction_failure(ctx._h)
+    if caught == "disagree":
+        assert not ctx.table([(1, 1)])[0]["agree"]
+    else:
+        with pytest.raises(caught):
+            ctx.table([(1, 1)])
 
 
 @pytest.mark.parametrize("build, n, m", [
@@ -342,12 +436,10 @@ def _full_join_product(P, n, za, m, zb):
 def test_box_join_products_match_the_full_join(build, n, m):
     P = build()
     ctx = ProductContext(P)
-    pairs = [(za, zb) for za in homology(P, n).generators
-             for zb in homology(P, m).generators]
-    assert pairs
-    for za, zb in pairs:
-        assert ctx.join_product(n, za, m, zb) == \
-            _full_join_product(P, n, za, m, zb)
+    cases = _generator_cases(P, [(n, m)])
+    assert cases
+    assert [ctx.join_product(*c) for c in cases] == \
+        _lifted_join_classes(P, join(P, P, n + m + 1), cases)
 
 
 def test_product_context_grows_its_box_componentwise(monkeypatch):
@@ -421,8 +513,9 @@ def test_a_grown_join_gives_the_classes_of_one_sized_up_front():
 
 
 def test_a_product_table_factors_each_differential_once(monkeypatch):
-    # the join's comparison lift and the self-maps all solve through the
-    # differentials of P, and each matrix keeps its one solver
+    # the join pipeline's contraction (its solves, and its reductions by
+    # the next differential) and the self-maps all use the differentials
+    # of P, and each matrix keeps its one solver
     import tatejoin.zglinalg as zglinalg
     res = load_resolution(os.path.join(os.path.dirname(tatejoin.__file__),
                                        "fixtures", "q8_periodic.json"))
@@ -549,6 +642,17 @@ BAD_INPUT_CALLS = [
      "Tate degree must be an integer in -6..-1, got '-2'"),
     ("tate_group -2.0", lambda per: tate_group(per, -2.0),
      "Tate degree .* got -2.0"),
+    # a library size budget is None or a positive int, as --max-zrank is
+    ("validate_resolution max_zrank '5'",
+     lambda per: validate_resolution(per, max_zrank="5"),
+     "size budget must be a positive integer, got '5'"),
+    ("join max_zrank True", lambda per: join(per, per, 3, max_zrank=True),
+     "size budget .* got True"),
+    ("join max_zrank 0", lambda per: join(per, per, 3, max_zrank=0),
+     "size budget .* got 0"),
+    ("ProductContext max_zrank 2.5", lambda per: ProductContext(
+        per, max_zrank=2.5).join_product(1, [1], 1, [1]),
+     "size budget .* got 2.5"),
 ]
 
 
@@ -632,6 +736,19 @@ def test_a_lift_names_a_column_index_outside_the_rank():
             lift.transport_down(1, {j: 1})
 
 
+def test_a_lift_gates_its_column_index_before_its_cache():
+    # column(1, 0.0) raised a bare TypeError on a fresh lift, but returned
+    # the memoized (1, 0) column once that one was lifted
+    per = periodic_cyclic_resolution(3, 6)
+    for warm in (False, True):
+        lift = ComparisonLift(per, per)
+        if warm:
+            assert lift.column(1, 0)
+        with pytest.raises(ValueError, match="column 0.0 out of range"):
+            lift.column(1, 0.0)
+        assert sorted(lift._cols) == ([(0, 0), (1, 0)] if warm else [])
+
+
 def test_transport_down_names_bad_input():
     res = syzygy_resolution(dihedral(4), 5)
     lift = ComparisonLift(res, res)
@@ -652,8 +769,10 @@ def test_lifting_builds_no_ring_element_between_solves(monkeypatch):
     # the source differential's columns, read through ZGMatrix.column
     res = syzygy_resolution(dihedral(4), 7)
     ctx = ProductContext(res)
-    ctx.join_for([(2, 2)])  # the join box of bidegree (2, 2), to degree 5
-    lifts = [ctx._lift, ctx._g_lift(1, homology(res, 1).generators[0])]
+    # a shift-0 lift of the join box of bidegree (2, 2), to degree 5, and
+    # a self-map of the composition pipeline
+    lifts = [ComparisonLift(ctx.join_for([(2, 2)]), res),
+             ctx._g_lift(1, homology(res, 1).generators[0])]
     assert lifts[1].shift == 2
     built, read = [0], [0]
     real_init, real_column = GroupRingElement.__init__, ZGMatrix.column

@@ -447,3 +447,16 @@ def test_a_column_index_outside_the_matrix_is_named():
             m.column(j)
         with pytest.raises(ValueError, match=f"column {j} out of range"):
             m.triples(j)
+
+
+def test_an_index_that_is_not_an_int_is_named():
+    # 0.0 passed 0 <= j < ncols and then raised a bare TypeError in a list
+    # subscript; every index read of a matrix goes through one gate
+    g, e, t = c2_elems()
+    m = ZGMatrix.from_rows(g, [[e, t]])
+    for j in (0.0, 1.5, "0", None):
+        for read in (m.column, m.triples, lambda j: m.get(0, j),
+                     lambda i: m.get(i, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                read(j)
+    assert m.get(0, 1) == t and m.triples(0) == ((0, 0, 1),)
