@@ -11,16 +11,18 @@ carries w back, and the answer is classified in H_{n+m+1}(P).  f is the
 basic perturbation lemma's (R. Brown 1965; G. Ellis, J. Symb. Comp. 38,
 2004): the join is the total complex of rows a >= -1, row a being
 P_a (x) (P -> Z) in the basis e_i (x) g.f_j of ``resolutions.join`` and row
--1 being P.  A Z-linear contraction h of P -> Z (``Contraction``) contracts
-each row a >= 0 as H = id (x) h, and with delta_P, the map between rows,
-f = (-1)^{n(n+1)/2} (delta_P H)^{n+1} on row n lifts the identity of Z.
-H and delta_P are Z[G]-maps, so f runs on the down complex of the rows.  P
-must reach degree n+m+2: the class is read through D_{n+m+2}, and h_{n+m}
-is reduced modulo the image of d_{n+m+2}.  The join itself is built for the
-skeleta, P_{<=n} * P_{<=m} through degree n+m+1, a subcomplex of P*P that
-is certified and charged to the size budget in its place and holds w and
-the certificate that the down-image of d w is 0; ``ProductContext.join_for``
-sizes it to the bounding box of the bidegrees asked for.
+-1 being P.  A Z-linear contraction h of P -> Z contracts each row a >= 0
+as H = id (x) h, and with delta_P, the map between rows, f =
+(-1)^{n(n+1)/2} (delta_P H)^{n+1} on row n lifts the identity of Z.  H and
+delta_P are Z[G]-maps, so f runs on the down complex of the rows, and h
+contracts each row summand's whole chain in degrees m..n+m (``_contract``,
+two solves, no memo).  P must reach degree n+m+2: the class is read through
+D_{n+m+2}, and h_{n+m} is reduced modulo the image of d_{n+m+2}.  The join
+is built for the skeleta, P_{<=n} * P_{<=m} through degree n+m+1, a
+subcomplex of P*P that is certified and charged to the size budget in its
+place and holds w and the certificate that the down-image of d w is 0;
+``ProductContext.join_for`` sizes it to the bounding box of the bidegrees
+asked for.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -34,7 +36,7 @@ solve of both pipelines goes through the factorization of a differential of
 P, kept by the matrix (``ZGMatrix.solver``), and is certified once:
 ``ZGSolver.solve`` multiplies each solution back in Z[G], and the seed s
 with eps(s) = 1 is checked where it is built.  Lifted columns and
-contraction values are stored as ``ZGMatrix`` column triples, and both
+contracted chains are stored as ``ZGMatrix`` column triples, and both
 pipelines sum with the one kernel ``groups._accumulate``: they are
 independent in the chains they build, not in their arithmetic.
 """
@@ -140,63 +142,22 @@ def _augmentation_seed(P: Resolution) -> tuple:
     return tuple((i * P.group.order, 0, v) for i, v in z.items())
 
 
-class Contraction:
-    """Lazy Z-linear contraction h of the augmented resolution P -> Z.
-
-    h_{-1}(1) = s, the seed with eps(s) = 1, and h_b(v) = solve(d_{b+1},
-    v - h_{b-1}(d_b v)) for v = g.e_j in P_b (d_0 = eps): d h + h d = 1.  h
-    is Z-linear, memoized per (b, j*|G| + g); each value is reduced modulo
-    im d_{b+2}, keeping the identity and small entries, before
-    ``ZGSolver.solve`` multiplies it back.
-    """
-
-    __slots__ = ("P", "_h")
-
-    def __init__(self, P: Resolution):
-        self.P = P
-        self._h = {(-1, 0): _augmentation_seed(P)}
-
-    def value(self, b: int, k: int) -> tuple:
-        """h_b(g.e_j) for k = j * |G| + g, as triples (i * |G|, h, c)."""
-        P, G = self.P, self.P.group
-        key = (b, check_index(k, P.rank(b) * G.order, "basis vector"))
-        val = self._h.get(key)
-        if val is not None:
-            return val
-        j, g = divmod(k, G.order)
-        rhs = {k: 1}
-        if b == 0:
-            terms = [(0, -P.aug[j], self._h[-1, 0])]
-        else:
-            row = G.table[g]  # d_b(g.e_j) is g times column j
-            terms = [(0, -c, self.value(b - 1, base + row[h]))
-                     for base, h, c in P.differential(b).triples(j)]
-        _accumulate(rhs, G.table, terms)
-        val = P.differential(b + 1).solver().solve(
-            rhs, modulo=P.differential(b + 2).solver())
-        if val is NoSolution:
-            raise ResolutionError(f"resolution not exact in degree {b}")
-        self._h[key] = val
-        return val
-
-
 class ProductContext:
     """Shared caches for computing many products over one resolution.
 
     Holds one join P_{<=N} * P_{<=M} through degree D, grown by
-    ``join_for``, the lazy contraction of P that carries join chains back
-    to P, and the lazy chain self-maps of the composition pipeline.  The
-    contraction and the self-maps solve through the differentials of P,
-    which keep their factorizations.  All methods are deterministic.
+    ``join_for``, and the lazy chain self-maps of the composition pipeline.
+    The walk that carries join chains back to P and the self-maps solve
+    through the differentials of P, which keep their factorizations.  All
+    methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_join", "_h", "_glifts")
+    __slots__ = ("P", "max_zrank", "_join", "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
         self.max_zrank = max_zrank
         self._join: JoinResolution | None = None
-        self._h: Contraction | None = None
         self._glifts: dict[tuple, ComparisonLift] = {}
 
     def join_for(self, pairs: Sequence[tuple[int, int]]) -> JoinResolution:
@@ -273,11 +234,11 @@ class ProductContext:
     def _carry_down(self, J: JoinResolution, n: int, m: int,
                     down: Mapping[int, int]) -> list[int]:
         """f(w) tensored down, w in row n of J with down-image ``down``.
-        On e_i (x) g.f_j, read as {i: {j*|G| + g: c}}, delta_P sums alpha
-        e_r (x) u^{-1}g.f_j for (r, u, alpha) in d_a's column i; d_0 = eps."""
+        Row a is {i: t_i}, sum e_i (x) t_i, t_i = {j*|G| + g: c} in P_{n+m-a};
+        delta_P sends e_i (x) h(t_i) to sum alpha e_r (x) u^{-1}.h(t_i) for
+        (r, u, alpha) in d_a's column i; d_0 = eps."""
         P = self.P
         order, table, inv = P.group.order, P.group.table, P.group.inverse
-        h = self._h = self._h or Contraction(P)
         rows: dict[int, dict[int, int]] = {}
         for idx, c in down.items():
             _, i, g, j = J.bases[n + m + 1][idx]
@@ -285,10 +246,9 @@ class ProductContext:
         for a in range(n, -1, -1):
             below: dict[int, dict[int, int]] = {}
             for i, t in rows.items():
-                acc: dict[int, int] = {}
-                _accumulate(acc, table, [(0, c, h.value(n + m - a, k))
-                                         for k, c in t.items()])
-                col = [(k - k % order, k % order, c) for k, c in acc.items()]
+                if not any(t.values()):
+                    continue
+                col = _contract(P, n + m - a, t)
                 delta = (P.differential(a).triples(i) if a
                          else ((0, 0, P.aug[i]),))
                 for base, u, alpha in delta:
@@ -335,6 +295,37 @@ class ProductContext:
                 raise InternalCheckError("composed chain lost invariance")
             down[r] = a.c[0]
         return homology(P, out_deg).classify(down)
+
+
+def _contract(P: Resolution, b: int, t: Mapping[int, int]) -> tuple:
+    """h_b(t) = R_{b+2} S_{b+1}(t - S_b d_b t) for t = {j*|G| + g: c} in P_b.
+
+    b >= 1.  S_k, the plain solve through d_k, is linear on im d_k (sum
+    t_c V_c over the pivot columns), so h' = S_{b+1}(1 - S_b d_b) has
+    d h' + h' d = 1: h'_{b-1}(d_b t) = S_b(d_b t) as S(0) = 0.  The first
+    multiply-back makes the second right-hand side a cycle, so no solution
+    there means P is not exact.  R_{b+2}, the balanced reduction modulo
+    im d_{b+2}, keeps entries small and adds a vertical boundary
+    (1 (x) d)(z) to each H-step; delta_P commutes with 1 (x) d and
+    delta_P^2 = 0, so the walk carries it to a boundary of P and leaves the
+    class.
+    """
+    table, order = P.group.table, P.group.order
+    d = P.differential(b)
+    dt: dict[int, int] = {}
+    _accumulate(dt, table, ((k % order, c, d.triples(k // order))
+                            for k, c in t.items()))
+    x = d.solver().solve(dt)
+    if x is NoSolution:
+        raise InternalCheckError(f"no preimage of a boundary in degree "
+                                 f"{b - 1}")
+    rhs = dict(t)
+    _accumulate(rhs, table, ((0, -1, x),))
+    y = P.differential(b + 1).solver().solve(
+        rhs, modulo=P.differential(b + 2).solver())
+    if y is NoSolution:
+        raise ResolutionError(f"resolution not exact in degree {b}")
+    return y
 
 
 def _add_multiple(out: dict[int, GroupRingElement], c: GroupRingElement,

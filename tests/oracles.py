@@ -163,34 +163,28 @@ def chain_map_failure(f, up_to: int) -> str:
     return ""
 
 
-def contraction_failure(h) -> str:
-    """The first stored value of a contraction that breaks d h + h d = 1,
-    or "".
+def contraction_failure(P, b: int, t, value) -> str:
+    """What breaks d_{b+1} h_b(t) = t - S_b(d_b t) for one step of the
+    join walk, or "".
 
-    h is read as a ``products.Contraction``: resolution P, the memo ``_h``,
-    whose key (-1, 0) holds h_{-1}(1), and value(b, k), h_b of basis vector
-    k = j * |G| + g of P_b as triples.  The base case is eps(h_{-1}(1)) = 1;
-    for b >= 0 each basis vector v = g.e_j must satisfy
-    d_{b+1} h_b(v) + h_{b-1}(d_b v) = v, with d_0 = eps, summed from the
-    group table.
+    t is a chain of P_b as {j * |G| + g: c} and value is h_b(t) as stored
+    triples (row * |G|, h, v), as ``products._contract`` takes and returns
+    them.  S_b is the plain solve through d_b's solver; d_b t and
+    d_{b+1} h_b(t) are summed from the group table.
     """
-    P = h.P
     order, table = P.group.order, P.group.table
-    seed = h._h[-1, 0]
-    if sum(P.aug[base // order] * v for base, _, v in seed) != 1:
-        return "base case eps(h(1)) = 1 fails"
-    for b, k in sorted(h._h):
-        if b < 0:
-            continue
-        j, g = divmod(k, order)
-        d = P.differential(b + 1)
-        terms = [(u, v, d.triples(base // order))
-                 for base, u, v in h.value(b, k)]
-        if b:
-            terms += [(0, c, h.value(b - 1, base + table[g][u]))
-                      for base, u, c in P.differential(b).triples(j)]
-        else:
-            terms.append((0, P.aug[j], seed))
-        if _left_sum(table, order, terms) != {(j, g): 1}:
-            return f"d h + h d = 1 fails in degree {b} at basis vector {k}"
+    d_t = _left_sum(table, order, ((k % order, c, P.differential(b).triples(
+        k // order)) for k, c in t.items()))
+    x = P.differential(b).solver().solve(
+        {i * order + g: c for (i, g), c in d_t.items()})
+    if not isinstance(x, tuple):
+        return f"d_{b} t has no preimage in degree {b}"
+    want = {divmod(k, order): c for k, c in t.items()}
+    for key, c in _left_sum(table, order, ((0, 1, x),)).items():
+        want[key] = want.get(key, 0) - c
+    d = P.differential(b + 1)
+    got = _left_sum(table, order, ((u, v, d.triples(base // order))
+                                   for base, u, v in value))
+    if got != {key: c for key, c in want.items() if c}:
+        return f"d h_{b}(t) != t - S(d t) in degree {b}"
     return ""

@@ -26,6 +26,8 @@ from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
                       periodic_cyclic_resolution, phi_inverse, product_table,
                       quaternion8, random_cycle, run_verify, symmetric,
                       syzygy_resolution, tate_group, validate_resolution)
+from tatejoin.groups import _accumulate
+from tatejoin.intlinalg import NoSolution
 from tatejoin.tate import down_vector
 from tatejoin.zglinalg import _elements
 from oracles import chain_map_failure, contraction_failure
@@ -357,6 +359,23 @@ def _q8_fixture():
                                         "fixtures", "q8_periodic.json"))
 
 
+def _walk_steps(monkeypatch, doctor=None):
+    """Record every step (P, b, t, h_b(t)) of the join walk, the value
+    passed through ``doctor(P, b, value)`` when one is given."""
+    import tatejoin.products as products
+    real, steps = products._contract, []
+
+    def step(P, b, t):
+        value = real(P, b, t)
+        if doctor is not None:
+            value = doctor(P, b, value)
+        steps.append((P, b, dict(t), value))
+        return value
+
+    monkeypatch.setattr(products, "_contract", step)
+    return steps
+
+
 @pytest.mark.parametrize("build, pairs", [
     (lambda: syzygy_resolution(dihedral(4), 9), [(2, 5), (1, 1)]),
     (lambda: syzygy_resolution(symmetric(3), 10), [(3, 3), (3, 5)]),
@@ -364,7 +383,8 @@ def _q8_fixture():
     (lambda: bar_resolution(cyclic(3), 7), [(1, 1), (1, 3), (3, 1)]),
     (lambda: periodic_cyclic_resolution(5, 10), [(1, 1), (1, 7), (5, 1)]),
 ], ids=["D4/9", "S3/10", "Q8", "bar(C3)/7", "C5/10"])
-def test_the_contraction_walk_matches_a_lift_of_the_full_join(build, pairs):
+def test_the_contraction_walk_matches_a_lift_of_the_full_join(
+        build, pairs, monkeypatch):
     # random cycles as well as generators; the sign (-1)^{n(n+1)/2}
     # differs from (-1)^{n+1} at n = 1 and 5, which an odd-order
     # H_{n+m+1} (C3, C5) tells apart
@@ -372,61 +392,172 @@ def test_the_contraction_walk_matches_a_lift_of_the_full_join(build, pairs):
     ctx = ProductContext(P)
     cases = _generator_cases(P, pairs, random.Random(5))
     assert cases
+    steps = _walk_steps(monkeypatch)
     J = join(P, P, max(n + m + 1 for n, m in pairs))
     assert [ctx.join_product(*c) for c in cases] == \
         _lifted_join_classes(P, J, cases)
-    assert not contraction_failure(ctx._h)
+    assert steps
+    assert not [f for s in steps if (f := contraction_failure(*s))]
 
 
 @pytest.fixture(scope="module")
 def s4_verify():
-    """S4 to depth 8, a context and the generator cases of its verify pairs,
-    each joined by the walk."""
+    """S4 to depth 8, a context, the generator cases of its verify pairs,
+    each joined by the walk, and the steps the walk took."""
     P = syzygy_resolution(symmetric(4), 8)
     ctx = ProductContext(P)
     pairs = [(n, m) for n in range(1, 8) for m in range(1, 7 - n)]
     cases = _generator_cases(P, pairs)
-    return P, ctx, pairs, cases, [ctx.join_product(*c) for c in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _walk_steps(mp)
+        walked = [ctx.join_product(*c) for c in cases]
+    return P, ctx, pairs, cases, walked, steps
 
 
 def test_s4_verify_products_match_the_box_lift(s4_verify):
-    P, ctx, pairs, cases, walked = s4_verify
+    P, ctx, pairs, cases, walked, _ = s4_verify
     assert len(cases) == 26
     assert walked == _lifted_join_classes(P, ctx.join_for(pairs), cases)
 
 
 def test_s4_contraction_entries_stay_small(s4_verify):
-    # unreduced, the stored values of S4/8 reach about 2,000 bits; reduced
+    # unreduced, the walk's values on S4/8 reach about 2,000 bits; reduced
     # modulo the next image, about 10
-    P, ctx, _, _, _ = s4_verify
-    values = ctx._h._h
-    assert {b for b, _ in values} == set(range(-1, 7))
-    bits = max(abs(c).bit_length() for v in values.values() for _, _, c in v)
+    steps = s4_verify[-1]
+    assert {b for _, b, _, _ in steps} == set(range(1, 7))
+    bits = max(abs(c).bit_length() for *_, v in steps for _, _, c in v)
     assert bits < 64
-    assert not contraction_failure(ctx._h)
+    assert not [f for s in steps if (f := contraction_failure(*s))]
+
+
+def _plus_boundary(P, b, v):
+    """v + d_{b+2}(y) for y = sum (j + 1) e_j, a boundary of P_{b+1}."""
+    d = P.differential(b + 2)
+    return v + tuple((base, u, (j + 1) * c) for j in range(d.ncols)
+                     for base, u, c in d.triples(j))
+
+
+def _plus_e(j):
+    """Adds e_j, a chain that is no cycle of the down complex."""
+    return lambda P, b, v: v + ((j * P.group.order, 0, 1),)
+
+
+_DOCTORED = {"C3": lambda: periodic_cyclic_resolution(3, 6),
+             "S3": lambda: syzygy_resolution(symmetric(3), 6)}
 
 
 @pytest.mark.parametrize("key, doctor, caught", [
-    ((1, 0), lambda v: tuple((b, u, 2 * c) for b, u, c in v), "disagree"),
-    ((2, 1), lambda v: tuple((b, u, -c) for b, u, c in v), "disagree"),
-    ((2, 2), lambda v: v + ((0, 0, 1),), "disagree"),
-    # the walk then needs h_2(e_0), whose right-hand side is no cycle
-    ((1, 0), lambda v: v + ((0, 0, 1),), ResolutionError),
+    (("C3", 1), lambda P, b, v: tuple((r, u, 2 * c) for r, u, c in v),
+     "disagree"),
+    (("C3", 2), lambda P, b, v: tuple((r, u, -c) for r, u, c in v),
+     "disagree"),
+    (("C3", 2), _plus_e(0), "disagree"),
+    (("C3", 1), _plus_e(0), "disagree"),
+    (("S3", 1), _plus_e(2), InternalCheckError),
+    (("S3", 2), _plus_e(3), InternalCheckError),
 ])
-def test_a_doctored_contraction_value_is_caught(key, doctor, caught):
-    # a stored value that breaks d h + h d = 1 must end in a failed check
-    # or a pipeline disagreement, never in a class nobody doubts
-    per = periodic_cyclic_resolution(3, 6)
-    ctx = ProductContext(per)
+def test_a_doctored_contraction_value_is_caught(key, doctor, caught,
+                                                monkeypatch):
+    # a walk value off d h + h d = 1 by a non-boundary, in the degree of
+    # the key, must end in a failed check or a pipeline disagreement, never
+    # in a class nobody doubts
+    label, degree = key
+    P = _DOCTORED[label]()
+    ctx = ProductContext(P)
     assert ctx.table([(1, 1)])[0]["agree"]
-    h = ctx._h._h
-    h[key] = doctor(h[key])
-    assert contraction_failure(ctx._h)
+    steps = _walk_steps(
+        monkeypatch, lambda P, b, v: doctor(P, b, v) if b == degree else v)
     if caught == "disagree":
         assert not ctx.table([(1, 1)])[0]["agree"]
     else:
-        with pytest.raises(caught):
+        with pytest.raises(caught, match="not a cycle"):
             ctx.table([(1, 1)])
+    assert [f for s in steps if (f := contraction_failure(*s))]
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: periodic_cyclic_resolution(3, 8), [(1, 1), (1, 3), (3, 1)]),
+    (lambda: syzygy_resolution(dihedral(4), 9), [(2, 5), (3, 3)]),
+    (lambda: syzygy_resolution(symmetric(3), 10), [(3, 5), (1, 7)]),
+], ids=["C3/8", "D4/9", "S3/10"])
+def test_a_boundary_added_to_every_walk_value_leaves_the_classes(
+        build, pairs, monkeypatch):
+    # the reduction adds d_{b+2}(z) to each value; the walk must carry
+    # any such vertical boundary to a boundary of P
+    P = build()
+    cases = _generator_cases(P, pairs, random.Random(7))
+    ctx = ProductContext(P)
+    plain = [ctx.join_product(*c) for c in cases]
+    steps = _walk_steps(monkeypatch, _plus_boundary)
+    assert [ctx.join_product(*c) for c in cases] == plain
+    # d_{b+1} kills the boundary, so the step's own identity still holds
+    assert steps and not [f for s in steps if (f := contraction_failure(*s))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: syzygy_resolution(dihedral(4), 9),
+    lambda: syzygy_resolution(symmetric(3), 10),
+], ids=["D4/9", "S3/10"])
+def test_the_plain_solve_is_additive_on_the_image(build):
+    # the walk's contraction is linear only while S_k is: a reduction
+    # inside the plain solve would break d h + h d = 1
+    P = build()
+    rng = random.Random(11)
+    order, table = P.group.order, P.group.table
+
+    def image(d):
+        acc = {}
+        _accumulate(acc, table, [(rng.randrange(order), rng.randint(-3, 3),
+                                  d.triples(rng.randrange(d.ncols)))
+                                 for _ in range(4)])
+        return {k: c for k, c in acc.items() if c}
+
+    def flat(x):
+        acc = {}
+        _accumulate(acc, table, ((0, 1, x),))
+        return {k: c for k, c in acc.items() if c}
+
+    for k in range(1, P.depth + 1):
+        S = P.differential(k).solver()
+        assert S.solve({}) == ()
+        for _ in range(3):
+            u, v = image(P.differential(k)), image(P.differential(k))
+            uv = {i: u.get(i, 0) + v.get(i, 0) for i in u.keys() | v.keys()}
+            sum_uv = flat(S.solve(u) + S.solve(v))
+            assert flat(S.solve(uv)) == sum_uv, k
+
+
+def _not_exact_in_degree_2():
+    """C3 to depth 6 with d_3 = 0: d o d = 0 still holds, ker d_2 != 0."""
+    per = periodic_cyclic_resolution(3, 6)
+    diffs = list(per.diffs)
+    diffs[2] = ZGMatrix(per.group, per.rank(2), [{}] * per.rank(3))
+    return Resolution(per.group, per.ranks, diffs, per.aug, label="broken")
+
+
+def test_a_non_exact_resolution_is_named_by_the_walk():
+    P = _not_exact_in_degree_2()
+    a = homology(periodic_cyclic_resolution(3, 6), 1).generators[0]
+    with pytest.raises(ResolutionError, match="not exact in degree 2"):
+        ProductContext(P).join_product(1, a, 1, a)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda x: NoSolution, "no preimage of a boundary in degree 0"),
+    (lambda x: {j: 2 * v for j, v in x.items()} if x else x, "M x != b"),
+])
+def test_a_wrong_solve_in_the_walk_is_an_engine_fault(wrong, message,
+                                                      monkeypatch):
+    import tatejoin.intlinalg as intlinalg
+    per = periodic_cyclic_resolution(3, 6)
+    a = homology(per, 1).generators[0]
+    ctx = ProductContext(per)
+    ctx.join_for([(1, 1)])
+    real = intlinalg.IntegerSolver.solve
+    monkeypatch.setattr(intlinalg.IntegerSolver, "solve",
+                        lambda self, b: wrong(real(self, b)))
+    with pytest.raises(InternalCheckError, match=message):
+        ctx.join_product(1, a, 1, a)
 
 
 @pytest.mark.parametrize("build, n, m", [
