@@ -36,7 +36,9 @@ def main():
         print(f"  {tag}")
 
     print()
-    print("the join is itself a valid resolution (certificates below):")
+    print("the join is itself a valid resolution (certificates below;")
+    print("validation's first read of each differential builds it and")
+    print("proves its d o d = 0 line):")
     report = validate_resolution(J)
     for check in report.checks:
         print(f"  {'PASS' if check['passed'] else 'FAIL'} {check['name']}")

@@ -18,11 +18,13 @@ delta_P are Z[G]-maps, so f runs on the down complex of the rows, and h
 contracts each row summand's whole chain in degrees m..n+m (``_contract``,
 two solves, no memo).  P must reach degree n+m+2: the class is read through
 D_{n+m+2}, and h_{n+m} is reduced modulo the image of d_{n+m+2}.  The join
-is built for the skeleta, P_{<=n} * P_{<=m} through degree n+m+1, a
-subcomplex of P*P that is certified and charged to the size budget in its
-place and holds w and the certificate that the down-image of d w is 0;
-``ProductContext.join_for`` sizes it to the bounding box of the bidegrees
-asked for.
+is taken of the skeleta, P_{<=n} * P_{<=m} through degree n+m+1, a
+subcomplex of P*P that holds w and the certificate that the down-image of
+d w is 0.  Every rank of it is certified and charged to the size budget up
+front; of its differentials the product reads only d_{n+m+1}, for that
+certificate, and that read builds it and certifies it against d_{n+m}
+(``JoinResolution``).  ``ProductContext.join_for`` sizes the join to the
+bounding box of the bidegrees asked for.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -146,7 +148,9 @@ class ProductContext:
     """Shared caches for computing many products over one resolution.
 
     Holds one join P_{<=N} * P_{<=M} through degree D, grown by
-    ``join_for``, and the lazy chain self-maps of the composition pipeline.
+    ``join_for``, whose differentials are built and certified as the
+    products read them, and the lazy chain self-maps of the composition
+    pipeline.
     The walk that carries join chains back to P and the self-maps solve
     through the differentials of P, which keep their factorizations.  All
     methods are deterministic.

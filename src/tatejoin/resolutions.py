@@ -2,11 +2,14 @@
 
 A Resolution holds ranks r_0..r_n, differentials d_k: P_k -> P_{k-1} as
 ZGMatrices of shape r_{k-1} x r_k, and an integer augmentation row for
-eps: P_0 -> Z.  The constructor insists on d o d = 0 and eps o d_1 = 0;
-``validate_resolution`` additionally certifies exactness degree by degree
-from ranks and invariant factors of the integer expansions.  Library input
-meets one gate per rule, each raising ResolutionError: ``check_degree`` for
-a degree or depth, ``check_vector`` for an integer list or tuple.
+eps: P_0 -> Z.  No caller reads a d_k that has not passed its one
+certificate, ``Resolution._certify``: eps o d_1 = 0, or d_{k-1} o d_k = 0.
+The constructor runs it on every degree; a join builds and certifies each
+differential on its first read.  ``validate_resolution`` additionally
+certifies exactness degree by degree from ranks and invariant factors of
+the integer expansions.  Library input meets one gate per rule, each
+raising ResolutionError: ``check_degree`` for a degree or depth,
+``check_vector`` for an integer list or tuple.
 
 Three constructors are provided:
 
@@ -36,7 +39,7 @@ q-skeleta.  As augmented complexes, P has homology only in degree p and
 Q only in degree q, so by Kuenneth their join is exact below degree p+q+1
 (as Milnor's join of a (p-1)- with a (q-1)-connected space is
 (p+q)-connected): it is a free resolution through degree p+q+1, the deepest
-degree ``join`` builds.
+degree ``join`` allows.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class Resolution:
     def __init__(self, group: FiniteGroup, ranks: Sequence[int],
                  diffs: Sequence[ZGMatrix], augmentation: Sequence[int],
                  label: str = "res"):
-        self._fill(group, ranks, diffs, augmentation, label)
+        self._fill(group, ranks, tuple(diffs), augmentation, label)
         if not self.ranks or any(r < 0 for r in self.ranks):
             raise ResolutionError("ranks must be a nonempty list of nonnegative integers")
         if len(self.diffs) != len(self.ranks) - 1:
@@ -123,20 +126,13 @@ class Resolution:
                 raise ResolutionError(
                     f"differential {k} has shape {d.nrows}x{d.ncols}, "
                     f"expected {self.ranks[k - 1]}x{self.ranks[k]}")
-        if self.depth >= 1:
-            for j, col in enumerate(self.diffs[0].augmented()):
-                if sum(self.aug[i] * a for i, a in col.items()):
-                    raise ResolutionError("augmentation does not kill "
-                                          f"differential 1 (column {j})")
-        for k in range(2, self.depth + 1):
-            if not self.diffs[k - 2].compose(self.diffs[k - 1]).is_zero():
-                raise ResolutionError("differentials do not compose to zero "
-                                      f"at degree {k}")
+        for k in range(1, self.depth + 1):
+            self._certify(k)
 
     def _fill(self, group, ranks, diffs, augmentation, label) -> None:
         self.group = group
         self.ranks = tuple(int(r) for r in ranks)
-        self.diffs = tuple(diffs)
+        self.diffs = diffs
         self.aug = tuple(int(a) for a in augmentation)
         self.label = label
         self._down: dict[int, list[dict[int, int]]] = {}
@@ -153,17 +149,37 @@ class Resolution:
         check_degree(k, 1, self.depth, "differential degree")
         return self.diffs[k - 1]
 
+    def _map(self, k: int) -> ZGMatrix:
+        """d_k as held, whether or not its certificate has run yet."""
+        return self.diffs[k - 1]
+
+    def _certify(self, k: int) -> None:
+        """The one certificate of d_k: eps o d_1 = 0, or d_{k-1} o d_k = 0.
+
+        Both maps are read through ``_map``; a failure is ResolutionError.
+        """
+        d = self._map(k)
+        if k == 1:
+            for j, col in enumerate(d.augmented()):
+                if sum(self.aug[i] * a for i, a in col.items()):
+                    raise ResolutionError("augmentation does not kill "
+                                          f"differential 1 (column {j})")
+        elif not self._map(k - 1).compose(d).is_zero():
+            raise ResolutionError("differentials do not compose to zero "
+                                  f"at degree {k}")
+
     def truncated(self, k: int) -> "Resolution":
         """The k-skeleton: degrees 0..k, sharing this resolution's maps.
 
-        Those maps are immutable and passed this resolution's constructor
-        checks, so the view does not run them again.
+        Each map is read through ``differential``, which returns only
+        certified immutable maps, so the view does not check them again.
         """
         if check_degree(k, 0, self.depth, "truncation degree") == self.depth:
             return self
         view = Resolution.__new__(Resolution)
-        view._fill(self.group, self.ranks[:k + 1], self.diffs[:k], self.aug,
-                   f"{self.label}<={k}")
+        view._fill(self.group, self.ranks[:k + 1],
+                   tuple(self.differential(j) for j in range(1, k + 1)),
+                   self.aug, f"{self.label}<={k}")
         return view
 
     def apply_differential(self, k: int, vec: Mapping[int, GroupRingElement]
@@ -200,7 +216,9 @@ class Resolution:
         if not isinstance(other, Resolution):
             return NotImplemented
         return (self.group == other.group and self.ranks == other.ranks
-                and self.aug == other.aug and self.diffs == other.diffs)
+                and self.aug == other.aug
+                and all(self.differential(k) == other.differential(k)
+                        for k in range(1, self.depth + 1)))
 
     def __hash__(self) -> int:
         # coarse but consistent with __eq__ (differentials left out)
@@ -216,7 +234,8 @@ class Resolution:
         return {
             "group": self.group.to_json(),
             "ranks": list(self.ranks),
-            "differentials": [d.dense_rows() for d in self.diffs],
+            "differentials": [self.differential(k).dense_rows()
+                              for k in range(1, self.depth + 1)],
             "augmentation": list(self.aug),
         }
 
@@ -321,9 +340,9 @@ def validate_resolution(res: Resolution,
                         max_zrank: int | None = None) -> ValidationReport:
     """Certify the resolution invariants degree by degree.
 
-    The Resolution constructor proved d o d = 0 and eps o d_1 = 0; the
-    report lists them as passed.  This adds that eps is onto (entry gcd 1)
-    and that
+    Every differential a caller reads passed d o d = 0 and eps o d_1 = 0
+    (``Resolution._certify``); the report lists them as passed.  This adds
+    that eps is onto (entry gcd 1) and that
 
         ... -> P_1 -> P_0 -> Z -> 0
 
@@ -341,9 +360,10 @@ def validate_resolution(res: Resolution,
     order = G.order
     check_zrank(G, res.ranks, max_zrank, what="resolution validation")
 
-    # a Resolution exists only after its constructor proved these: its
-    # differentials are immutable ZGMatrices in a tuple, and a truncated
-    # view shares maps that were already certified
+    # every map read through differential() passed these (the constructor
+    # proved them, or a join proves each on its first read), and the walk
+    # below reads every d_k, so a map that fails raises before the report
+    # is returned; a truncated view shares maps that were already certified
     report.record("eps o d_1 = 0", True)
     for k in range(2, res.depth + 1):
         report.record(f"d_{k - 1} o d_{k} = 0", True)
@@ -600,23 +620,46 @@ def join_rank(P: Resolution, Q: Resolution, d: int) -> int:
 
 
 class JoinResolution(Resolution):
-    """A join P*Q packaged as a Resolution, remembering its factors and bases."""
+    """A join P*Q packaged as a Resolution, remembering its factors and bases.
 
-    __slots__ = ("P", "Q", "bases", "index")
+    ``join`` certifies the ranks and basis sizes up front.  Each
+    differential d_k is built on its first read by ``_join_differential``
+    and certified at that read by ``Resolution._certify``, against d_{k-1}
+    as already certified or else built raw for the check; a failure raises
+    InternalCheckError on every read of d_k.  So no caller reads an
+    uncertified map, and a degree no caller reads is never built.
+    """
 
-    def __init__(self, P: Resolution, Q: Resolution, ranks, diffs, aug,
-                 bases, index):
+    __slots__ = ("P", "Q", "bases", "index", "_raw")
+
+    def __init__(self, P: Resolution, Q: Resolution, ranks, aug, bases,
+                 index):
         self.P = P
         self.Q = Q
         self.bases = bases
         self.index = index
-        try:
-            super().__init__(P.group, ranks, diffs, aug,
-                             label=f"join({P.label},{Q.label})")
-        except ResolutionError as e:
-            # a broken join differential is a bug in the sign bookkeeping,
-            # not a property of user input
-            raise InternalCheckError(f"join construction: {e}") from e
+        self._fill(P.group, ranks, [None] * (len(ranks) - 1), aug,
+                   f"join({P.label},{Q.label})")
+        self._raw: dict[int, ZGMatrix] = {}  # built, not yet certified
+
+    def differential(self, k: int) -> ZGMatrix:
+        check_degree(k, 1, self.depth, "differential degree")
+        if self.diffs[k - 1] is None:
+            try:
+                self._certify(k)
+            except ResolutionError as e:
+                # a broken join differential is a bug in the sign
+                # bookkeeping, not a property of user input
+                raise InternalCheckError(f"join construction: {e}") from e
+            self.diffs[k - 1] = self._raw.pop(k)
+        return self.diffs[k - 1]
+
+    def _map(self, k: int) -> ZGMatrix:
+        if self.diffs[k - 1] is not None:
+            return self.diffs[k - 1]
+        if k not in self._raw:
+            self._raw[k] = _join_differential(self, k)
+        return self._raw[k]
 
 
 def join(P: Resolution, Q: Resolution, n: int,
@@ -625,18 +668,17 @@ def join(P: Resolution, Q: Resolution, n: int,
 
     Requires P and Q to be resolutions of the same group with
     n <= depth P + depth Q + 1, the degree below which the join is exact;
-    a summand beyond either factor's depth is left out.  The suspension
-    sign convention and the untwisting convention are fixed here once; the
-    constructor's d o d = 0 check guards both.
+    a summand beyond either factor's depth is left out.  Every rank is
+    charged to the size budget and checked against its basis here; each
+    differential is built and certified on its first read (see
+    ``JoinResolution``).  The suspension sign convention and the untwisting
+    convention are fixed in ``_join_differential`` once; the d o d = 0
+    certificate of each read guards both.
     """
     if P.group != Q.group:
         raise ResolutionError("join factors must resolve the same group")
     check_degree(n, 0, P.depth + Q.depth + 1, "join degree")
     G = P.group
-    order = G.order
-    inv = G.inverse
-    table = G.table
-
     ranks = [join_rank(P, Q, d) for d in range(n + 1)]
     check_zrank(G, ranks, max_zrank, what=f"join of {P.label} and {Q.label}")
     bases = [_join_basis(P, Q, d) for d in range(n + 1)]
@@ -645,50 +687,52 @@ def join(P: Resolution, Q: Resolution, n: int,
             raise InternalCheckError(f"join basis in degree {d} disagrees "
                                      "with the rank formula")
     index = [{key: c for c, key in enumerate(b)} for b in bases]
+    aug = [Q.aug[j] for j in range(Q.rank(0))] + [P.aug[i] for i in range(P.rank(0))]
+    return JoinResolution(P, Q, ranks, aug, bases, index)
 
+
+def _join_differential(J: JoinResolution, d: int) -> ZGMatrix:
+    """d_d of the join J, built raw from its factors' maps and bases."""
+    P, Q, G = J.P, J.Q, J.group
+    order, inv, table = G.order, G.inverse, G.table
+    tgt = J.index[d - 1]
     # No two terms below meet: the P and Q parts of a middle summand land in
     # different summands, and within a part distinct source triples go to
     # distinct (row, element).  So triples are emitted as they come.
-    diffs = []
-    for d in range(1, n + 1):
-        cols = []
-        tgt = index[d - 1]
-        for k, i, g, j in bases[d]:
-            col = []
-            if k == 0:
-                # bottom summand Z (x) Q_d: the Q differential verbatim
-                col.extend((tgt[0, -1, 0, base // order] * order, v, beta)
-                           for base, v, beta in Q.differential(d).triples(j))
-            elif k == d + 1:
-                # top summand P_d (x) Z: the P differential verbatim
-                col.extend((tgt[d, base // order, 0, -1] * order, u, alpha)
-                           for base, u, alpha in P.differential(d).triples(i))
-            else:
-                # middle summand P_{k-1} (x) Q_{d-k}, basis e_i (x) g.f_j
-                if k >= 2:
-                    # u.e_ip (x) g.f_j = u.(e_ip (x) u^{-1}g.f_j)
-                    col.extend(
-                        (tgt[k - 1, base // order, table[inv[u]][g], j] * order,
-                         u, alpha)
-                        for base, u, alpha in P.differential(k - 1).triples(i))
-                elif P.aug[i]:
-                    # P-degree 0: boundary into the Z factor via eps
-                    col.append((tgt[0, -1, 0, j] * order, g, P.aug[i]))
-                sign = -1 if k % 2 else 1  # suspension sign (-1)^k
-                if d - k >= 1:
-                    # e_i (x) g.(v.f_jp) stays in summand k
-                    col.extend(
-                        (tgt[k, i, table[g][v], base // order] * order, 0,
-                         sign * beta)
-                        for base, v, beta in Q.differential(d - k).triples(j))
-                elif Q.aug[j]:
-                    # Q-degree 0: eps of the second factor, into P_{k-1} (x) Z
-                    col.append((tgt[d, i, 0, -1] * order, 0, sign * Q.aug[j]))
-            cols.append(tuple(col))
-        diffs.append(ZGMatrix._of_triples(G, ranks[d - 1], cols))
-
-    aug = [Q.aug[j] for j in range(Q.rank(0))] + [P.aug[i] for i in range(P.rank(0))]
-    return JoinResolution(P, Q, ranks, diffs, aug, bases, index)
+    cols = []
+    for k, i, g, j in J.bases[d]:
+        col = []
+        if k == 0:
+            # bottom summand Z (x) Q_d: the Q differential verbatim
+            col.extend((tgt[0, -1, 0, base // order] * order, v, beta)
+                       for base, v, beta in Q.differential(d).triples(j))
+        elif k == d + 1:
+            # top summand P_d (x) Z: the P differential verbatim
+            col.extend((tgt[d, base // order, 0, -1] * order, u, alpha)
+                       for base, u, alpha in P.differential(d).triples(i))
+        else:
+            # middle summand P_{k-1} (x) Q_{d-k}, basis e_i (x) g.f_j
+            if k >= 2:
+                # u.e_ip (x) g.f_j = u.(e_ip (x) u^{-1}g.f_j)
+                col.extend(
+                    (tgt[k - 1, base // order, table[inv[u]][g], j] * order,
+                     u, alpha)
+                    for base, u, alpha in P.differential(k - 1).triples(i))
+            elif P.aug[i]:
+                # P-degree 0: boundary into the Z factor via eps
+                col.append((tgt[0, -1, 0, j] * order, g, P.aug[i]))
+            sign = -1 if k % 2 else 1  # suspension sign (-1)^k
+            if d - k >= 1:
+                # e_i (x) g.(v.f_jp) stays in summand k
+                col.extend(
+                    (tgt[k, i, table[g][v], base // order] * order, 0,
+                     sign * beta)
+                    for base, v, beta in Q.differential(d - k).triples(j))
+            elif Q.aug[j]:
+                # Q-degree 0: eps of the second factor, into P_{k-1} (x) Z
+                col.append((tgt[d, i, 0, -1] * order, 0, sign * Q.aug[j]))
+        cols.append(tuple(col))
+    return ZGMatrix._of_triples(G, J.ranks[d - 1], cols)
 
 
 def include_cycle_tensor(J: JoinResolution, x: Mapping[int, GroupRingElement],

@@ -26,6 +26,7 @@ from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
                       periodic_cyclic_resolution, phi_inverse, product_table,
                       quaternion8, random_cycle, run_verify, symmetric,
                       syzygy_resolution, tate_group, validate_resolution)
+from tatejoin import resolutions
 from tatejoin.groups import _accumulate
 from tatejoin.intlinalg import NoSolution
 from tatejoin.tate import down_vector
@@ -325,6 +326,20 @@ def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
     del depths[:]
     assert run_verify(periodic_cyclic_resolution(3, 5), rounds=1).passed
     assert depths == [4]
+    # of a box P<=3 * P<=3 through degree 7, a one-pair product reads d_7
+    # (its boundary certificate) and builds only d_6 to certify it, by one
+    # composition
+    d4 = syzygy_resolution(dihedral(4), 9)
+    z = homology(d4, 3).generators[0]
+    built, composed = [], []
+    real_build, real_compose = resolutions._join_differential, ZGMatrix.compose
+    monkeypatch.setattr(resolutions, "_join_differential",
+                        lambda J, d: built.append(d) or real_build(J, d))
+    monkeypatch.setattr(ZGMatrix, "compose", lambda self, inner:
+                        composed.append(1) or real_compose(self, inner))
+    del depths[:]
+    join_product(d4, 3, z, 3, z)
+    assert depths == [7] and sorted(built) == [6, 7] and len(composed) == 1
 
 
 def _lifted_join_classes(P, J, cases):

@@ -438,6 +438,53 @@ def test_join_basis_count_is_checked(monkeypatch):
         join(per, per, 3)
 
 
+def _flip_one_middle_sign(real, degree):
+    """A join builder that negates, in d_degree only, the Q-part (the terms
+    that stay in its own summand) of the first middle-summand column."""
+    def doctored(J, d):
+        m = real(J, d)
+        if d != degree:
+            return m
+        order = J.group.order
+        j = next(c for c, key in enumerate(J.bases[d]) if 1 <= key[0] < d)
+        k = J.bases[d][j][0]
+        cols = [m.triples(c) for c in range(m.ncols)]
+        cols[j] = tuple((base, u, -c if J.bases[d - 1][base // order][0] == k
+                         else c) for base, u, c in cols[j])
+        return ZGMatrix._of_triples(J.group, m.nrows, cols)
+    return doctored
+
+
+def test_a_doctored_join_differential_is_caught_where_it_is_read(
+        monkeypatch):
+    # join() builds no differential; each read certifies the map it returns
+    P = periodic_cyclic_resolution(3, 3)
+    monkeypatch.setattr(resolutions, "_join_differential",
+                        _flip_one_middle_sign(
+                            resolutions._join_differential, 3))
+    J = join(P, P, 5)
+    assert J.differential(1) is not None and J.differential(2) is not None
+    for k in (3, 4, 3):
+        with pytest.raises(InternalCheckError,
+                           match=f"join construction: differentials do not "
+                                 f"compose to zero at degree {k}"):
+            J.differential(k)
+    # the report lists d_2 o d_3 only if its read passed; here it raises
+    with pytest.raises(InternalCheckError, match="degree 3"):
+        validate_resolution(join(P, P, 5))
+
+
+def test_a_join_truncates_compares_and_saves_through_its_reads():
+    P = periodic_cyclic_resolution(3, 3)
+    J = join(P, P, 5)
+    T = J.truncated(3)
+    assert T.depth == 3 and all(T.differential(k) is J.differential(k)
+                                for k in (1, 2, 3))
+    assert validate_resolution(T).passed
+    # a join none of whose maps was read yet equals its saved form
+    assert join(P, P, 5) == Resolution.from_json(J.to_json()) == J
+
+
 def test_join_requires_depth():
     # depth-2 factors: their join is exact below degree 2 + 2 + 1 = 5, so
     # it is a resolution through degree 5 and no further
@@ -614,7 +661,7 @@ def test_huge_rank_in_a_resolution_file_is_refused_before_allocation():
 
 def test_builders_and_certificates_make_no_ring_elements(monkeypatch):
     # the bar and join builders emit the stored triples directly, and the
-    # constructor's d o d and eps o d_1 certificates read them as they are
+    # d o d and eps o d_1 certificates read them as they are
     P = syzygy_resolution(dihedral(4), 7)
     made = []
     real = GroupRingElement.__init__
@@ -626,6 +673,8 @@ def test_builders_and_certificates_make_no_ring_elements(monkeypatch):
     monkeypatch.setattr(GroupRingElement, "__init__", counted)
     bar = bar_resolution(cyclic(5), 5)
     box = join(P.truncated(3), P.truncated(3), 7)
+    for k in range(1, box.depth + 1):  # each read builds and certifies d_k
+        box.differential(k)
     monkeypatch.undo()
     assert len(made) == 0
     assert bar.ranks == (1, 4, 16, 64, 256, 1024)
