@@ -161,6 +161,7 @@ class FiniteGroup:
 
 
 def _is_int(v) -> bool:
+    """The one integer rule of every input gate: an int, never a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 

@@ -23,8 +23,8 @@ subcomplex of P*P that holds w and the certificate that the down-image of
 d w is 0.  Every rank of it is certified and charged to the size budget up
 front; of its differentials the product reads only d_{n+m+1}, for that
 certificate, and that read builds it and certifies it against d_{n+m}
-(``JoinResolution``).  ``ProductContext.join_for`` sizes the join to the
-bounding box of the bidegrees asked for.
+(``JoinResolution``).  ``ProductContext`` keeps one such join per
+bidegree.
 
 Cross-check path (composition): represent b as a stable map into the m+1st
 syzygy, lift it to a degree-(m+1) chain self-map of P (strict commutation
@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError
-from .groups import GroupRingElement, _accumulate
+from .groups import GroupRingElement, _accumulate, _is_int
 from .intlinalg import IntegerSolver, NoSolution
 from .resolutions import (JoinResolution, Resolution, check_vector,
                           include_cycle_tensor, join)
@@ -126,7 +126,7 @@ class ComparisonLift:
         order = self.target.group.order
         out = [0] * self.target.rank(k + self.shift)
         for j, c in down_vec.items():
-            if not (isinstance(j, int) and isinstance(c, int)):
+            if not (_is_int(j) and _is_int(c)):
                 raise ValueError(f"down vector entry {j!r}: {c!r} not integral")
             for base, _, v in self.column(k, j):
                 out[base // order] += c * v
@@ -147,57 +147,44 @@ def _augmentation_seed(P: Resolution) -> tuple:
 class ProductContext:
     """Shared caches for computing many products over one resolution.
 
-    Holds one join P_{<=N} * P_{<=M} through degree D, grown by
-    ``join_for``, whose differentials are built and certified as the
-    products read them, and the lazy chain self-maps of the composition
-    pipeline.
+    Holds one join per bidegree (n, m), P_{<=n} * P_{<=m} through degree
+    n + m + 1, whose differentials are built and certified as the products
+    read them, and the lazy chain self-maps of the composition pipeline.
     The walk that carries join chains back to P and the self-maps solve
     through the differentials of P, which keep their factorizations.  All
     methods are deterministic.
     """
 
-    __slots__ = ("P", "max_zrank", "_join", "_glifts")
+    __slots__ = ("P", "max_zrank", "_joins", "_glifts")
 
     def __init__(self, P: Resolution, max_zrank: int | None = None):
         self.P = P
         self.max_zrank = max_zrank
-        self._join: JoinResolution | None = None
+        self._joins: dict[tuple[int, int], JoinResolution] = {}
         self._glifts: dict[tuple, ComparisonLift] = {}
 
-    def join_for(self, pairs: Sequence[tuple[int, int]]) -> JoinResolution:
-        """The one join that the products of all the given bidegrees read.
-
-        Its box (N, M, D) is the componentwise maximum of (n, m, n + m + 1)
-        over the pairs and the join already held; a union of boxes is not
-        the join of two resolutions, so the box is the bounding one.  A box
-        that grows builds a new join.  Each pair must be two integers; no
-        pairs and no join held is an error.
-        """
-        J = self._join
-        boxes = [(n, m, n + m + 1) for n, m in
-                 (check_vector(p, 2, "bidegree") for p in pairs)]
-        if J is not None:
-            boxes.append((J.P.depth, J.Q.depth, J.depth))
-        elif not boxes:
-            raise ResolutionError("a join needs at least one bidegree")
-        N, M, D = map(max, zip(*boxes))
-        if J is None or (N, M, D) != boxes[-1]:  # boxes[-1]: the one held
-            Pn = self.P.truncated(N)
-            Pm = Pn if M == N else self.P.truncated(M)
-            J = self._join = join(Pn, Pm, D, max_zrank=self.max_zrank)
+    def _join(self, n: int, m: int) -> JoinResolution:
+        """The join that the products of bidegree (n, m) read, charged to
+        the budget when it is built."""
+        J = self._joins.get((n, m))
+        if J is None:
+            J = self._joins[n, m] = join(
+                self.P.truncated(n), self.P.truncated(m), n + m + 1,
+                max_zrank=self.max_zrank)
         return J
 
     def table(self, pairs: Sequence[tuple[int, int]]) -> list[dict]:
         """Products of all homology generators for each (n, m) in pairs.
 
         Every entry is computed by both pipelines; the agree flag records
-        exact equality of the classified outputs.
+        exact equality of the classified outputs.  Every bidegree is
+        checked, and its join charged to the budget, before any product.
         """
+        pairs = list(pairs)
         for pair in pairs:
             _require_bidegree(self.P, *check_vector(pair, 2, "bidegree"))
-        if pairs:
-            # size the join once, not once per growth in pair order
-            self.join_for(pairs)
+        for n, m in pairs:
+            self._join(n, m)
         entries = []
         for n, m in pairs:
             hn = homology(self.P, n)
@@ -223,7 +210,7 @@ class ProductContext:
         out_deg = n + m + 1
         x = phi_inverse(P, n, za)  # N . y_a, checked invariant cycle
         y = lift_vector(P, m, zb)
-        J = self.join_for([(n, m)])
+        J = self._join(n, m)
         w = include_cycle_tensor(J, x.vector, n, y, m)
         # the boundary must die after tensoring down (norm against the
         # augmentation ideal); anything else is a sign bug, not bad input
@@ -347,7 +334,7 @@ def _add_multiple(out: dict[int, GroupRingElement], c: GroupRingElement,
 
 def _require_bidegree(P: Resolution, n: int, m: int) -> None:
     """The product of H_n and H_m is defined for n, m >= 1, in H_{n+m+1}."""
-    if not all(isinstance(k, int) and k >= 1 for k in (n, m)):
+    if not all(_is_int(k) and k >= 1 for k in (n, m)):
         raise ResolutionError(
             f"the product is defined for degrees >= 1, got ({n!r}, {m!r})")
     if P.depth < n + m + 2:

@@ -53,8 +53,8 @@ import reprlib
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
-from .groups import (FiniteGroup, GroupRingElement, _int_list, _list,
-                     _read_json, build_group)
+from .groups import (FiniteGroup, GroupRingElement, _int_list, _is_int,
+                     _list, _read_json, build_group)
 from .intlinalg import (IntegerLattice, IntMatrix, _rank_and_minor,
                         f2_rank, kernel_basis, lll_reduce_rows,
                         sparse_invariant_factors)
@@ -67,7 +67,7 @@ def check_degree(k, lo, hi, what: str):
     The one check of a degree or depth given to the library; hi may be
     ``math.inf``.
     """
-    if not (isinstance(k, int) and lo <= k <= hi):
+    if not (_is_int(k) and lo <= k <= hi):
         raise ResolutionError(
             f"{what} must be an integer in {lo}..{hi}, got {k!r}")
     return k
@@ -78,7 +78,7 @@ def check_vector(v, length: int, what: str):
     ResolutionError: the one check of a down-complex vector, a class's
     coordinates or a bidegree given to the library."""
     if not (isinstance(v, (list, tuple)) and len(v) == length
-            and all(isinstance(c, int) for c in v)):
+            and all(_is_int(c) for c in v)):
         raise ResolutionError(f"{what} must be a list or tuple of {length} "
                               f"integers, got {reprlib.repr(v)}")
     return v
@@ -549,6 +549,8 @@ def _cover_kernel_with_orbits(group: FiniteGroup, z_cols: list[dict[int, int]],
         if not _spans_kernel(full, orbits, rest,
                              f2_rank(m for u in rest for m in masks[u])):
             survivors.append(t)
+    # rebuilt here, not through _spans_kernel, so that a fault in the drop
+    # test cannot pass its own certificate
     if survivors != chosen:
         lat = IntegerLattice()
         for vec in (vec for t in survivors for vec in orbits[t]):

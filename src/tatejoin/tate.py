@@ -36,7 +36,7 @@ import math
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SchemaError
-from .groups import GroupRingElement, norm_element
+from .groups import GroupRingElement, _is_int, norm_element
 from .intlinalg import (IntMatrix, NoSolution, SparseFactors,
                         _sparse_eliminate, kernel_basis,
                         smith_normal_form, sparse_invariant_factors)
@@ -268,7 +268,7 @@ class _CycleCoordinates:
 def homology(res: Resolution, n: int) -> HomologyGroup:
     """H_n of the resolution's tensored-down complex (cached per degree)."""
     key = ("homology", n)
-    if not isinstance(n, int) or key not in res._hcache:  # 1.0 hashes as 1
+    if not _is_int(n) or key not in res._hcache:  # 1.0 and True hash as 1
         res._hcache[key] = HomologyGroup(res, n)
     return res._hcache[key]
 
@@ -387,7 +387,7 @@ def tate_group(res: Resolution, k: int):
     k = -1 vanishes for every finite group; k <= -2 is homology in degree
     -k-1 via the norm correspondence.  Nonnegative k is out of scope.
     """
-    if isinstance(k, int) and k >= 0:
+    if _is_int(k) and k >= 0:
         raise SchemaError(
             "only negative degrees are supported (degrees >= 0 are out of scope)")
     # degree -depth reads H_{depth-1}; -1 vanishes at any depth

@@ -44,7 +44,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, ResolutionError, SizeBudgetError
-from .groups import FiniteGroup, GroupRingElement, _accumulate
+from .groups import FiniteGroup, GroupRingElement, _accumulate, _is_int
 from .intlinalg import IntegerSolver, NoSolution
 
 
@@ -55,7 +55,7 @@ def charge(needed: int, budget: int | None, what: str) -> None:
     expanded rank, a resolution's depth, a degree token or verify's
     bidegree count, comes through here, and ``what`` names the work.
     """
-    if budget is not None and (type(budget) is not int or budget < 1):
+    if budget is not None and (not _is_int(budget) or budget < 1):
         raise ResolutionError(f"a size budget must be a positive integer, "
                               f"got {budget!r}")
     if budget is not None and needed > budget:
@@ -65,7 +65,7 @@ def charge(needed: int, budget: int | None, what: str) -> None:
 
 def check_index(j, n: int, what: str) -> int:
     """j itself if an int in 0..n-1, else ValueError: the one index gate."""
-    if not (isinstance(j, int) and 0 <= j < n):
+    if not (_is_int(j) and 0 <= j < n):
         raise ValueError(f"{what} {j!r} out of range, not an index below {n}")
     return j
 

@@ -21,6 +21,7 @@ from tatejoin import (ComparisonLift, IntMatrix, ProductContext, ZERO,
                       tate_group, trivial)
 import tatejoin.resolutions
 from oracles import chain_map_failure, minor_gcd_invariant_factors
+from test_products import _lifted_join_classes, _skeleton_join
 
 FIXTURE = os.path.join(os.path.dirname(tatejoin.resolutions.__file__),
                        "fixtures", "q8_periodic.json")
@@ -63,17 +64,19 @@ def test_degree_minus_one_vanishes():
 
 
 def test_cyclic_generator_products_generate():
-    # product of generators is again a generator: maximal order in Z/m
+    # product of generators is again a generator: maximal order in Z/m,
+    # the class that a lift through the join to depth 8 also gives
     times = []
     for m in (2, 3, 4, 5):
         t0 = time.perf_counter()
         res = periodic_cyclic_resolution(m, 8)
         ctx = ProductContext(res)
-        ctx.join_for([(8, 8)])
+        J = _skeleton_join(res, [(8, 8)])
         for n, md in ((1, 1), (1, 3), (3, 3)):
             a = homology(res, n).generators[0]
             b = homology(res, md).generators[0]
             out = ctx.join_product(n, a, md, b)
+            assert [out] == _lifted_join_classes(res, J, [(n, a, md, b)])
             h_out = homology(res, n + md + 1)
             assert h_out.invariant_factors == [m], (m, n, md)
             assert h_out.class_order(out) == m, (m, n, md, out)

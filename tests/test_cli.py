@@ -182,14 +182,18 @@ def test_budget_exit_3(capsys):
 def test_product_table_budget_counts_the_join_it_reads(capsys):
     # the 1x1 product reads the join of the 1-skeleta of C4's periodic
     # resolution through degree 3, ranks (2, 6, 8, 4), so its largest
-    # expanded size is 4 x 8 = 32: that budget suffices, one less does not
-    code, out, _ = run(capsys, "product-table", "--group", "cyclic:4",
-                       "--pairs", "1x1", "--max-zrank", "32")
-    assert code == 0
-    assert json.loads(out)["entries"][0]["agree"] is True
-    code, _, err = run(capsys, "product-table", "--group", "cyclic:4",
-                       "--pairs", "1x1", "--max-zrank", "31")
-    assert code == 3 and "join" in err
+    # expanded size is 4 x 8 = 32: that budget suffices, one less does not.
+    # Each pair of a table reads its own join: 3x1 and 1x3 both read ranks
+    # (2, 6, 9, 9, 8, 4), 4 x 9 = 36, where the bounding box P<=3 * P<=3
+    # would need 4 x 16 = 64
+    for pairs, budget in (("1x1", 32), ("3x1,1x3", 36)):
+        code, out, _ = run(capsys, "product-table", "--group", "cyclic:4",
+                           "--pairs", pairs, "--max-zrank", str(budget))
+        assert code == 0
+        assert all(e["agree"] for e in json.loads(out)["entries"])
+        code, _, err = run(capsys, "product-table", "--group", "cyclic:4",
+                           "--pairs", pairs, "--max-zrank", str(budget - 1))
+        assert code == 3 and "join" in err
 
 
 def test_env_budget_override(capsys, monkeypatch):

@@ -19,8 +19,9 @@ import pytest
 
 import tatejoin
 from tatejoin import (ComparisonLift, GroupRingElement, InternalCheckError,
-                      ProductContext, Resolution, ResolutionError, ZGMatrix,
-                      bar_resolution, composition_product, cyclic, dihedral,
+                      ProductContext, Resolution, ResolutionError,
+                      SizeBudgetError, ZGMatrix, bar_resolution,
+                      composition_product, cyclic, dihedral,
                       from_permutations, homology, include_cycle_tensor, join,
                       join_product, lift_vector, load_resolution,
                       periodic_cyclic_resolution, phi_inverse, product_table,
@@ -306,29 +307,35 @@ def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
     real_join = products.join
 
     def recording_join(P, Q, n, max_zrank=None):
-        depths.append(n)
+        depths.append((P.depth, Q.depth, n))
         return real_join(P, Q, n, max_zrank=max_zrank)
 
     monkeypatch.setattr(products, "join", recording_join)
     res = periodic_cyclic_resolution(3, 6)
     a = homology(res, 1).generators[0]
     b = homology(res, 3).generators[0]
-    table = product_table(res, [(1, 1), (3, 1), (1, 3)])
-    assert table.all_agree and depths == [5]
+    # a table builds the join P<=n * P<=m through degree n + m + 1 of each
+    # bidegree, in order, before its first product, and no other
+    table = product_table(res, [(1, 1), (3, 1), (1, 3), (1, 1)])
+    assert table.all_agree
+    assert depths == [(1, 1, 3), (3, 1, 5), (1, 3, 5)]
+    del depths[:]
     join_product(res, 1, a, 3, b)
-    assert depths == [5, 5]
+    assert depths == [(1, 3, 5)]
     ctx = ProductContext(res)
     ctx.join_product(1, a, 1, a)
     ctx.join_product(1, a, 3, b)
-    assert depths == [5, 5, 3, 5]
-    # verify checks join ranks to degree 4, then needs no deeper join for
-    # its products, whose output degree is at most depth - 1 = 4
+    ctx.join_product(1, a, 1, a)
+    assert depths == [(1, 3, 5), (1, 1, 3), (1, 3, 5)]
+    # verify's products build one join per feasible bidegree at depth 5;
+    # its join:ranks line builds the bounding box P<=2 * P<=2 through
+    # degree 4 with resolutions.join, not through the product context
     del depths[:]
     assert run_verify(periodic_cyclic_resolution(3, 5), rounds=1).passed
-    assert depths == [4]
-    # of a box P<=3 * P<=3 through degree 7, a one-pair product reads d_7
-    # (its boundary certificate) and builds only d_6 to certify it, by one
-    # composition
+    assert depths == [(1, 1, 3), (1, 2, 4), (2, 1, 4)]
+    # of the join P<=3 * P<=3 through degree 7, a one-pair product reads
+    # d_7 (its boundary certificate) and builds only d_6 to certify it, by
+    # one composition
     d4 = syzygy_resolution(dihedral(4), 9)
     z = homology(d4, 3).generators[0]
     built, composed = [], []
@@ -339,7 +346,16 @@ def test_products_build_the_join_only_to_the_output_degree(monkeypatch):
                         composed.append(1) or real_compose(self, inner))
     del depths[:]
     join_product(d4, 3, z, 3, z)
-    assert depths == [7] and sorted(built) == [6, 7] and len(composed) == 1
+    assert depths == [(3, 3, 7)] and sorted(built) == [6, 7]
+    assert len(composed) == 1
+
+
+def _skeleton_join(P, pairs):
+    """Test oracle: the bounding-box join P<=N * P<=M through degree D,
+    (N, M, D) the componentwise maximum of (n, m, n + m + 1) over pairs;
+    it holds the join of every pair's product as a subcomplex."""
+    N, M, D = map(max, zip(*((n, m, n + m + 1) for n, m in pairs)))
+    return join(P.truncated(N), P.truncated(M), D)
 
 
 def _lifted_join_classes(P, J, cases):
@@ -417,8 +433,8 @@ def test_the_contraction_walk_matches_a_lift_of_the_full_join(
 
 @pytest.fixture(scope="module")
 def s4_verify():
-    """S4 to depth 8, a context, the generator cases of its verify pairs,
-    each joined by the walk, and the steps the walk took."""
+    """S4 to depth 8, its verify pairs, their generator cases, each joined
+    by the walk, and the steps the walk took."""
     P = syzygy_resolution(symmetric(4), 8)
     ctx = ProductContext(P)
     pairs = [(n, m) for n in range(1, 8) for m in range(1, 7 - n)]
@@ -426,13 +442,13 @@ def s4_verify():
     with pytest.MonkeyPatch.context() as mp:
         steps = _walk_steps(mp)
         walked = [ctx.join_product(*c) for c in cases]
-    return P, ctx, pairs, cases, walked, steps
+    return P, pairs, cases, walked, steps
 
 
 def test_s4_verify_products_match_the_box_lift(s4_verify):
-    P, ctx, pairs, cases, walked, _ = s4_verify
+    P, pairs, cases, walked, _ = s4_verify
     assert len(cases) == 26
-    assert walked == _lifted_join_classes(P, ctx.join_for(pairs), cases)
+    assert walked == _lifted_join_classes(P, _skeleton_join(P, pairs), cases)
 
 
 def test_s4_contraction_entries_stay_small(s4_verify):
@@ -567,7 +583,6 @@ def test_a_wrong_solve_in_the_walk_is_an_engine_fault(wrong, message,
     per = periodic_cyclic_resolution(3, 6)
     a = homology(per, 1).generators[0]
     ctx = ProductContext(per)
-    ctx.join_for([(1, 1)])
     real = intlinalg.IntegerSolver.solve
     monkeypatch.setattr(intlinalg.IntegerSolver, "solve",
                         lambda self, b: wrong(real(self, b)))
@@ -586,27 +601,6 @@ def test_box_join_products_match_the_full_join(build, n, m):
     assert cases
     assert [ctx.join_product(*c) for c in cases] == \
         _lifted_join_classes(P, join(P, P, n + m + 1), cases)
-
-
-def test_product_context_grows_its_box_componentwise(monkeypatch):
-    import tatejoin.products as products
-    calls = []
-    real_join = products.join
-
-    def recording_join(P, Q, n, max_zrank=None):
-        calls.append((P.depth, Q.depth, n))
-        return real_join(P, Q, n, max_zrank=max_zrank)
-
-    monkeypatch.setattr(products, "join", recording_join)
-    res = periodic_cyclic_resolution(3, 8)
-    ctx = ProductContext(res)
-    for n, m in ((1, 1), (1, 3), (3, 1), (1, 1), (3, 3)):
-        a = homology(res, n).generators[0]
-        b = homology(res, m).generators[0]
-        assert ctx.join_product(n, a, m, b) == \
-            ctx.composition_product(n, a, m, b)
-    # (1, 1) lies inside the box already built; (3, 3) grows the degree
-    assert calls == [(1, 1, 3), (1, 3, 5), (3, 3, 5), (3, 3, 7)]
 
 
 # The digests pin the lifted columns themselves, not only the classes they
@@ -641,21 +635,6 @@ def test_lifted_self_map_columns_are_byte_identical():
         "0246daaaaa783a6051717b0d9b11fe22306d6ecb30b21e90355a7b26c7c8d5a0",
         "9f5a424e3511890e12fc91df1ba81f21ae685b10f7545e5e5f3e35323bed080c",
     ]
-
-
-def test_a_grown_join_gives_the_classes_of_one_sized_up_front():
-    res = syzygy_resolution(dihedral(4), 9)
-    pairs = [(1, 1), (3, 3), (2, 5)]
-
-    def products_of(ctx):
-        return [ctx.join_product(n, za, m, zb) for n, m in pairs
-                for za in homology(res, n).generators
-                for zb in homology(res, m).generators]
-
-    grown = products_of(ProductContext(res))  # the box grows twice
-    sized = ProductContext(res)
-    sized.join_for(pairs)
-    assert products_of(sized) == grown
 
 
 def test_a_product_table_factors_each_differential_once(monkeypatch):
@@ -776,10 +755,6 @@ BAD_INPUT_CALLS = [
     # D_1 is cached by H_1, and 1.0 hashes as 1
     ("down_boundary 1.0", lambda per: per.down_boundary(1.0, [1]),
      "differential degree .* got 1.0"),
-    ("join_for []", lambda per: ProductContext(per).join_for([]),
-     "at least one bidegree"),
-    ("join_for [(1,)]", lambda per: ProductContext(per).join_for([(1,)]),
-     r"bidegree .* got \(1,\)"),
     ("product_table [(1,)]", lambda per: product_table(per, [(1,)]),
      r"bidegree .* got \(1,\)"),
     ("product_table [1]", lambda per: product_table(per, [1]),
@@ -799,26 +774,86 @@ BAD_INPUT_CALLS = [
     ("ProductContext max_zrank 2.5", lambda per: ProductContext(
         per, max_zrank=2.5).join_product(1, [1], 1, [1]),
      "size budget .* got 2.5"),
+    # a bool is an int to isinstance, and each gate below read it as 0 or
+    # 1; an index gate raises ValueError, the fourth field
+    ("homology True", lambda per: homology(per, True),
+     "homology degree must be an integer in 0..5, got True"),
+    ("rank True", lambda per: per.rank(True), "got True"),
+    ("classify [True]", lambda per: homology(per, 1).classify([True]),
+     "not a cycle"),
+    ("join_product True",
+     lambda per: ProductContext(per).join_product(True, [1], 1, [1]),
+     r"degrees >= 1, got \(True, 1\)"),
+    ("product_table (True, 1)", lambda per: product_table(per, [(True, 1)]),
+     r"bidegree .* got \(True, 1\)"),
+    ("lift column False",
+     lambda per: ComparisonLift(per, per).column(1, False),
+     "column False out of range", ValueError),
+    ("transport_down True",
+     lambda per: ComparisonLift(per, per).transport_down(1, {0: True}),
+     "not integral", ValueError),
 ]
 
 
-@pytest.mark.parametrize("call, match",
-                         [c[1:] for c in BAD_DEGREE_CALLS + BAD_INPUT_CALLS],
+@pytest.mark.parametrize("call, match, error",
+                         [(*c[1:3], c[3] if len(c) > 3 else ResolutionError)
+                          for c in BAD_DEGREE_CALLS + BAD_INPUT_CALLS],
                          ids=[c[0] for c in BAD_DEGREE_CALLS
                               + BAD_INPUT_CALLS])
-def test_a_bad_degree_is_a_named_error(call, match):
+def test_a_bad_degree_is_a_named_error(call, match, error):
     # a degree that is not an int raised a bare TypeError deep inside; H_1
     # is cached first, so a degree equal to 1 must not read the cache
     per = periodic_cyclic_resolution(3, 6)
     assert homology(per, 1).invariant_factors == [3]
-    with pytest.raises(ResolutionError, match=match):
+    with pytest.raises(error, match=match):
         call(per)
 
 
 def test_an_empty_table_builds_no_join():
     # verify reads an empty table where no bidegree is feasible
     ctx = ProductContext(periodic_cyclic_resolution(3, 6))
-    assert ctx.table([]) == [] and ctx._join is None
+    assert ctx.table([]) == [] and ctx._joins == {}
+
+
+def test_a_table_reads_its_pairs_once():
+    # the checks and the products read the same pairs: a generator of
+    # bidegrees gives the table of the list
+    P = periodic_cyclic_resolution(3, 6)
+    pairs = [(1, 1), (1, 3)]
+    entries = product_table(P, pairs).entries
+    assert entries and product_table(P, iter(pairs)).entries == entries
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: syzygy_resolution(dihedral(4), 9), [(3, 3), (2, 5)]),
+    (lambda: syzygy_resolution(symmetric(3), 10), [(3, 3), (3, 5), (1, 7)]),
+], ids=["D4/9", "S3/10"])
+def test_a_product_reads_one_summand_of_its_join(build, pairs):
+    # degree n + m + 1 of P<=n * P<=m is the one summand P_n (x) Z[G] (x)
+    # P_m, where the product chain lives; a larger box adds summands there
+    # that no product of bidegree (n, m) reads
+    P = build()
+    ctx = ProductContext(P)
+    for n, m in pairs:
+        J = ctx._join(n, m)
+        assert J.depth == n + m + 1
+        assert {b[0] for b in J.bases[n + m + 1]} == {n + 1}
+        assert J.rank(n + m + 1) == P.rank(n) * P.group.order * P.rank(m)
+
+
+def test_a_table_over_budget_is_refused_before_any_product(monkeypatch):
+    # each pair's join is charged before the first product: 1x1 reads a
+    # join of expanded size 32 on C4, 3x1 one of 36
+    calls = []
+    real = ProductContext.join_product
+    monkeypatch.setattr(ProductContext, "join_product",
+                        lambda self, *a: calls.append(a) or real(self, *a))
+    P = periodic_cyclic_resolution(4, 6)
+    with pytest.raises(SizeBudgetError, match="join .* needs 36, budget is 35"):
+        product_table(P, [(1, 1), (3, 1)], max_zrank=35)
+    assert calls == []
+    assert product_table(P, [(1, 1), (3, 1)], max_zrank=36).all_agree
+    assert calls
 
 
 @pytest.mark.parametrize("target, match", [
@@ -917,7 +952,7 @@ def test_lifting_builds_no_ring_element_between_solves(monkeypatch):
     ctx = ProductContext(res)
     # a shift-0 lift of the join box of bidegree (2, 2), to degree 5, and
     # a self-map of the composition pipeline
-    lifts = [ComparisonLift(ctx.join_for([(2, 2)]), res),
+    lifts = [ComparisonLift(_skeleton_join(res, [(2, 2)]), res),
              ctx._g_lift(1, homology(res, 1).generators[0])]
     assert lifts[1].shift == 2
     built, read = [0], [0]
